@@ -201,7 +201,6 @@ struct SoakFleet {
     fleet::ReplicaConfig rc;
     rc.id = "replica-" + std::to_string(index);
     rc.service.refine = true;
-    rc.service.lanesPerMachine = 2;
     rc.service.refiner.exploreFraction = 0.4;
     rc.service.refiner.probeSamples = 1;
     rc.service.refiner.neighborRadius = 2;
@@ -292,7 +291,7 @@ std::map<std::string, std::size_t> incumbentMap(fleet::Replica& replica) {
        replica.service().exportRefinedWins(/*refinedOnly=*/false)) {
     std::string id = win.key.machine + "|" + win.key.program;
     for (const double v : win.key.signature) {
-      id += "|" + std::to_string(v);
+      id.append("|").append(std::to_string(v));
     }
     map[id] = win.incumbentLabel;
   }

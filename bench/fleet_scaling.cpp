@@ -155,7 +155,6 @@ ScenarioResult runScenario(const Options& opt, const Workload& wl,
   // replica's service unregisters its readouts on destruction.
   if (!metricsPath.empty()) fc.service.metrics = &obs::defaultRegistry();
   fc.service.refine = true;
-  fc.service.lanesPerMachine = 2;
   fc.service.refiner.exploreFraction = opt.explore;
   fc.service.refiner.probeSamples = 1;
   fc.service.refiner.neighborRadius = 2;
@@ -167,6 +166,8 @@ ScenarioResult runScenario(const Options& opt, const Workload& wl,
 
   common::Rng rng(0xBE7C4);
   for (std::size_t wave = 0; wave < opt.waves; ++wave) {
+    // submit() serves on the submitting thread, so a wave executes
+    // serially here and every future is already resolved.
     std::vector<std::future<serve::LaunchResponse>> inflight;
     inflight.reserve(requestsPerWave);
     for (std::size_t i = 0; i < requestsPerWave; ++i) {

@@ -116,7 +116,11 @@ void JsonObject::setInt(const std::string& key, std::uint64_t value) {
 }
 
 void JsonObject::set(const std::string& key, const std::string& value) {
-  fields_.emplace_back(key, "\"" + jsonEscape(value) + "\"");
+  // Appended, not `"lit" + std::string&&`: that form trips a GCC 12
+  // -Wrestrict false positive in Release builds.
+  std::string quoted = "\"";
+  quoted.append(jsonEscape(value)).append("\"");
+  fields_.emplace_back(key, std::move(quoted));
 }
 
 void JsonObject::set(const std::string& key, const char* value) {

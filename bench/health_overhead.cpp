@@ -117,7 +117,6 @@ public:
       bool withHealth) {
     serve::ServiceConfig config;
     config.cacheCapacity = 1024;
-    config.lanesPerMachine = 2;
     config.recordFeedback = false;
     config.metrics = metrics;
     config.metricsPrefix = withHealth ? "bench.health." : "bench.serve.";

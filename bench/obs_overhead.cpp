@@ -95,7 +95,6 @@ double warmRps(const Options& opt, const std::vector<runtime::Task>& tasks,
                const runtime::FeatureDatabase& db, obs::Registry* metrics) {
   serve::ServiceConfig config;
   config.cacheCapacity = 1024;
-  config.lanesPerMachine = 2;
   config.recordFeedback = false;
   config.metrics = metrics;
   config.metricsPrefix = "bench.serve.";

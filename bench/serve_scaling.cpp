@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig config;
   config.cacheCapacity = 1024;
-  config.lanesPerMachine = 2;
   config.inlineLanes = 32;  // cover the widest sweep point
   config.recordFeedback = false;  // isolate the serving hot path
   serve::PartitionService service(config);

@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
 
   serve::ServiceConfig config;
   config.cacheCapacity = 1024;
-  config.lanesPerMachine = 2;
   config.recordFeedback = false;  // isolate the serving hot path
   if (!opt.metricsPath.empty()) config.metrics = &obs::defaultRegistry();
   serve::PartitionService service(config);

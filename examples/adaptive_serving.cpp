@@ -76,7 +76,6 @@ int main() {
 
   serve::ServiceConfig config;
   config.cacheCapacity = 256;
-  config.lanesPerMachine = 2;
   config.retrainSpec = "forest:32";
   config.refine = true;
   config.refiner.exploreFraction = 0.3;
@@ -106,7 +105,7 @@ int main() {
              "first sighting serves the unrefined model prediction");
       expect(response.label ==
                  service.predictLabel(machine.name, tasks[t]),
-             "baseline label equals the unbatched predict path");
+             "baseline label equals the uncached predict path");
       baseline[t].push_back(response.execution.makespan);
     }
   }

@@ -89,7 +89,6 @@ struct Workload {
     fc.replicas = replicas;
     fc.gossipEnabled = gossip;
     fc.service.refine = true;
-    fc.service.lanesPerMachine = 2;
     fc.service.refiner.exploreFraction = 0.4;
     // Deterministic simulation: one sample per arm is ground truth, so
     // probing converges and gossiped evidence is never re-probed.

@@ -280,7 +280,12 @@ std::string Registry::exportJson(bool includeRecentLog) const {
   bool firstHistogram = true;
   bool firstSummary = true;
   for (const auto& [name, entry] : entries_) {
-    const std::string key = "\"" + escapeJson(name) + "\":";
+    // reserve + append, not `"lit" + std::string&&`: the latter trips a
+    // GCC 12 -Wrestrict false positive in Release builds.
+    const std::string escaped = escapeJson(name);
+    std::string key;
+    key.reserve(escaped.size() + 3);
+    key.append("\"").append(escaped).append("\":");
     if (entry.ownedCounter != nullptr || entry.counterFn) {
       if (!firstCounter) counters << ",";
       firstCounter = false;

@@ -1,15 +1,13 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <deque>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/striped.hpp"
+#include "common/thread_pool.hpp"
 #include "features/runtime_features.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
@@ -22,10 +20,7 @@ namespace tp::serve {
 namespace {
 
 using Clock = obs::Clock;
-
-double secondsSince(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using obs::secondsSince;
 
 std::size_t autoInlineLanes(std::size_t configured) {
   // The default tracks the stripe heuristic (2x hardware concurrency in
@@ -37,13 +32,6 @@ std::size_t autoInlineLanes(std::size_t configured) {
 
 }  // namespace
 
-struct PartitionService::PendingRequest {
-  LaunchRequest request;
-  std::promise<LaunchResponse> promise;
-  Clock::time_point enqueued;
-  PreDecision carry;
-};
-
 struct PartitionService::MachineState {
   sim::MachineConfig machine;
   runtime::PartitioningSpace space;
@@ -53,21 +41,9 @@ struct PartitionService::MachineState {
   /// Cache generation this model serves.
   std::uint64_t modelVersion TP_GUARDED_BY(modelMutex) = 0;
 
-  // Request queue + lane occupancy, guarded by queueMutex. Each lane owns
-  // a private context/scheduler so simulated clocks never interleave.
-  common::Mutex queueMutex;
-  std::deque<PendingRequest> queue TP_GUARDED_BY(queueMutex);
-  // laneContexts/lanes are built once in the constructor; a worker only
-  // touches lanes[l] while it owns laneBusy[l] (set under queueMutex), so
-  // the vectors themselves are immutable and carry no guard.
-  std::vector<std::unique_ptr<vcl::Context>> laneContexts;
-  std::vector<std::unique_ptr<runtime::Scheduler>> lanes;
-  std::vector<char> laneBusy TP_GUARDED_BY(queueMutex);
-
-  // Inline execution lanes for cache hits served on caller threads.
-  // Claimed with a single CAS, never a mutex; like the queue lanes, each
-  // owns a private context/scheduler, so simulated clocks stay isolated
-  // and inline results are bit-identical to lane-worker results
+  // Inline execution lanes, claimed by caller threads with a single CAS,
+  // never a mutex. Each owns a private context/scheduler, so simulated
+  // clocks stay isolated and every lane computes bit-identical results
   // (Scheduler::execute resets clocks per call). The context/scheduler
   // are built lazily by the first claimer (the claim CAS serializes
   // ownership; busy release/acquire publishes the construction), so
@@ -83,7 +59,7 @@ struct PartitionService::MachineState {
 
   MachineLoadStats load;  ///< striped per-thread request accounting
   /// Sliding-window SLO judgment; set when config.slo.enabled(). Fed by
-  /// recordLatency on both serving paths, drained by sloReport() and the
+  /// recordLatency once per served request, drained by sloReport() and the
   /// latency_slo detector.
   std::unique_ptr<obs::SloTracker> slo;
 
@@ -107,16 +83,9 @@ struct PartitionService::MachineState {
         space(m.numDevices(), config.divisions),
         model(std::move(mdl)),
         load(m.numDevices()) {
-    const std::size_t numLanes = std::max<std::size_t>(1, config.lanesPerMachine);
     computePool =
         config.execMode == vcl::ExecMode::Compute ? &common::globalThreadPool()
                                                   : nullptr;
-    for (std::size_t l = 0; l < numLanes; ++l) {
-      laneContexts.push_back(
-          std::make_unique<vcl::Context>(machine, config.execMode, computePool));
-      lanes.push_back(std::make_unique<runtime::Scheduler>(*laneContexts.back()));
-    }
-    laneBusy.assign(numLanes, 0);
     inlineLanes = std::vector<InlineLane>(autoInlineLanes(config.inlineLanes));
     if (config.slo.enabled()) {
       slo = std::make_unique<obs::SloTracker>(config.slo);
@@ -188,12 +157,6 @@ void PartitionService::registerMetrics()
       if (ms->shedding.load(std::memory_order_relaxed) != 0) open += 1.0;
     }
     return open;
-  });
-  reg.registerCounter(p + "batches", [this] {
-    return batches_.load(std::memory_order_relaxed);
-  });
-  reg.registerGauge(p + "max_batch", [this] {
-    return static_cast<double>(maxBatch_.load(std::memory_order_relaxed));
   });
   reg.registerCounter(p + "retrains", [this] {
     return retrains_.load(std::memory_order_relaxed);
@@ -271,12 +234,11 @@ void PartitionService::addMachine(const sim::MachineConfig& machine,
   MachineState* ms = state.get();
   {
     common::MutexLock lock(machinesMutex_);
-    // The worker pool is sized to the registered lanes at the first
-    // submit(), and the machine map is read lock-free afterwards; a machine
-    // added later would be both under-provisioned and unsynchronized.
-    TP_REQUIRE(pool_ == nullptr,
+    // The machine map is read lock-free once the first request has been
+    // admitted; a machine added later would be unsynchronized.
+    TP_REQUIRE(!frozen_.load(std::memory_order_acquire),
                "PartitionService: register machine "
-                   << machine.name << " before the first submit()");
+                   << machine.name << " before the first request");
     TP_REQUIRE(machines_.count(machine.name) == 0,
                "PartitionService: machine " << machine.name
                                             << " already registered");
@@ -357,25 +319,6 @@ DecisionKey PartitionService::fullKeyAt(const MachineState& ms,
   return key;
 }
 
-common::ThreadPool& PartitionService::ensurePool() {
-  if (frozen_.load(std::memory_order_acquire)) return poolPostFreeze();
-  common::MutexLock lock(machinesMutex_);
-  if (pool_ == nullptr) {
-    std::size_t threads = config_.workerThreads;
-    if (threads == 0) {
-      for (const auto& [name, ms] : machines_) {
-        (void)name;
-        threads += ms->lanes.size();
-      }
-    }
-    pool_ = std::make_unique<common::ThreadPool>(
-        std::max<std::size_t>(1, threads));
-  }
-  // Publishes pool_ AND freezes machines_ for lock-free reads.
-  frozen_.store(true, std::memory_order_release);
-  return *pool_;
-}
-
 // seq_cst (deliberate, A1-explicit): the in-flight latch and the
 // accepting_ gate form a Dekker-style pair with drain()/shutdown() —
 // weaker orders would let a final decrement and the drain's load pass
@@ -390,126 +333,201 @@ void PartitionService::requestDone() noexcept
   }
 }
 
-bool PartitionService::tryServeInline(MachineState& ms,
-                                      const LaunchRequest& request,
-                                      LaunchResponse& response,
-                                      PreDecision& carry)
+PartitionService::MachineState& PartitionService::admit(
+    const std::string& machine)
     TP_LOCK_FREE_AUDITED(
-        "acquire-load of frozen_ pairs with its release store (publishes "
-        "pool_ and the machine map); lane ownership is a ClaimGuard CAS "
-        "claim released on every path including unwind; TSan: test_serve "
-        "PartitionService.ConcurrentClientsGetConsistentDecisions") {
-  // Pre-freeze traffic takes the queue path (which initializes the pool
-  // and freezes the machine map).
-  if (!frozen_.load(std::memory_order_acquire)) return false;
-  const runtime::Task& task = request.task;
-
-  // Allocation-free decision fast path: interned pair id -> streamed
-  // 128-bit fingerprint -> lock-free cache probe.
-  const std::uint32_t pairId =
-      interner_->find(request.machine, task.programName, task.kernelName);
-  if (pairId == common::PairInterner::kInvalid) return false;  // first sighting
-  carry.fingerprinted = true;
-  carry.pairId = pairId;
-  carry.version = cache_->version();
-  carry.fp = launchFingerprint(pairId, task, config_.cacheRoundDigits);
-  carry.lookedUp = true;
-  const auto hit = cache_->lookup(carry.fp, carry.version);
-  if (!hit.has_value()) return false;  // miss: model inference on a lane
-  carry.decided = true;
-  carry.label = *hit;
-  carry.cacheHit = true;
-
-  if (refiner_ != nullptr) {
-    // The refiner may override the cached baseline. Probes enqueue for
-    // lane workers (carrying this decision — it is made exactly once);
-    // exploit decisions stay inline. nullptr key: a hit whose refiner
-    // entry is missing serves unrefined rather than re-materializing key
-    // strings on the warm path.
-    const adapt::RefineDecision rd = refiner_->decide(
-        carry.fp, nullptr, carry.version, carry.label, ms.space);
-    carry.explore = rd.explore;
-    carry.refined = rd.refined;
-    if (rd.label != carry.label || rd.explore) {
-      carry.cacheHit = false;
-      carry.label = rd.label;
-    }
-    if (rd.explore) return false;  // probe: batching queue
+        "seq_cst (deliberate, A1-explicit) increment-then-check against the "
+        "accepting_ gate: pairs with shutdown()'s store-then-drain so no "
+        "request slips past a closing service uncounted; the first "
+        "admission publishes frozen_ (release, under machinesMutex_); "
+        "TSan: test_serve "
+        "PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
+  // Resolve + lifecycle-check before counting the request: unknown
+  // machines and post-shutdown submissions throw and are never counted
+  // as submitted.
+  MachineState& ms = state(machine);
+  if (!frozen_.load(std::memory_order_acquire)) {
+    // First admission: from here on machines_ and feedback_ are immutable
+    // and read lock-free (addMachine() checks the flag under this lock).
+    common::MutexLock lock(machinesMutex_);
+    frozen_.store(true, std::memory_order_release);
   }
+  inFlight_.fetch_add(1, std::memory_order_seq_cst);
+  if (!accepting_.load(std::memory_order_seq_cst)) {
+    requestDone();
+    throw Error("PartitionService: submit after shutdown");
+  }
+  submitted_.add();
+  return ms;
+}
 
-  // Claim an inline lane with one CAS; all busy -> batching queue (the
-  // decision travels along). Start the scan at a per-thread offset so
-  // concurrent callers spread over lanes instead of convoying on lane 0.
-  // The RAII guard keeps the claim exception-safe: any throw below
-  // releases the lane on unwind instead of leaking it (lint rule A3).
+LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
+                                               const LaunchRequest& request,
+                                               Clock::time_point admitted)
+    TP_LOCK_FREE_AUDITED(
+        "relaxed reads of the shedding word and the feedbackBackfill_ hint "
+        "flag; a stale value only shifts one request's shed/backfill "
+        "choice, the recorder dedups; TSan: test_serve "
+        "PartitionService.ConcurrentClientsGetConsistentDecisions") {
+  LaunchResponse response;
+  if (config_.breaker.enabled) {
+    maybeEvaluateBreaker(ms);
+    if (ms.shedding.load(std::memory_order_relaxed) != 0) {
+      // Fast-fail: answer immediately without deciding or executing.
+      // Sheds count as completed — every admitted request is answered
+      // exactly once — and the response carries the shed flag so the
+      // client can back off.
+      shed_.add();
+      completed_.add();
+      response.shed = true;
+      response.modelVersion = cache_->version();
+      requestDone();
+      return response;
+    }
+  }
+  // Sampled (1-in-N per thread): an unsampled pass costs one relaxed load
+  // and a branch.
+  TP_TRACE_SPAN_SAMPLED("serve.request", request.task.globalSize);
+  try {
+    const runtime::Task& task = request.task;
+    // Intern + fingerprint. find() is the allocation-free probe; a first
+    // sighting of the (machine, program) pair interns it (kInvalid when the
+    // table is full: the launch serves uncached and unrefined, the model
+    // still answers).
+    std::uint32_t pairId =
+        interner_->find(ms.machine.name, task.programName, task.kernelName);
+    if (pairId == common::PairInterner::kInvalid) {
+      pairId = interner_->intern(ms.machine.name, task.programName,
+                                 task.kernelName);
+    }
+    const bool fingerprinted = pairId != common::PairInterner::kInvalid;
+    common::Fingerprint fp;
+    if (fingerprinted) {
+      fp = launchFingerprint(pairId, task, config_.cacheRoundDigits);
+    }
+    const std::uint64_t version = cache_->version();
+    const std::optional<std::size_t> hit =
+        fingerprinted ? cache_->lookup(fp, version) : std::nullopt;
+    response.modelVersion = version;
+    response.cacheHit = hit.has_value();
+
+    // Default-constructed (no allocation); materialized only on a miss,
+    // shared by the cache insert (which copies) and the RefineKey (which
+    // moves out of it).
+    DecisionKey full;
+    if (hit.has_value()) {
+      response.label = *hit;
+    } else {
+      {
+        TP_TRACE_SPAN("serve.model_inference");
+        response.label = predictWithModel(ms, task);
+      }
+      if (fingerprinted) {
+        full = fullKeyAt(ms, task, version);
+        cache_->insert(fp, full, response.label);
+      }
+    }
+
+    if (refiner_ != nullptr && fingerprinted) {
+      // The refiner may override the cached or predicted baseline. A miss
+      // hands it the full key, so absent entries are created; a hit
+      // passes nullptr (its entry was created when it missed) and serves
+      // unrefined if the entry is gone, rather than re-materializing key
+      // strings on the warm path.
+      adapt::RefineKey refineKey;
+      if (!hit.has_value()) {
+        refineKey.machine = std::move(full.machine);
+        refineKey.program = std::move(full.program);
+        refineKey.signature = std::move(full.features);
+      }
+      const adapt::RefineDecision rd =
+          refiner_->decide(fp, hit.has_value() ? nullptr : &refineKey,
+                           version, response.label, ms.space);
+      response.explored = rd.explore;
+      response.refined = rd.refined;
+      if (rd.label != response.label || rd.explore) {
+        response.cacheHit = false;
+        response.label = rd.label;
+      }
+    }
+
+    const bool onLane =
+        executeOnLane(ms, task, response, fingerprinted ? &fp : nullptr);
+
+    if (config_.recordFeedback &&
+        (!hit.has_value() ||
+         feedbackBackfill_.load(std::memory_order_relaxed))) {
+      // Cache hits skip the recorder entirely: it deduplicates on the
+      // launch signature, and a hit's signature was recorded when it
+      // first missed — so the warm path never takes the feedback lock.
+      // Exception: once remote wins were merged into the cache, hits may
+      // be launches that never missed locally (see feedbackBackfill_).
+      // admit() froze the map, so the audited accessor is the right read.
+      feedbackPostFreeze()->record(
+          task, ms.machine, ms.space,
+          request.sizeLabel.empty() ? "n=" + std::to_string(task.globalSize)
+                                    : request.sizeLabel);
+    }
+    recordLatency(ms, secondsSince(admitted));
+    completed_.add();
+    if (hit.has_value() && !response.explored && onLane) inlineHits_.add();
+  } catch (...) {
+    failed_.add();
+    requestDone();
+    throw;
+  }
+  requestDone();
+  return response;
+}
+
+bool PartitionService::executeOnLane(MachineState& ms,
+                                     const runtime::Task& task,
+                                     LaunchResponse& response,
+                                     const common::Fingerprint* fp)
+    TP_LOCK_FREE_AUDITED(
+        "lane ownership is a ClaimGuard CAS claim released on every path "
+        "including unwind; TSan: test_serve "
+        "PartitionService.ConcurrentClientsGetConsistentDecisions") {
+  // Claim an inline lane with one CAS. Start the scan at a per-thread
+  // offset so concurrent callers spread over lanes instead of convoying
+  // on lane 0. The RAII guard keeps the claim exception-safe: any throw
+  // below releases the lane on unwind instead of leaking it (lint rule
+  // A3).
   const std::size_t numLanes = ms.inlineLanes.size();
   const std::size_t start = common::threadStripe(numLanes);
-  MachineState::InlineLane* lane = nullptr;
-  std::optional<common::ClaimGuard> claim;
   for (std::size_t i = 0; i < numLanes; ++i) {
-    MachineState::InlineLane& candidate =
-        ms.inlineLanes[(start + i) % numLanes];
-    claim.emplace(candidate.busy);
-    if (claim->claimed()) {
-      lane = &candidate;
-      break;
+    MachineState::InlineLane& lane = ms.inlineLanes[(start + i) % numLanes];
+    common::ClaimGuard claim(lane.busy);
+    if (!claim.claimed()) continue;
+    if (lane.scheduler == nullptr) {
+      // First claim of this lane: build its private context/scheduler now
+      // (one-time; we own the lane exclusively until the busy release).
+      lane.context = std::make_unique<vcl::Context>(
+          ms.machine, config_.execMode, ms.computePool);
+      lane.scheduler = std::make_unique<runtime::Scheduler>(*lane.context);
     }
+    finishDecided(ms, *lane.scheduler, task, response, fp);
+    return true;  // the guard releases the lane
   }
-  if (lane == nullptr) {
-    inlineLaneExhausted_.add();
-    return false;
-  }
-
-  // Sampled (1-in-N per thread): the warm path stays allocation- and
-  // lock-free; an unsampled pass costs one relaxed load + branch.
-  TP_TRACE_SPAN_SAMPLED("serve.inline_hit", task.globalSize);
-  const auto start_time = Clock::now();
-  response.label = carry.label;
-  response.cacheHit = carry.cacheHit;
-  response.modelVersion = carry.version;
-  response.explored = false;
-  response.refined = carry.refined;
-  if (lane->scheduler == nullptr) {
-    // First claim of this lane: build its private context/scheduler now
-    // (one-time; we own the lane exclusively until the busy release).
-    lane->context = std::make_unique<vcl::Context>(
-        ms.machine, config_.execMode, ms.computePool);
-    lane->scheduler = std::make_unique<runtime::Scheduler>(*lane->context);
-  }
-  finishDecided(ms, *lane->scheduler, task, response, carry);
-  // Release the lane before the feedback/stat trailing work — none of it
-  // touches lane state, so the next claimant can start immediately.
-  claim->release();
-  // Post-freeze path (checked on entry), so the recorder pointer is
-  // immutable and read through the audited accessor.
-  FeedbackRecorder* feedback = feedbackPostFreeze();
-  if (config_.recordFeedback && feedback != nullptr &&
-      feedbackBackfill_.load(std::memory_order_relaxed)) {
-    // Remote wins were merged into the cache at some point: this hit may
-    // be a launch that never missed locally. Backfill through the
-    // recorder's dedup so retrain() still sees it (see feedbackBackfill_).
-    feedback->record(task, ms.machine, ms.space,
-                     request.sizeLabel.empty()
-                         ? "n=" + std::to_string(task.globalSize)
-                         : request.sizeLabel);
-  }
-  recordLatency(ms, secondsSince(start_time));
-  completed_.add();
-  inlineHits_.add();
-  return true;
+  // Every lane is busy: run on a private context built on this frame.
+  inlineLaneExhausted_.add();
+  vcl::Context context(ms.machine, config_.execMode, ms.computePool);
+  runtime::Scheduler scheduler(context);
+  finishDecided(ms, scheduler, task, response, fp);
+  return false;
 }
 
 void PartitionService::finishDecided(MachineState& ms,
-                                     runtime::Scheduler& lane,
+                                     runtime::Scheduler& scheduler,
                                      const runtime::Task& task,
                                      LaunchResponse& response,
-                                     const PreDecision& decision) {
+                                     const common::Fingerprint* fp) {
   response.partitioning = ms.space.at(response.label);
-  response.execution = lane.execute(task, response.partitioning);
+  response.execution = scheduler.execute(task, response.partitioning);
 
-  if (refiner_ != nullptr && decision.fingerprinted) {
+  if (refiner_ != nullptr && fp != nullptr) {
     const adapt::Observation obs =
-        refiner_->observe(decision.fp, decision.version, response.label,
+        refiner_->observe(*fp, response.modelVersion, response.label,
                           response.execution.makespan, ms.space);
     const bool reinstallIncumbent = obs.tracked && response.refined &&
                                     !response.explored && !response.cacheHit;
@@ -521,7 +539,7 @@ void PartitionService::finishDecided(MachineState& ms,
       // request's own label, which a concurrent probe's win may have
       // superseded. The full key is materialized here (win write-backs
       // are rare), stamped with the version the decision was made under.
-      cache_->insert(decision.fp, fullKeyAt(ms, task, decision.version),
+      cache_->insert(*fp, fullKeyAt(ms, task, response.modelVersion),
                      obs.bestLabel);
     }
   }
@@ -529,146 +547,21 @@ void PartitionService::finishDecided(MachineState& ms,
   ms.load.record(response.execution.makespan, response.execution.devices);
 }
 
-std::future<LaunchResponse> PartitionService::enqueue(MachineState& ms,
-                                                      LaunchRequest request,
-                                                      PreDecision carry) {
-  TP_TRACE_INSTANT("serve.submit_miss", request.task.globalSize);
-  common::ThreadPool& pool = ensurePool();
-
-  PendingRequest pending;
-  pending.enqueued = Clock::now();
-  if (request.sizeLabel.empty()) {
-    request.sizeLabel = "n=" + std::to_string(request.task.globalSize);
-  }
-  pending.request = std::move(request);
-  pending.carry = carry;
-  std::future<LaunchResponse> future = pending.promise.get_future();
-
-  {
-    common::MutexLock lock(ms.queueMutex);
-    ms.queue.push_back(std::move(pending));
-    // Wake one idle lane; busy lanes will drain the queue in batches.
-    for (std::size_t l = 0; l < ms.laneBusy.size(); ++l) {
-      if (!ms.laneBusy[l]) {
-        ms.laneBusy[l] = 1;
-        pool.submit([this, &ms, l] { workerLoop(ms, l); });
-        break;
-      }
-    }
-  }
-  return future;
-}
-
-PartitionService::AdmitResult PartitionService::admitAndTryInline(
-    LaunchRequest& request, LaunchResponse& response, PreDecision& carry,
-    bool& inlineFault)
-    TP_LOCK_FREE_AUDITED(
-        "seq_cst (deliberate, A1-explicit) increment-then-check against the "
-        "accepting_ gate: pairs with shutdown()'s store-then-drain so no "
-        "request slips past a closing service uncounted; TSan: test_serve "
-        "PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
-  // Resolve + lifecycle-check before counting the request, mirroring the
-  // queue-era semantics: unknown machines and post-shutdown submissions
-  // throw and are never counted as submitted.
-  MachineState& ms = state(request.machine);
-  inFlight_.fetch_add(1, std::memory_order_seq_cst);
-  if (!accepting_.load(std::memory_order_seq_cst)) {
-    requestDone();
-    throw Error("PartitionService: submit after shutdown");
-  }
-  submitted_.add();
-  if (config_.breaker.enabled) {
-    maybeEvaluateBreaker(ms);
-    if (ms.shedding.load(std::memory_order_relaxed) != 0) {
-      // Fast-fail: answer immediately without deciding or executing.
-      // Sheds count as completed — every admitted request is answered
-      // exactly once — and the response carries the shed flag so the
-      // client can back off.
-      shed_.add();
-      completed_.add();
-      response = LaunchResponse{};
-      response.shed = true;
-      response.modelVersion = cache_->version();
-      requestDone();
-      return AdmitResult{&ms, true};
-    }
-  }
-  bool served = false;
-  try {
-    served = tryServeInline(ms, request, response, carry);
-  } catch (...) {
-    failed_.add();
-    requestDone();
-    inlineFault = true;
-    throw;
-  }
-  if (served) requestDone();
-  return AdmitResult{&ms, served};
-}
-
 std::future<LaunchResponse> PartitionService::submit(LaunchRequest request) {
-  LaunchResponse response;
-  PreDecision carry;
-  bool inlineFault = false;
-  AdmitResult admitted;
+  const auto admitted = Clock::now();
+  MachineState& ms = admit(request.machine);  // validation throws here
+  std::promise<LaunchResponse> promise;
   try {
-    admitted = admitAndTryInline(request, response, carry, inlineFault);
+    promise.set_value(serveAdmitted(ms, request, admitted));
   } catch (...) {
-    if (!inlineFault) throw;  // validation: unknown machine / shutdown
-    // Inline execution faulted: deliver through the future, like a lane
-    // worker fault would have been.
-    std::promise<LaunchResponse> p;
-    p.set_exception(std::current_exception());
-    return p.get_future();
+    promise.set_exception(std::current_exception());
   }
-  if (admitted.served) {
-    std::promise<LaunchResponse> p;
-    p.set_value(std::move(response));
-    return p.get_future();
-  }
-  return enqueue(*admitted.ms, std::move(request), carry);
+  return promise.get_future();
 }
 
 LaunchResponse PartitionService::call(LaunchRequest request) {
-  LaunchResponse response;
-  PreDecision carry;
-  bool inlineFault = false;
-  // Both validation and inline-execution faults propagate to the caller
-  // directly on the synchronous path.
-  const AdmitResult admitted =
-      admitAndTryInline(request, response, carry, inlineFault);
-  if (admitted.served) return response;
-  return enqueue(*admitted.ms, std::move(request), carry).get();
-}
-
-void PartitionService::workerLoop(MachineState& ms, std::size_t lane) {
-  while (true) {
-    std::vector<PendingRequest> batch;
-    {
-      common::MutexLock lock(ms.queueMutex);
-      if (ms.queue.empty()) {
-        ms.laneBusy[lane] = 0;
-        return;
-      }
-      const std::size_t take =
-          std::min(std::max<std::size_t>(1, config_.maxBatch), ms.queue.size());
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(ms.queue.front()));
-        ms.queue.pop_front();
-      }
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t seen = maxBatch_.load(std::memory_order_relaxed);
-    while (seen < batch.size() &&
-           !maxBatch_.compare_exchange_weak(seen, batch.size(),
-                                            std::memory_order_relaxed)) {
-    }
-    TP_TRACE_SPAN_ARG("serve.lane_batch", batch.size());
-    for (auto& pending : batch) {
-      process(ms, lane, std::move(pending));
-    }
-  }
+  const auto admitted = Clock::now();
+  return serveAdmitted(admit(request.machine), request, admitted);
 }
 
 std::size_t PartitionService::predictWithModel(
@@ -682,112 +575,6 @@ std::size_t PartitionService::predictWithModel(
                  << ms.machine.name << " predicted label " << label
                  << " outside the space of " << ms.space.size());
   return static_cast<std::size_t>(label);
-}
-
-void PartitionService::process(MachineState& ms, std::size_t lane,
-                               PendingRequest pending)
-    TP_LOCK_FREE_AUDITED(
-        "relaxed read of the feedbackBackfill_ hint flag; a stale value "
-        "only delays backfill by one request, the recorder dedups; TSan: "
-        "test_serve PartitionService.ConcurrentClientsGetConsistent"
-        "Decisions") {
-  LaunchResponse response;
-  bool ok = false;
-  try {
-    const runtime::Task& task = pending.request.task;
-    PreDecision d = pending.carry;
-    if (!d.fingerprinted) {
-      // First sighting of this (machine, program) pair anywhere: intern it
-      // (cold path; kInvalid when the table is full, in which case this
-      // launch serves uncached and unrefined — the model still answers).
-      d.version = cache_->version();
-      d.pairId = interner_->intern(ms.machine.name, task.programName,
-                                   task.kernelName);
-      if (d.pairId != common::PairInterner::kInvalid) {
-        d.fp = launchFingerprint(d.pairId, task, config_.cacheRoundDigits);
-        d.fingerprinted = true;
-      }
-    }
-    if (!d.decided) {
-      // Exactly one cache probe per request: a miss already recorded on
-      // the submit path is not probed (or counted) again here.
-      std::optional<std::size_t> hit;
-      if (d.fingerprinted && !d.lookedUp) {
-        TP_TRACE_SPAN("serve.cache_probe");
-        hit = cache_->lookup(d.fp, d.version);
-      }
-      // Materialized once, shared by the cache insert (which copies) and
-      // the RefineKey (which moves out of it).
-      DecisionKey full;
-      if (d.fingerprinted && (!hit.has_value() || refiner_ != nullptr)) {
-        full = fullKeyAt(ms, task, d.version);
-      }
-      if (hit.has_value()) {
-        d.label = *hit;
-        d.cacheHit = true;
-      } else {
-        {
-          TP_TRACE_SPAN("serve.model_inference");
-          d.label = predictWithModel(ms, task);
-        }
-        if (d.fingerprinted) {
-          cache_->insert(d.fp, full, d.label);
-        }
-      }
-      if (refiner_ != nullptr && d.fingerprinted) {
-        TP_TRACE_SPAN("serve.refiner_decide");
-        // Miss-path refinement: the full key is in hand, so absent
-        // entries are created here.
-        adapt::RefineKey refineKey;
-        refineKey.machine = std::move(full.machine);
-        refineKey.program = std::move(full.program);
-        refineKey.signature = std::move(full.features);
-        const adapt::RefineDecision rd = refiner_->decide(
-            d.fp, &refineKey, d.version, d.label, ms.space);
-        d.explore = rd.explore;
-        d.refined = rd.refined;
-        if (rd.label != d.label || rd.explore) {
-          d.cacheHit = false;
-          d.label = rd.label;
-        }
-      }
-      d.decided = true;
-    }
-
-    response.label = d.label;
-    response.cacheHit = d.cacheHit;
-    response.modelVersion = d.version;
-    response.explored = d.explore;
-    response.refined = d.refined;
-    {
-      TP_TRACE_SPAN_ARG("serve.execute", task.globalSize);
-      finishDecided(ms, *ms.lanes[lane], task, response, d);
-    }
-
-    if (config_.recordFeedback &&
-        (!response.cacheHit ||
-         feedbackBackfill_.load(std::memory_order_relaxed))) {
-      // Cache hits skip the recorder entirely: it deduplicates on the
-      // launch signature, and a hit's signature was recorded when it
-      // first missed — so the warm path never takes the feedback lock.
-      // Exception: once remote wins were merged into the cache, hits may
-      // be launches that never missed locally (see feedbackBackfill_).
-      // Lane workers only run post-freeze, so the audited accessor is the
-      // right read.
-      feedbackPostFreeze()->record(task, ms.machine, ms.space,
-                                   pending.request.sizeLabel);
-    }
-    ok = true;
-  } catch (...) {
-    failed_.add();
-    pending.promise.set_exception(std::current_exception());
-  }
-  if (ok) {
-    recordLatency(ms, secondsSince(pending.enqueued));
-    completed_.add();
-    pending.promise.set_value(std::move(response));
-  }
-  requestDone();
 }
 
 std::size_t PartitionService::predictLabel(const std::string& machine,
@@ -1019,17 +806,13 @@ void PartitionService::drain()
   }
 }
 
-void PartitionService::shutdown() {
+void PartitionService::shutdown()
+    TP_LOCK_FREE_AUDITED(
+        "seq_cst (deliberate, A1-explicit) store-then-drain of the "
+        "accepting_ gate, pairing with admit()'s increment-then-check; "
+        "TSan: test_serve PartitionService.ShutdownDrainsAndRejectsNewWork") {
   accepting_.store(false, std::memory_order_seq_cst);
   drain();
-  // Wait for lane workers to finish their queue-empty bookkeeping before
-  // any member they touch can be destroyed.
-  common::ThreadPool* pool = nullptr;
-  {
-    common::MutexLock lock(machinesMutex_);
-    pool = pool_.get();
-  }
-  if (pool != nullptr) pool->waitIdle();
 }
 
 ServiceStats PartitionService::stats() const {
@@ -1037,8 +820,6 @@ ServiceStats PartitionService::stats() const {
   s.requestsSubmitted = submitted_.total();
   s.requestsCompleted = completed_.total();
   s.requestsFailed = failed_.total();
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.maxBatch = maxBatch_.load(std::memory_order_relaxed);
   s.requestsInline = inlineHits_.total();
   s.inlineLaneExhausted = inlineLaneExhausted_.total();
   s.requestsShed = shed_.total();
@@ -1315,8 +1096,8 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor,
       if (rate <= rules.laneExhaustionCeiling) return std::nullopt;
       return obs::Firing{rate, rules.laneExhaustionCeiling,
                          "inline lanes exhausted on " + std::to_string(rate) +
-                             " of submissions (warm hits convoying on the "
-                             "batching queue)"};
+                             " of submissions (requests running on "
+                             "short-lived private contexts)"};
     };
     monitor.addRule(std::move(rule));
   }

@@ -3,54 +3,59 @@
 // PartitionService — the trained predictor as a long-lived, thread-safe
 // serving component.
 //
-// Clients on any thread submit() LaunchRequests (or call() synchronously)
-// and the service answers "how should this task be split?" and executes
-// the split on the target machine's simulated devices. Internals:
+// Clients on any thread call() (or submit()) LaunchRequests; the service
+// answers "how should this task be split?" and executes the split on the
+// target machine's simulated devices. Every request — cache hit, miss,
+// refiner probe — runs one pipeline on the caller's thread. There is no
+// request queue and no worker thread:
 //
-//   - a lock-free fingerprinted decision cache (serve/cache.hpp): the
-//     (machine, program) pair is interned once (common::PairInterner) and
-//     folded with the quantized launch signature into a 128-bit
-//     fingerprint, so the warm path never builds a key string or
-//     signature vector;
-//   - inline hit serving: a warm request that hits the cache (and, with
-//     refinement on, is not selected for a probe) is decided AND executed
-//     on the caller's thread using a per-machine pool of atomically
-//     claimed inline lanes — it never touches the batching queue, a
-//     worker thread, or any mutex. The decision fast path (fingerprint,
-//     cache lookup, stats) is allocation-free; the response payload
-//     (partitioning copy, per-device execution report) still allocates,
-//     as does submit()'s future (call() avoids it);
-//   - a per-machine batching request queue for misses and refiner probes:
-//     concurrently submitted requests coalesce and are drained in batches
-//     (up to maxBatch per worker wakeup) by lane workers running on a
-//     common::ThreadPool. Each lane owns a private vcl::Context +
-//     runtime::Scheduler, so one process serves multi-machine fleets
-//     (mc1 + mc2) concurrently while per-lane simulated clocks stay
-//     isolated;
-//   - an online feedback recorder (serve/feedback.hpp) that measures each
-//     distinct executed launch into a FeatureDatabase; cache hits skip it
-//     (the recorder deduplicates on the launch signature, and a hit's
-//     signature was recorded when it first missed), so the warm path
-//     takes no feedback lock — except after mergeRemoteWins() wrote
-//     remote incumbents through into the cache, when hits backfill
-//     through the recorder's dedup (see feedbackBackfill_).
-//     retrain() refreshes every machine's model
-//     from the accumulated traffic and bumps the cache version,
-//     invalidating all cached decisions;
-//   - an optional online refiner (adapt/refiner.hpp, config.refine): a
-//     bounded local search per launch signature, addressed by the same
-//     fingerprint the cache path computed. Probe decisions enqueue for
-//     lane workers (carrying their decision, so it is made exactly once);
-//     exploit decisions execute inline. With refinement on, the hit path
-//     does take the refiner's shard mutex;
-//   - striped stats (serve/stats.hpp): per-thread request counters,
-//     machine load accumulators and latency reservoirs, merged on
-//     stats() read — no statsMutex anywhere on the serving path.
+//   1. admit: resolve the machine, count the request and consult the
+//      admission breaker (an open breaker answers `shed` right here);
+//   2. intern the (machine, program) pair (common::PairInterner) and fold
+//      it with the quantized launch signature into a 128-bit fingerprint,
+//      so no key string or signature vector is built before a miss;
+//   3. probe the lock-free fingerprinted decision cache (serve/cache.hpp);
+//   4. on a miss, extract features, ask the machine's model and insert
+//      the decision into the cache;
+//   5. with refinement on (config.refine), let the online refiner
+//      (adapt/refiner.hpp), addressed by the same fingerprint, keep the
+//      label, exploit an adopted win or probe a neighbour;
+//   6. claim one of the machine's inline lanes with a single CAS and
+//      execute the split on the lane's private vcl::Context +
+//      runtime::Scheduler (Scheduler::execute resets the simulated clocks
+//      per call, so concurrent requests never interleave). When every
+//      lane is busy the request runs on a short-lived private context
+//      instead and counts as lane-exhausted;
+//   7. release the lane, then record feedback, latency and stats.
 //
-// Machine registration freezes at the first submit(): after that the
-// machine map is read without locking. Shutdown drains the queue: every
-// accepted request is answered before the destructor returns;
-// submissions after shutdown() throw tp::Error.
+// The decision fast path of a hit that is not a probe (fingerprint, cache
+// probe, lane claim, stats) takes no lock and allocates nothing; the
+// response payload (partitioning copy, per-device execution report)
+// still allocates, as does submit()'s future (call() avoids it). With
+// refinement on, steps 5 and 6 take the refiner's shard mutex.
+//
+// Feedback: an online recorder (serve/feedback.hpp) measures each
+// distinct launch the model decided into a FeatureDatabase. Cache hits
+// skip it (the recorder deduplicates on the launch signature, and a hit's
+// signature was recorded when it first missed) — except after
+// mergeRemoteWins() wrote remote incumbents through into the cache, when
+// hits backfill through the recorder's dedup (see feedbackBackfill_).
+// retrain() refreshes every machine's model from the accumulated traffic
+// and bumps the cache version, invalidating all cached decisions.
+//
+// Latency is timed once per request, from admission to the finished
+// response (feedback included), on every path, and the one sample feeds
+// the LatencyRecorder, the `<prefix>latency_ns` histogram and the
+// machine's SloTracker. Shed and failed requests record no latency.
+// Request counters, machine load and latency reservoirs are striped per
+// thread (serve/stats.hpp) and merged on stats() read.
+//
+// submit() runs the same pipeline and returns an already-resolved future;
+// execution faults travel through that future, while an unknown machine
+// or a post-shutdown submission throws tp::Error from submit() itself.
+// Machine registration freezes at the first admitted request: after that
+// the machine map is read without locking. drain() waits until every
+// admitted request has been answered.
 
 #include <atomic>
 #include <cstdint>
@@ -63,8 +68,8 @@
 #include "common/annotations.hpp"
 #include "common/intern.hpp"
 #include "common/striped.hpp"
-#include "common/thread_pool.hpp"
 #include "ml/classifier.hpp"
+#include "obs/clock.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -112,14 +117,11 @@ struct ServiceConfig {
   /// Distinct (machine, program) pairs the intern table can hold; pairs
   /// beyond it serve uncached/unrefined (the model path still answers).
   std::size_t internCapacity = 4096;
-  std::size_t maxBatch = 16;  ///< max requests drained per worker wakeup
-  std::size_t lanesPerMachine = 2;  ///< concurrent scheduler lanes (queue path)
-  /// Per-machine inline execution lanes for cache-hit serving on caller
-  /// threads; 0 = auto (2x hardware concurrency in [16, 64]). Lane
-  /// contexts are built lazily on first claim. When every inline lane is
-  /// busy the hit falls back to the batching queue.
+  /// Per-machine inline execution lanes (pipeline step 6); 0 = auto (2x
+  /// hardware concurrency in [16, 64]). Lane contexts are built lazily on
+  /// first claim. When every lane is busy a request runs on a private
+  /// short-lived context and counts in ServiceStats::inlineLaneExhausted.
   std::size_t inlineLanes = 0;
-  std::size_t workerThreads = 0;  ///< 0 = one thread per lane
   std::size_t latencyWindow = 8192;  ///< samples kept per latency stripe
   bool recordFeedback = true;  ///< measure executed launches for retrain()
   std::string retrainSpec = "forest:32";  ///< ml::makeClassifier spec
@@ -183,32 +185,31 @@ struct HealthRulesConfig {
 class PartitionService {
 public:
   explicit PartitionService(ServiceConfig config = {});
-  ~PartitionService();  ///< shutdown(): drains before destruction
+  ~PartitionService();  ///< shutdown(): waits for in-flight requests
 
   PartitionService(const PartitionService&) = delete;
   PartitionService& operator=(const PartitionService&) = delete;
 
   /// Register a machine with its deployed model. All machines must be
-  /// registered before the first submit() (the worker pool is sized to
-  /// the registered lanes and the machine map freezes), and must share
-  /// one partitioning-space size (same device count) so feedback records
-  /// share a schema.
+  /// registered before the first request is admitted (the machine map
+  /// freezes then), and must share one partitioning-space size (same
+  /// device count) so feedback records share a schema.
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
   /// Convenience: load a model saved with ml::Classifier::saveFile().
   void addMachine(const sim::MachineConfig& machine,
                   const std::string& modelPath);
 
-  /// Enqueue a request; the future resolves when it has been decided and
-  /// executed (or faults with tp::Error). Warm hits are served inline on
-  /// the calling thread and return an already-resolved future.
+  /// call() wrapped in a future: the request is served on the calling
+  /// thread and the returned future is already resolved. Execution
+  /// faults are delivered through the future; an unknown machine or a
+  /// submission after shutdown() throws tp::Error here.
   std::future<LaunchResponse> submit(LaunchRequest request);
 
-  /// Synchronous entry point. For warm hits this is the allocation-light
-  /// fast path (no future, no queue); misses fall back to submit().get().
+  /// Serve one request on the calling thread (the pipeline above).
   LaunchResponse call(LaunchRequest request);
 
-  /// The unbatched, uncached reference path: extract features and ask the
+  /// The uncached reference path: extract features and ask the
   /// machine's current model directly. Served decisions always equal this
   /// (for the same model version).
   std::size_t predictLabel(const std::string& machine,
@@ -276,9 +277,9 @@ public:
   /// before the first addMachine() (no schema yet).
   runtime::FeatureDatabase trafficSnapshot() const;
 
-  /// Block until every accepted request has been answered.
+  /// Block until every admitted request has been answered.
   void drain();
-  /// Stop accepting, then drain. Idempotent.
+  /// Stop admitting, then drain. Idempotent.
   void shutdown();
 
   ServiceStats stats() const;
@@ -316,23 +317,7 @@ public:
   void saveTraffic(const std::string& path) const;
 
 private:
-  struct PendingRequest;
   struct MachineState;
-
-  /// A decision already made on the submit path, carried to the queue so
-  /// refiner decisions are made (and counted) exactly once per request.
-  struct PreDecision {
-    bool decided = false;  ///< label/explore/refined/cacheHit are valid
-    bool fingerprinted = false;  ///< fp/pairId/version are valid
-    bool lookedUp = false;  ///< the cache probe already ran (and missed)
-    common::Fingerprint fp;
-    std::uint32_t pairId = common::PairInterner::kInvalid;
-    std::uint64_t version = 0;
-    std::size_t label = 0;
-    bool cacheHit = false;
-    bool explore = false;
-    bool refined = false;
-  };
 
   MachineState& state(const std::string& name) const;
   /// Lock-free machine lookup once the map is frozen; nullptr before.
@@ -340,7 +325,7 @@ private:
   MachineState* stateFast(const std::string& name) const noexcept
       TP_LOCK_FREE_AUDITED(
           "machines_ is immutable once frozen_ is published (release in "
-          "ensurePool, acquire here); TSan: test_serve "
+          "admit, acquire here); TSan: test_serve "
           "PartitionService.ConcurrentClientsGetConsistentDecisions");
   /// The feedback recorder after the freeze: the pointer was written by
   /// addMachine() under machinesMutex_ and published by the frozen_
@@ -352,47 +337,41 @@ private:
           "PartitionService.ConcurrentClientsGetConsistentDecisions") {
     return feedback_.get();
   }
-  /// The worker pool after the freeze (same publication contract).
-  common::ThreadPool& poolPostFreeze() const noexcept
-      TP_LOCK_FREE_AUDITED(
-          "pool_ is write-once before frozen_ is published; TSan: "
-          "test_serve PartitionService.RetrainUnderLiveTrafficDoesNot"
-          "Deadlock") {
-    return *pool_;
-  }
   /// The full decision key of a launch at an explicit generation — the
   /// one place the (machine, program, quantized signature) layout is
   /// materialized on serving paths.
   DecisionKey fullKeyAt(const MachineState& ms, const runtime::Task& task,
                         std::uint64_t version) const;
-  common::ThreadPool& ensurePool();
   /// Hook this service's counters/summaries into config_.metrics under
   /// config_.metricsPrefix (constructor-only; callbacks capture `this`).
   void registerMetrics();
   /// Record one served request into the striped latency structures and
   /// the machine's SLO tracker (when configured).
   void recordLatency(MachineState& ms, double seconds) noexcept;
-  void workerLoop(MachineState& ms, std::size_t lane);
-  void process(MachineState& ms, std::size_t lane, PendingRequest pending);
   std::size_t predictWithModel(const MachineState& ms,
                                const runtime::Task& task) const;
-  /// Serve a warm hit on the caller thread. Returns true when `response`
-  /// was filled; false leaves `carry` for the queue path.
-  bool tryServeInline(MachineState& ms, const LaunchRequest& request,
-                      LaunchResponse& response, PreDecision& carry);
-  struct AdmitResult {
-    MachineState* ms = nullptr;
-    bool served = false;
-  };
-  /// Shared prologue of submit()/call(): resolve the machine, run the
-  /// lifecycle accounting (inFlight/accepting/submitted), and attempt
-  /// inline serving. Validation failures (unknown machine, post-shutdown)
-  /// throw with no request admitted; inline execution faults rethrow
-  /// after failed_/inFlight accounting with `inlineFault` set so submit()
-  /// can translate them into a faulted future.
-  AdmitResult admitAndTryInline(LaunchRequest& request,
-                                LaunchResponse& response, PreDecision& carry,
-                                bool& inlineFault);
+  /// Pipeline step 1 without the breaker: resolve the machine, freeze the
+  /// machine map at the first admission, and run the lifecycle accounting
+  /// (inFlight/accepting/submitted). Unknown machines and post-shutdown
+  /// submissions throw with nothing counted.
+  MachineState& admit(const std::string& machine);
+  /// The rest of the pipeline for an admitted request whose latency clock
+  /// started at `admitted`. Execution faults rethrow after the failed_
+  /// accounting; every path ends the request's in-flight count.
+  LaunchResponse serveAdmitted(MachineState& ms, const LaunchRequest& request,
+                               obs::Clock::time_point admitted);
+  /// Pipeline step 6: claim an inline lane and run finishDecided on it, or
+  /// on a private context when every lane is busy. `fp` is null for
+  /// launches the intern table could not hold. Returns whether a lane was
+  /// claimed.
+  bool executeOnLane(MachineState& ms, const runtime::Task& task,
+                     LaunchResponse& response, const common::Fingerprint* fp);
+  /// Execute the decided `response.label`, let the refiner observe the
+  /// makespan (writing a measured win back into the cache), and account
+  /// the machine load.
+  void finishDecided(MachineState& ms, runtime::Scheduler& scheduler,
+                     const runtime::Task& task, LaunchResponse& response,
+                     const common::Fingerprint* fp);
   /// Amortized breaker evaluation on the admission path: bumps the
   /// machine's admission tick and runs evaluateBreaker() on every
   /// breaker.evalEvery-th admission.
@@ -400,12 +379,6 @@ private:
   /// One breaker evaluation: judge the SLO burn rate and lane-exhaustion
   /// delta, advance the trip/clear streaks, flip the shedding flag.
   void evaluateBreaker(MachineState& ms);
-  std::future<LaunchResponse> enqueue(MachineState& ms, LaunchRequest request,
-                                      PreDecision carry);
-  /// Execute + observe + account one decided request (both paths).
-  void finishDecided(MachineState& ms, runtime::Scheduler& lane,
-                     const runtime::Task& task, LaunchResponse& response,
-                     const PreDecision& decision);
   void requestDone() noexcept;
 
   ServiceConfig config_;
@@ -413,14 +386,14 @@ private:
   std::unique_ptr<DecisionCache> cache_;
   std::unique_ptr<adapt::Refiner> refiner_;  ///< set when config_.refine
 
-  /// Guards machines_, pool_ and feedback_ during registration; once
-  /// frozen_ is published all three are immutable and the audited
-  /// *PostFreeze()/stateFast() accessors read them lock-free.
+  /// Guards machines_ and feedback_ during registration; once frozen_ is
+  /// published both are immutable and the audited feedbackPostFreeze()/
+  /// stateFast() accessors read them lock-free.
   mutable common::Mutex machinesMutex_;
   std::map<std::string, std::unique_ptr<MachineState>> machines_
       TP_GUARDED_BY(machinesMutex_);
   std::unique_ptr<FeedbackRecorder> feedback_ TP_GUARDED_BY(machinesMutex_);
-  /// Set (under machinesMutex_) when the pool spins up; from then on
+  /// Set (under machinesMutex_) by the first admission; from then on
   /// machines_ is immutable and read without the mutex.
   std::atomic<bool> frozen_{false};
 
@@ -439,16 +412,14 @@ private:
   common::StripedCounter completed_;
   common::StripedCounter failed_;
   common::StripedCounter inlineHits_;
-  /// Warm hits bounced to the batching queue because every inline lane
-  /// was busy (the lane_exhaustion detector's numerator).
+  /// Requests run on a private context because every inline lane was
+  /// busy (the lane_exhaustion detector's numerator).
   common::StripedCounter inlineLaneExhausted_;
   /// Requests fast-failed by an open admission breaker (they count as
   /// completed too — every admitted request is answered exactly once).
   common::StripedCounter shed_;
   /// Closed-to-open breaker transitions across all machines.
   std::atomic<std::uint64_t> breakerTrips_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> maxBatch_{0};
   std::atomic<std::uint64_t> retrains_{0};
   /// Wall seconds of the most recent retrain() pass (last-write-wins;
   /// the retrain_overrun detector's input).
@@ -457,9 +428,6 @@ private:
   /// Owned by config_.metrics (created in registerMetrics, destroyed by
   /// the destructor's removeByPrefix); nullptr when metrics are off.
   obs::Histogram* obsLatency_ = nullptr;
-
-  /// Created at first submit (under machinesMutex_, published by frozen_).
-  std::unique_ptr<common::ThreadPool> pool_ TP_GUARDED_BY(machinesMutex_);
 };
 
 }  // namespace tp::serve

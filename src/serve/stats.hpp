@@ -75,9 +75,8 @@ private:
   mutable std::vector<Stripe> stripes_;
 };
 
-/// Per-machine request accounting, striped per thread: the inline hit
-/// path and the lane workers add with relaxed atomics on their own
-/// stripe; snapshot() sums. Field-level atomicity only — a snapshot racing
+/// Per-machine request accounting, striped per thread: each serving
+/// caller adds with relaxed atomics on its own stripe; snapshot() sums. Field-level atomicity only — a snapshot racing
 /// a writer may see a makespan whose request count has not landed yet;
 /// totals are exact once writers quiesce.
 class MachineLoadStats {
@@ -151,10 +150,16 @@ struct ServiceStats {
   std::uint64_t requestsSubmitted = 0;
   std::uint64_t requestsCompleted = 0;
   std::uint64_t requestsFailed = 0;  ///< completed with an exception
-  std::uint64_t batches = 0;  ///< worker wakeups that drained >= 1 request
-  std::uint64_t maxBatch = 0;  ///< largest single drain observed
-  std::uint64_t requestsInline = 0;  ///< warm hits served on caller threads
-  /// Warm hits bounced to the queue because every inline lane was busy.
+  /// Always 0: requests are served on the caller's thread, never
+  /// batched. Kept until the benchmark drops its serve.mean_batch and
+  /// serve.max_batch readouts.
+  std::uint64_t batches = 0;
+  std::uint64_t maxBatch = 0;  ///< always 0, see batches
+  /// Cache hits (refiner probes excluded) served on a claimed inline lane:
+  /// the requests that ran no model inference.
+  std::uint64_t requestsInline = 0;
+  /// Requests run on a short-lived private context because every inline
+  /// lane was busy.
   std::uint64_t inlineLaneExhausted = 0;
   /// Requests fast-failed by an open admission breaker (included in
   /// requestsCompleted; the response carried LaunchResponse::shed).

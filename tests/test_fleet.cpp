@@ -684,7 +684,6 @@ struct FleetFixture {
     fc.replicas = replicas;
     fc.gossipEnabled = gossipEnabled;
     fc.service.refine = true;
-    fc.service.lanesPerMachine = 2;
     fc.service.refiner.exploreFraction = 0.5;
     // Finite probe budget; the simulation is deterministic, so one
     // sample per arm is the truth and probing converges. Merged remote

@@ -2,15 +2,18 @@
 // cache semantics (capacity, CLOCK eviction, versioned invalidation,
 // collision verification), counter consistency under ThreadPool
 // contention, striped latency reservoirs, feedback deduplication, and the
-// PartitionService end to end — served decisions (inline hits included)
-// equal the unbatched predict path, retrain swaps models without
-// deadlock, shutdown drains.
+// PartitionService end to end — served decisions equal the uncached
+// predict path on every path (hit, miss, probe, lane-exhausted), faults
+// reach the caller, latency is recorded once per served request, retrain
+// swaps models without deadlock, shutdown drains.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "common/intern.hpp"
@@ -139,8 +142,9 @@ TEST(DecisionCacheBasics, CapacityRoundsUpToPowerOfTwoAndBoundsOccupancy) {
   DecisionCache cache(10);
   EXPECT_EQ(cache.capacity(), 16u);  // rounded up, occupancy-bounded
   for (int i = 0; i < 200; ++i) {
-    const auto k =
-        key(cache, "p" + std::to_string(i), {static_cast<double>(i)});
+    std::string program = "p";
+    program += std::to_string(i);
+    const auto k = key(cache, program, {static_cast<double>(i)});
     cache.insert(k.fp, k.key, static_cast<std::size_t>(i % 97));
   }
   EXPECT_LE(cache.size(), cache.capacity());
@@ -523,9 +527,7 @@ TEST(PartitionService, ServesAndMatchesUnbatchedPath) {
 }
 
 TEST(PartitionService, ConcurrentClientsGetConsistentDecisions) {
-  ServiceConfig config;
-  config.lanesPerMachine = 3;
-  ServiceFixture fx(config);
+  ServiceFixture fx;
 
   std::vector<std::size_t> expected;
   for (const auto& task : fx.tasks) {
@@ -554,8 +556,13 @@ TEST(PartitionService, ConcurrentClientsGetConsistentDecisions) {
   EXPECT_EQ(stats.requestsFailed, 0u);
   EXPECT_GT(stats.cacheHitRate, 0.5);
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.cache.lookups);
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_GE(stats.maxBatch, 1u);
+  EXPECT_EQ(stats.cache.lookups, kClients * kRequests);  // one probe each
+  // Every distinct launch reached the model at least once; every hit that
+  // found a free lane counts as inline, and no miss does.
+  EXPECT_GE(stats.cache.misses, fx.tasks.size());
+  EXPECT_LE(stats.requestsInline, stats.cache.hits);
+  EXPECT_GE(stats.requestsInline + stats.inlineLaneExhausted,
+            stats.cache.hits);
   EXPECT_EQ(stats.latency.count, kClients * kRequests);
   EXPECT_LE(stats.latency.p50Seconds, stats.latency.p95Seconds);
   // Feedback deduplicates to the distinct launches.
@@ -567,16 +574,16 @@ TEST(PartitionService, ConcurrentClientsGetConsistentDecisions) {
 
 TEST(PartitionService, WarmHitsAreServedInline) {
   ServiceFixture fx;
-  // Cold pass: every distinct launch misses and goes through the queue.
+  // Cold pass: every distinct launch misses and runs model inference.
   for (std::size_t t = 0; t < fx.tasks.size(); ++t) {
     (void)fx.service->call(fx.request(t));
   }
   const auto cold = fx.service->stats();
   EXPECT_EQ(cold.requestsInline, 0u);
-  EXPECT_GE(cold.batches, 1u);
+  EXPECT_EQ(cold.cache.misses, fx.tasks.size());
 
   // Warm pass: every request hits the fingerprint cache and is served on
-  // the calling thread — no new batches, inline counter tracks exactly.
+  // an inline lane — no model inference, inline counter tracks exactly.
   for (int round = 0; round < 3; ++round) {
     for (std::size_t t = 0; t < fx.tasks.size(); ++t) {
       const auto r = fx.service->call(fx.request(t));
@@ -585,7 +592,7 @@ TEST(PartitionService, WarmHitsAreServedInline) {
   }
   const auto warm = fx.service->stats();
   EXPECT_EQ(warm.requestsInline, 3 * fx.tasks.size());
-  EXPECT_EQ(warm.batches, cold.batches);  // the queue never woke up
+  EXPECT_EQ(warm.cache.misses, cold.cache.misses);  // no inference ran
   EXPECT_EQ(warm.requestsCompleted, warm.requestsSubmitted);
   // Inline serving skips the feedback recorder; the cold pass already
   // recorded every distinct signature.
@@ -624,9 +631,7 @@ TEST(PartitionService, RetrainSwapsModelAndInvalidatesCache) {
 }
 
 TEST(PartitionService, RetrainUnderLiveTrafficDoesNotDeadlock) {
-  ServiceConfig config;
-  config.lanesPerMachine = 2;
-  ServiceFixture fx(config);
+  ServiceFixture fx;
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
@@ -684,8 +689,8 @@ TEST(PartitionService, RejectsUnknownMachineAndBadConfig) {
                    fx.machine, std::shared_ptr<const ml::Classifier>(
                                    ml::makeClassifier("mostfreq"))),
                Error);
-  // Machines must be registered before traffic starts: the worker pool is
-  // sized to the lanes that exist at the first submit().
+  // Machines must be registered before traffic starts: the first admitted
+  // request freezes the machine map.
   (void)fx.service->call(fx.request(0));
   EXPECT_THROW(fx.service->addMachine(
                    sim::makeMc1(), std::shared_ptr<const ml::Classifier>(
@@ -830,6 +835,78 @@ TEST(PartitionService, RefinementNeverWorseThanTheModelBaseline) {
   EXPECT_EQ(after.machines[0].modelVersion, result.modelVersion);
 }
 
+/// A deployed model that always predicts a label outside every
+/// partitioning space: each request that reaches the model faults.
+class OutOfSpaceClassifier final : public ml::Classifier {
+public:
+  void train(const ml::Dataset&) override {}
+  int predict(const std::vector<double>&) const override { return 1 << 20; }
+  std::string name() const override { return "out_of_space"; }
+  void save(std::ostream&) const override {}
+  void load(std::istream&) override {}
+};
+
+TEST(PartitionService, ExecutionFaultsReachTheCallerOnBothEntryPoints) {
+  ServiceFixture fx;
+  PartitionService service;
+  service.addMachine(fx.machine, std::make_shared<OutOfSpaceClassifier>());
+
+  EXPECT_THROW((void)service.call(fx.request(0)), Error);
+  // submit() admits the request and delivers the fault through the future.
+  std::future<LaunchResponse> future;
+  ASSERT_NO_THROW(future = service.submit(fx.request(1)));
+  EXPECT_THROW((void)future.get(), Error);
+  service.drain();  // a faulted request still ends its in-flight count
+
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.requestsSubmitted, 2u);
+  EXPECT_EQ(stats.requestsFailed, 2u);
+  EXPECT_EQ(stats.requestsCompleted, 0u);
+  EXPECT_EQ(stats.latency.count, 0u);  // failed requests record no latency
+}
+
+TEST(PartitionService, OneInlineLaneUnderConcurrentClientsStaysConsistent) {
+  ServiceConfig config;
+  config.inlineLanes = 1;
+  config.cacheCapacity = 4;  // fewer slots than launches: misses recur
+  ServiceFixture fx(config);
+  std::vector<std::size_t> expected;
+  for (const auto& task : fx.tasks) {
+    expected.push_back(fx.service->predictLabel(fx.machine.name, task));
+  }
+
+  // Waves of 4 clients over one lane until some request found the lane
+  // busy; on a multi-core host the first wave almost always does, and a
+  // single core gets there once a client is preempted holding the lane.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRequests = 200;
+  std::atomic<std::uint64_t> mismatches{0};
+  for (int wave = 0;
+       wave < 100 && fx.service->stats().inlineLaneExhausted == 0; ++wave) {
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (std::size_t r = 0; r < kRequests; ++r) {
+          const std::size_t t = (c + r * 7) % fx.tasks.size();
+          if (fx.service->call(fx.request(t)).label != expected[t]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& c : clients) c.join();
+  }
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  const auto stats = fx.service->stats();
+  EXPECT_GT(stats.inlineLaneExhausted, 0u);
+  EXPECT_GT(stats.cache.hits, 0u);
+  EXPECT_GT(stats.cache.misses, fx.tasks.size());
+  EXPECT_EQ(stats.requestsSubmitted,
+            stats.requestsCompleted + stats.requestsFailed);
+  EXPECT_EQ(stats.requestsFailed, 0u);
+}
+
 TEST(PartitionService, FeedbackRecorderDeduplicates) {
   const auto machine = sim::makeMc2();
   const runtime::PartitioningSpace space(machine.numDevices(), 10);
@@ -942,11 +1019,82 @@ TEST(PartitionService, LoadShedHealthRuleEmitsOneBreachClearPair) {
   std::size_t breaches = 0, clears = 0;
   for (const auto& event : monitor.events()) {
     if (event.rule.find("load_shed") == std::string::npos) continue;
-    if (!event.cleared) EXPECT_EQ(event.severity, obs::Severity::Critical);
+    if (!event.cleared) {
+      EXPECT_EQ(event.severity, obs::Severity::Critical);
+    }
     event.cleared ? ++clears : ++breaches;
   }
   EXPECT_EQ(breaches, 1u);  // deduped: sustained shedding pages once
   EXPECT_EQ(clears, 1u);
+}
+
+TEST(PartitionService, LatencyIsRecordedOncePerServedRequestOnEveryPath) {
+  // Compute mode runs each launch's native kernel on the executing
+  // thread, which lets one request hold the only inline lane while
+  // another arrives. Refinement on, so warm traffic also probes.
+  ServiceConfig config = overloadedConfig();
+  config.execMode = vcl::ExecMode::Compute;
+  config.inlineLanes = 1;
+  config.refine = true;
+  config.refiner.exploreFraction = 0.5;
+  config.refiner.seed = 5;
+  ServiceFixture fx(config);
+  const std::string& machine = fx.machine.name;
+
+  std::vector<runtime::Task> tasks;
+  for (const std::size_t n : {64u, 128u, 256u, 512u}) {
+    tasks.push_back(makeScaleTask(n, 10));
+    tasks.back().native = [](const vcl::WorkGroupCtx&,
+                             const vcl::LaunchArgs&) {};
+  }
+  const auto request = [&](const runtime::Task& task) {
+    LaunchRequest r;
+    r.machine = machine;
+    r.task = task;
+    return r;
+  };
+
+  // Misses, then hits and probes.
+  for (int round = 0; round < 20; ++round) {
+    for (const auto& task : tasks) (void)fx.service->call(request(task));
+  }
+
+  // Forced lane exhaustion: a one-work-group launch whose kernel blocks
+  // until released keeps the only lane busy while the next request runs.
+  std::atomic<int> gate{0};  // 0 armed, 1 holding the lane, 2 released
+  runtime::Task blocking = tasks[0];
+  blocking.native = [&gate](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {
+    int armed = 0;
+    if (gate.compare_exchange_strong(armed, 1)) {
+      while (gate.load() != 2) std::this_thread::yield();
+    }
+  };
+  std::thread holder([&] { (void)fx.service->call(request(blocking)); });
+  while (gate.load() != 1) std::this_thread::yield();
+  const auto bounced = fx.service->call(request(tasks[1]));
+  gate.store(2);
+  holder.join();
+  EXPECT_GT(bounced.execution.makespan, 0.0);
+
+  // A shed request: fresh samples breach the impossible SLO, and two hot
+  // evaluations open the breaker.
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& task : tasks) (void)fx.service->call(request(task));
+  }
+  fx.service->evaluateBreakerNow(machine);
+  fx.service->evaluateBreakerNow(machine);
+  ASSERT_TRUE(fx.service->breakerOpen(machine));
+  EXPECT_TRUE(fx.service->call(request(tasks[0])).shed);
+
+  const auto stats = fx.service->stats();
+  EXPECT_GE(stats.cache.misses, tasks.size());
+  EXPECT_GT(stats.cache.hits, 0u);
+  EXPECT_GT(stats.refiner.explorations, 0u);
+  EXPECT_GE(stats.inlineLaneExhausted, 1u);
+  EXPECT_EQ(stats.requestsShed, 1u);
+  EXPECT_EQ(stats.requestsFailed, 0u);
+  EXPECT_EQ(stats.latency.count,
+            stats.requestsCompleted - stats.requestsShed);
 }
 
 }  // namespace
