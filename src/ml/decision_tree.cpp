@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
 #include <numeric>
 #include <ostream>
 
@@ -11,6 +12,10 @@
 namespace tp::ml {
 
 namespace {
+
+/// Loader bound on a model's class count (the partitioning spaces in use
+/// have a few dozen classes): each loaded node holds this many fractions.
+constexpr int kMaxClasses = 1 << 16;
 
 double giniFromCounts(const std::vector<double>& counts, double total) {
   if (total <= 0.0) return 0.0;
@@ -145,10 +150,14 @@ const DecisionTree::Node& DecisionTree::descend(
       options_.normalizeInputs ? normalizer_.transform(x) : x;
   const Node* node = &nodes_.front();
   while (node->feature >= 0) {
-    const double v = z[static_cast<std::size_t>(node->feature)];
-    node = &nodes_[static_cast<std::size_t>(v <= node->threshold
-                                                ? node->left
-                                                : node->right)];
+    // Loaded trees without their own normalizer are validated against no
+    // input width, so the width is checked here.
+    const auto feature = static_cast<std::size_t>(node->feature);
+    TP_REQUIRE(feature < z.size(), "decision tree: split on feature "
+                                       << feature << " of a " << z.size()
+                                       << "-feature input");
+    node = &nodes_[static_cast<std::size_t>(
+        z[feature] <= node->threshold ? node->left : node->right)];
   }
   return *node;
 }
@@ -195,15 +204,54 @@ void DecisionTree::load(std::istream& is) {
   int normalize = 0;
   is >> tag >> numClasses_ >> count >> normalize;
   TP_REQUIRE(is && tag == "tree", "bad decision-tree header");
+  TP_REQUIRE(numClasses_ >= 1 && numClasses_ <= kMaxClasses,
+             "decision tree: class count " << numClasses_ << " outside [1, "
+                                           << kMaxClasses << "]");
   options_.normalizeInputs = normalize != 0;
-  nodes_.assign(count, Node{});
-  for (auto& n : nodes_) {
+  // One node at a time: a lying node count fails at the first missing
+  // node instead of sizing an allocation.
+  nodes_.clear();
+  for (std::size_t i = 0; i < count; ++i) {
+    Node n;
     is >> n.feature >> n.threshold >> n.left >> n.right >> n.label;
     n.classFractions.assign(static_cast<std::size_t>(numClasses_), 0.0);
     for (double& f : n.classFractions) is >> f;
+    TP_REQUIRE(static_cast<bool>(is), "truncated decision-tree data");
+    nodes_.push_back(std::move(n));
   }
   if (options_.normalizeInputs) normalizer_.load(is);
-  TP_REQUIRE(static_cast<bool>(is), "truncated decision-tree data");
+  validate(options_.normalizeInputs
+               ? normalizer_.numFeatures()
+               : std::numeric_limits<std::size_t>::max());
+}
+
+void DecisionTree::validate(std::size_t numFeatures) const {
+  TP_REQUIRE(!nodes_.empty(), "decision tree: no nodes");
+  const std::size_t count = nodes_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    const Node& n = nodes_[i];
+    TP_REQUIRE(n.label >= 0 && n.label < numClasses_,
+               "decision tree: node " << i << " label " << n.label
+                                      << " outside [0, " << numClasses_
+                                      << ")");
+    for (const double f : n.classFractions) {
+      TP_REQUIRE(std::isfinite(f) && f >= 0.0,
+                 "decision tree: node " << i << " class fraction " << f);
+    }
+    if (n.feature < 0) continue;  // leaf
+    TP_REQUIRE(static_cast<std::size_t>(n.feature) < numFeatures,
+               "decision tree: node " << i << " splits on feature "
+                                      << n.feature << " of "
+                                      << numFeatures);
+    const auto below = [&](int child) {
+      return child >= 0 && static_cast<std::size_t>(child) > i &&
+             static_cast<std::size_t>(child) < count;
+    };
+    TP_REQUIRE(below(n.left) && below(n.right),
+               "decision tree: node " << i << " children " << n.left << '/'
+                                      << n.right << " outside (" << i
+                                      << ", " << count << ")");
+  }
 }
 
 }  // namespace tp::ml

@@ -41,6 +41,8 @@ public:
   int depth() const;
 
 private:
+  friend class RandomForest;  // compiles its trees into one flat array
+
   struct Node {
     int feature = -1;      ///< -1 for leaves
     double threshold = 0.0;
@@ -54,6 +56,12 @@ private:
             const std::vector<int>& y, std::vector<std::size_t>& indices,
             int depth);
   const Node& descend(const std::vector<double>& x) const;
+  /// Throws tp::Error unless the nodes form a tree a walk can follow over
+  /// `numFeatures` inputs: every split's feature lies in [0, numFeatures)
+  /// and its children in (self, nodeCount) (so every walk is acyclic and
+  /// in range), every label in [0, numClasses), and every class fraction
+  /// is finite and non-negative.
+  void validate(std::size_t numFeatures) const;
 
   TreeOptions options_;
   common::Rng rng_;

@@ -82,13 +82,20 @@ void Normalizer::load(std::istream& is) {
   std::size_t d = 0;
   is >> tag >> d;
   TP_REQUIRE(is && tag == "normalizer", "bad normalizer header");
-  mean_.assign(d, 0.0);
-  inverseStd_.assign(d, 0.0);
-  for (std::size_t j = 0; j < d; ++j) is >> mean_[j] >> inverseStd_[j];
-  TP_REQUIRE(static_cast<bool>(is), "truncated normalizer data");
+  TP_REQUIRE(d > 0, "normalizer: no features");
+  // One feature at a time: a lying dimension fails at the first missing
+  // pair instead of sizing an allocation.
+  mean_.clear();
+  inverseStd_.clear();
   for (std::size_t j = 0; j < d; ++j) {
-    TP_REQUIRE(std::isfinite(mean_[j]) && std::isfinite(inverseStd_[j]),
+    double mean = 0.0;
+    double inverseStd = 0.0;
+    is >> mean >> inverseStd;
+    TP_REQUIRE(static_cast<bool>(is), "truncated normalizer data");
+    TP_REQUIRE(std::isfinite(mean) && std::isfinite(inverseStd),
                "normalizer: non-finite parameters for feature " << j);
+    mean_.push_back(mean);
+    inverseStd_.push_back(inverseStd);
   }
 }
 

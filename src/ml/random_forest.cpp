@@ -46,17 +46,61 @@ void RandomForest::train(const Dataset& data) {
     tree->train(bag);
     trees_.push_back(std::move(tree));
   }
+  compile();
+}
+
+void RandomForest::compile() {
+  TP_REQUIRE(!trees_.empty(), "random forest: no trees");
+  nodes_.clear();
+  roots_.clear();
+  leafVotes_.clear();
+  for (const auto& tree : trees_) {
+    TP_REQUIRE(tree->numClasses() == numClasses_,
+               "random forest: a " << tree->numClasses()
+                                   << "-class tree in a " << numClasses_
+                                   << "-class forest");
+    tree->validate(normalizer_.numFeatures());
+    const int root = static_cast<int>(nodes_.size());
+    roots_.push_back(root);
+    for (const auto& n : tree->nodes_) {
+      FlatNode flat{n.feature, n.threshold, 0, 0};
+      if (n.feature >= 0) {
+        flat.left = root + n.left;
+        flat.right = root + n.right;
+      } else {
+        flat.left = static_cast<int>(leafVotes_.size());
+        for (std::size_t c = 0; c < n.classFractions.size(); ++c) {
+          const double f = n.classFractions[c];
+          if (f != 0.0) leafVotes_.push_back({static_cast<int>(c), f});
+        }
+        flat.right = static_cast<int>(leafVotes_.size());
+      }
+      nodes_.push_back(flat);
+    }
+  }
 }
 
 std::vector<double> RandomForest::scores(const std::vector<double>& x) const {
-  TP_ASSERT_MSG(!trees_.empty(), "predict called on untrained forest");
+  TP_ASSERT_MSG(!roots_.empty(), "predict called on untrained forest");
   const std::vector<double> z = normalizer_.transform(x);
   std::vector<double> votes(static_cast<std::size_t>(numClasses_), 0.0);
-  for (const auto& tree : trees_) {
-    const auto s = tree->scores(z);
-    for (std::size_t c = 0; c < votes.size(); ++c) votes[c] += s[c];
+  // Each leaf adds only its nonzero fractions, tree by tree: every vote
+  // gets the same additions in the same order as summing the dense leaf
+  // distributions, minus additions of +0.0, which never change a sum that
+  // starts at +0.0 — so the scores are bit-identical to the dense sum.
+  for (const int root : roots_) {
+    const FlatNode* node = &nodes_[static_cast<std::size_t>(root)];
+    while (node->feature >= 0) {
+      const double v = z[static_cast<std::size_t>(node->feature)];
+      node = &nodes_[static_cast<std::size_t>(
+          v <= node->threshold ? node->left : node->right)];
+    }
+    for (int i = node->left; i < node->right; ++i) {
+      const LeafVote& vote = leafVotes_[static_cast<std::size_t>(i)];
+      votes[static_cast<std::size_t>(vote.label)] += vote.fraction;
+    }
   }
-  for (double& v : votes) v /= static_cast<double>(trees_.size());
+  for (double& v : votes) v /= static_cast<double>(roots_.size());
   return votes;
 }
 
@@ -83,6 +127,7 @@ void RandomForest::load(std::istream& is) {
     tree->load(is);
     trees_.push_back(std::move(tree));
   }
+  compile();
 }
 
 }  // namespace tp::ml

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -239,6 +241,173 @@ TEST(RandomForest, ScoresSumToOne) {
   double sum = 0.0;
   for (const double v : s) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+/// Eight overlapping classes in 4-D; class 7 has only two rows, so it is
+/// absent from about one bootstrap in seven. Three features are rounded
+/// to integers, so rows of different classes coincide and some leaves
+/// stay mixed (fractions such as 1/3 whose sums depend on the order).
+Dataset skewedBlobs(std::uint64_t seed) {
+  common::Rng rng(seed);
+  Dataset data;
+  data.featureNames = {"a", "b", "c", "d"};
+  for (int c = 0; c < 8; ++c) {
+    const std::size_t rows = c == 7 ? 2 : 20;
+    for (std::size_t i = 0; i < rows; ++i) {
+      data.add({std::round(c + rng.gaussian(0.0, 1.5)),
+                std::round((c % 3) + rng.gaussian(0.0, 1.0)),
+                rng.uniform(0.0, 1e6),
+                std::round((c * c) % 5 + rng.gaussian(0.0, 1.0))},
+               c, "prog" + std::to_string(i % 3));
+    }
+  }
+  data.numClasses = 8;
+  return data;
+}
+
+/// The dense per-tree reference: every member tree's full leaf
+/// distribution on the normalized input, summed in tree order, divided by
+/// the tree count. The compiled forest must reproduce it bit for bit, and
+/// predict() must be its first-maximum argmax.
+void expectMatchesPerTreeSum(const RandomForest& forest,
+                             const std::vector<std::vector<double>>& probes) {
+  for (const auto& x : probes) {
+    const auto z = forest.normalizer().transform(x);
+    std::vector<double> reference(
+        static_cast<std::size_t>(forest.numClasses()), 0.0);
+    for (std::size_t t = 0; t < forest.numTrees(); ++t) {
+      const auto s = forest.tree(t).scores(z);
+      for (std::size_t c = 0; c < reference.size(); ++c) reference[c] += s[c];
+    }
+    for (double& v : reference) v /= static_cast<double>(forest.numTrees());
+
+    const auto scores = forest.scores(x);
+    ASSERT_EQ(scores.size(), reference.size());
+    EXPECT_EQ(std::memcmp(scores.data(), reference.data(),
+                          scores.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(forest.predict(x),
+              std::max_element(reference.begin(), reference.end()) -
+                  reference.begin());
+  }
+}
+
+TEST(RandomForest, CompiledScoresEqualThePerTreeSumBitForBit) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    for (const Dataset& train : {blobs(40, 1.5, seed), skewedBlobs(seed)}) {
+      auto model = makeClassifier("forest:32", seed);
+      model->train(train);
+      const auto& forest = dynamic_cast<const RandomForest&>(*model);
+      std::vector<std::vector<double>> probes = train.X;
+      const Dataset unseen =
+          train.numClasses == 3 ? blobs(20, 3.0, seed + 100)
+                                : skewedBlobs(seed + 100);
+      probes.insert(probes.end(), unseen.X.begin(), unseen.X.end());
+      expectMatchesPerTreeSum(forest, probes);
+
+      // load() compiles too: the reloaded forest matches its own trees and
+      // the original bit for bit, and saves the same bytes back.
+      std::stringstream text;
+      model->save(text);
+      const std::string saved = text.str();
+      const auto loaded = loadClassifier(text);
+      const auto& back = dynamic_cast<const RandomForest&>(*loaded);
+      expectMatchesPerTreeSum(back, probes);
+      for (const auto& x : probes) {
+        const auto a = forest.scores(x);
+        const auto b = back.scores(x);
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                  0);
+      }
+      std::ostringstream again;
+      loaded->save(again);
+      EXPECT_EQ(again.str(), saved);
+    }
+  }
+}
+
+TEST(RandomForest, UntrainableForestIsRejected) {
+  RandomForest forest(ForestOptions{.numTrees = 0}, 42);
+  EXPECT_THROW(forest.train(blobs(10, 1.0, 5)), Error);
+}
+
+/// A one-feature, one-tree forest whose root splits at 0.5 into a class-0
+/// and a class-1 leaf; `tree` replaces the tree section.
+std::string oneTreeForest(const std::string& tree) {
+  return "forest 2 1\nnormalizer 1\n0 1\n" + tree;
+}
+
+const char* const kValidTree =
+    "tree 2 3 0\n"
+    "0 0.5 1 2 0 0.5 0.5\n"
+    "-1 0 -1 -1 0 1 0\n"
+    "-1 0 -1 -1 1 0 1\n";
+
+std::unique_ptr<Classifier> loadText(const std::string& text) {
+  std::istringstream is(text);
+  return loadClassifier(is);
+}
+
+TEST(ModelLoad, ValidHandWrittenForestLoadsAndPredicts) {
+  const auto model = loadText(oneTreeForest(kValidTree));
+  EXPECT_EQ(model->predict({0.0}), 0);
+  EXPECT_EQ(model->predict({5.0}), 1);
+}
+
+TEST(ModelLoad, StructurallyInvalidTreesAreRejected) {
+  const std::vector<std::pair<const char*, std::string>> hostile = {
+      // The root is its own left child: a walk would never end.
+      {"self loop", "tree 2 3 0\n0 0.5 0 2 0 0.5 0.5\n"
+                    "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"},
+      // Node 1 points back at the root.
+      {"back edge", "tree 2 3 0\n0 0.5 1 2 0 0.5 0.5\n"
+                    "0 0.5 0 2 0 0.5 0.5\n-1 0 -1 -1 1 0 1\n"},
+      {"child out of range", "tree 2 3 0\n0 0.5 1 7000000 0 0.5 0.5\n"
+                             "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"},
+      {"feature out of range", "tree 2 3 0\n90000000 0.5 1 2 0 0.5 0.5\n"
+                               "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"},
+      {"class-count mismatch", "tree 3 3 0\n0 0.5 1 2 0 0.5 0.5 0\n"
+                               "-1 0 -1 -1 0 1 0 0\n-1 0 -1 -1 1 0 1 0\n"},
+      {"negative fraction", "tree 2 3 0\n0 0.5 1 2 0 0.5 0.5\n"
+                            "-1 0 -1 -1 0 1 -0.5\n-1 0 -1 -1 1 0 1\n"},
+      {"label out of range", "tree 2 3 0\n0 0.5 1 2 0 0.5 0.5\n"
+                             "-1 0 -1 -1 5 1 0\n-1 0 -1 -1 1 0 1\n"},
+      {"empty tree", "tree 2 0 0\n"},
+  };
+  for (const auto& [what, tree] : hostile) {
+    EXPECT_THROW(loadText(oneTreeForest(tree)), Error) << what;
+  }
+  EXPECT_THROW(loadText("forest 2 0\nnormalizer 1\n0 1\n"), Error)
+      << "no trees";
+  // A standalone tree is held to the same structure.
+  EXPECT_THROW(loadText("tree 2 3 1\n0 0.5 0 2 0 0.5 0.5\n"
+                        "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"
+                        "normalizer 1\n0 1\n"),
+               Error)
+      << "standalone self loop";
+  // A tree saved without its own normalizer cannot know the input width
+  // at load, so its walk checks each split feature against the input.
+  const auto bare = loadText(
+      "tree 2 3 0\n5 0.5 1 2 0 0.5 0.5\n"
+      "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n");
+  EXPECT_THROW(bare->predict({0.0}), Error);
+}
+
+TEST(ModelLoad, HostileCountsThrowInsteadOfAllocating) {
+  // Each length field below once sized an allocation before any data was
+  // read (10^8 nodes reached gigabytes); each must surface as tp::Error
+  // from reading the first missing element or from the bound check.
+  EXPECT_THROW(loadText(oneTreeForest("tree 2 100000000 0\n")), Error);
+  EXPECT_THROW(loadText(oneTreeForest("tree 2000000000 1 0\n"
+                                      "-1 0 -1 -1 0 1\n")),
+               Error);
+  EXPECT_THROW(loadText("forest 2 4000000000\nnormalizer 1\n0 1\n"), Error);
+  EXPECT_THROW(loadText("forest 2 1\nnormalizer 1000000000000\n0 1\n"),
+               Error);
+  std::istringstream normalizer("normalizer 18446744073709551615\n0 1\n");
+  Normalizer norm;
+  EXPECT_THROW(norm.load(normalizer), Error);
 }
 
 TEST(Mlp, ConvergesOnSeparableData) {

@@ -14,6 +14,8 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "common/intern.hpp"
@@ -24,6 +26,7 @@
 #include "runtime/evaluation.hpp"
 #include "serve/service.hpp"
 #include "sim/machine.hpp"
+#include "suite/benchmark.hpp"
 
 namespace tp::serve {
 namespace {
@@ -773,6 +776,65 @@ TEST(PartitionService, InternTableOverflowDegradesToUncachedServing) {
   EXPECT_GE(stats.internRejections,
             static_cast<std::uint64_t>(kRounds * fx.tasks.size()));
   EXPECT_EQ(stats.requestsFailed, 0u);
+}
+
+TEST(PartitionService, ModelsReloadedFromTextDecideLikeTheTrainedOnes) {
+  // Deployment forests trained on rungs 0 and 2 of every suite program's
+  // size ladder; a second service gets the same models saved and reloaded
+  // through the text format (as model fan-out and snapshots carry them)
+  // via installModels. Both must decide every suite launch on the lower
+  // four rungs (each program, each evaluation machine) alike; the top
+  // rungs only add input-generation time.
+  constexpr std::size_t kRungs = 4;
+  const auto machines = sim::evaluationMachines();
+  const runtime::PartitioningSpace space(machines[0].numDevices(),
+                                         ServiceConfig{}.divisions);
+  auto db = runtime::FeatureDatabase::withDefaultSchema(space.size());
+  for (const auto& bench : suite::allBenchmarks()) {
+    for (std::size_t s = 0; s < kRungs; s += 2) {
+      const auto inst = bench.make(bench.sizes.at(s));
+      for (const auto& machine : machines) {
+        db.add(runtime::measureLaunch(
+            inst.task, machine, space,
+            "n=" + std::to_string(bench.sizes.at(s))));
+      }
+    }
+  }
+  PartitionService trained;
+  PartitionService reloaded;
+  std::vector<PartitionService::ModelUpdate> updates;
+  for (const auto& machine : machines) {
+    const std::shared_ptr<const ml::Classifier> model(
+        runtime::trainDeploymentModel(db, machine.name, "forest:32"));
+    trained.addMachine(machine, model);
+    reloaded.addMachine(machine, model);
+    std::stringstream text;
+    model->save(text);
+    updates.push_back({machine.name, std::shared_ptr<const ml::Classifier>(
+                                         ml::loadClassifier(text))});
+  }
+  reloaded.installModels(updates, reloaded.modelVersion() + 1);
+  const auto installed = reloaded.deployedModels();
+  ASSERT_EQ(installed.size(), updates.size());
+  for (std::size_t m = 0; m < installed.size(); ++m) {
+    EXPECT_EQ(installed[m].model, updates[m].model);  // the swap happened
+  }
+
+  std::set<std::size_t> labels;
+  for (const auto& bench : suite::allBenchmarks()) {
+    for (std::size_t s = 0; s < kRungs; ++s) {
+      const std::size_t n = bench.sizes.at(s);
+      const auto inst = bench.make(n);
+      for (const auto& machine : machines) {
+        const auto label = trained.predictLabel(machine.name, inst.task);
+        EXPECT_EQ(reloaded.predictLabel(machine.name, inst.task), label)
+            << bench.name << " n=" << n << " on " << machine.name;
+        labels.insert(label);
+      }
+    }
+  }
+  // Several distinct decisions, so the comparison is not vacuous.
+  EXPECT_GT(labels.size(), 2u);
 }
 
 TEST(PartitionService, RefinementNeverWorseThanTheModelBaseline) {
