@@ -529,7 +529,7 @@ int main(int argc, char** argv) {
   std::uint64_t decodeFailures = 0, replaysRejected = 0, sendFailures = 0,
                 sendRetries = 0;
   for (std::size_t r = 0; r < opt.replicas; ++r) {
-    const auto g = fleet.at(r).gossipCounters();
+    const auto g = fleet.at(r).stats().fleet;
     decodeFailures += g.decodeFailures;
     replaysRejected += g.replaysRejected;
     sendFailures += g.sendFailures;

@@ -17,6 +17,12 @@ namespace tp::fleet {
 
 namespace {
 
+// <id>.retrain_overrun: the last coordinateRetrain() took longer than
+// this, debounced like the service's stock rules.
+constexpr double kRetrainOverrunSeconds = 60.0;
+constexpr std::size_t kRetrainOverrunTriggerAfter = 2;
+constexpr std::size_t kRetrainOverrunClearAfter = 2;
+
 /// Order-independent digest of a win set (records may come out of the
 /// refiner's shards in any order). Folds the peer count in, so a replica
 /// joining the transport forces a re-broadcast of otherwise unchanged
@@ -526,9 +532,7 @@ void Replica::registerHealthRules(obs::HealthMonitor& monitor,
         "gossip-round word and the last-retrain word; the monitor runs "
         "them serially under its own mutex; TSan: test_health "
         "HealthMonitor.BreachWhileDrainStaysConsistent") {
-  if (rules.includeServiceRules) {
-    service_->registerHealthRules(monitor, rules.service);
-  }
+  service_->registerHealthRules(monitor);
   if (bus_ != nullptr) {
     obs::DetectorRule rule;
     rule.name = config_.id + ".gossip_stall";
@@ -556,12 +560,12 @@ void Replica::registerHealthRules(obs::HealthMonitor& monitor,
   {
     obs::DetectorRule rule;
     rule.name = config_.id + ".retrain_overrun";
-    rule.triggerAfter = rules.service.triggerAfter;
-    rule.clearAfter = rules.service.clearAfter;
-    rule.evaluate = [this, rules]() -> std::optional<obs::Firing> {
+    rule.triggerAfter = kRetrainOverrunTriggerAfter;
+    rule.clearAfter = kRetrainOverrunClearAfter;
+    rule.evaluate = [this]() -> std::optional<obs::Firing> {
       const double last = lastRetrainSeconds_.load(std::memory_order_relaxed);
-      if (last <= rules.retrainOverrunSeconds) return std::nullopt;
-      return obs::Firing{last, rules.retrainOverrunSeconds,
+      if (last <= kRetrainOverrunSeconds) return std::nullopt;
+      return obs::Firing{last, kRetrainOverrunSeconds,
                          "last fleet retrain coordinated by " + config_.id +
                              " took " + std::to_string(last) + "s"};
     };
@@ -604,25 +608,6 @@ serve::ServiceStats Replica::stats() const
   s.fleet.snapshotsSalvaged =
       store_.has_value() ? store_->corruptSnapshotsSkipped() : 0;
   return s;
-}
-
-Replica::GossipCounters Replica::gossipCounters() const
-    TP_LOCK_FREE_AUDITED(
-        "relaxed snapshot of independent monotonic counters; TSan: "
-        "test_fleet Fleet.CountersReconcileUnderConcurrentGossipAndRetrain") {
-  using std::memory_order_relaxed;
-  GossipCounters g;
-  g.sendFailures = counters_.sendFailures.load(memory_order_relaxed);
-  g.sendRetries = counters_.sendRetries.load(memory_order_relaxed);
-  g.envelopesReceived = counters_.envelopesReceived.load(memory_order_relaxed);
-  g.decodeFailures = counters_.decodeFailures.load(memory_order_relaxed);
-  g.replaysRejected = counters_.replaysRejected.load(memory_order_relaxed);
-  g.retrainsAborted = counters_.retrainsAborted.load(memory_order_relaxed);
-  g.installsRejectedLease =
-      counters_.installsRejectedLease.load(memory_order_relaxed);
-  g.snapshotsSalvaged =
-      store_.has_value() ? store_->corruptSnapshotsSkipped() : 0;
-  return g;
 }
 
 bool Replica::acceptSeq(const std::string& sender, std::uint64_t seq) {

@@ -49,9 +49,9 @@
 
 namespace tp::fleet {
 
-/// Thresholds for the fleet-level detector rules
+/// The one tunable of the fleet-level detector rules
 /// Replica::registerHealthRules() installs on top of the service's
-/// stock set.
+/// stock set (retrain_overrun's 60 s threshold is fixed).
 struct FleetHealthConfig {
   /// gossip_stall: consecutive evaluations the replica's gossip-round
   /// counter must fail to advance before the event fires. The rule
@@ -59,12 +59,6 @@ struct FleetHealthConfig {
   /// started gossip yet is not stalled), so start gossip before the
   /// monitor if you want the detector armed from the first evaluation.
   std::size_t gossipStallEvals = 3;
-  /// retrain_overrun: wall seconds of the last coordinateRetrain().
-  double retrainOverrunSeconds = 60.0;
-  /// Also install the service's stock rules (namespaced under this
-  /// replica's metricsPrefix, so per-replica prefixes keep them apart).
-  bool includeServiceRules = true;
-  serve::HealthRulesConfig service;
 };
 
 struct ReplicaConfig {
@@ -153,26 +147,16 @@ public:
   /// racing coordinator holds the lease or a quorum cannot be heard.
   FleetRetrain coordinateRetrain();
 
-  /// Service stats with the fleet counter group populated.
+  /// Service stats with the fleet counter group populated. Fault-path
+  /// accounting there (send failures/retries, envelopes received, decode
+  /// failures, replays rejected, retrain aborts, lease-rejected installs,
+  /// salvaged snapshots) is exact by construction: every boundary counts
+  /// before it drops.
   serve::ServiceStats stats() const;
 
-  /// Fault-path accounting, exact by construction (every boundary counts
-  /// before it drops). Also folded into stats().fleet.
-  struct GossipCounters {
-    std::uint64_t sendFailures = 0;    ///< peer sends that threw
-    std::uint64_t sendRetries = 0;     ///< sends re-attempted after backoff
-    std::uint64_t envelopesReceived = 0;  ///< every handler entry
-    std::uint64_t decodeFailures = 0;  ///< corrupt/unexpected payloads dropped
-    std::uint64_t replaysRejected = 0;  ///< duplicate/stale seq dropped
-    std::uint64_t retrainsAborted = 0;  ///< quorum/lease safe no-ops
-    std::uint64_t installsRejectedLease = 0;  ///< installs from non-holders
-    std::uint64_t snapshotsSalvaged = 0;  ///< corrupt snapshots skipped
-  };
-  GossipCounters gossipCounters() const;
-
   /// Install this replica's detector rules into `monitor`: gossip_stall
-  /// and retrain_overrun under the "<id>." prefix, plus (by default) the
-  /// wrapped service's stock rules under its metricsPrefix. The closures
+  /// and retrain_overrun under the "<id>." prefix, plus the wrapped
+  /// service's stock rules under its metricsPrefix. The closures
   /// capture `this`: stop the monitor (or removeRulesByPrefix) before
   /// the replica is destroyed.
   void registerHealthRules(obs::HealthMonitor& monitor,

@@ -18,6 +18,40 @@ const char* severityName(Severity severity) noexcept {
   return "unknown";
 }
 
+Hysteresis::Hysteresis(std::size_t tripAfter, std::size_t clearAfter)
+    : tripAfter_(tripAfter), clearAfter_(clearAfter) {
+  TP_REQUIRE(tripAfter >= 1 && clearAfter >= 1,
+             "Hysteresis: tripAfter/clearAfter must be >= 1, got "
+                 << tripAfter << "/" << clearAfter);
+}
+
+Hysteresis::Edge Hysteresis::update(bool firing) noexcept {
+  if (firing) {
+    quietStreak_ = 0;
+    if (active_ || ++firingStreak_ < tripAfter_) return Edge::None;
+    active_ = true;
+    return Edge::Opened;
+  }
+  firingStreak_ = 0;
+  if (!active_ || ++quietStreak_ < clearAfter_) return Edge::None;
+  active_ = false;
+  quietStreak_ = 0;
+  return Edge::Closed;
+}
+
+WindowedRatio::WindowedRatio(std::uint64_t minDenominator) noexcept
+    : minDenominator_(std::max<std::uint64_t>(1, minDenominator)) {}
+
+std::optional<double> WindowedRatio::update(std::uint64_t numerator,
+                                            std::uint64_t denominator) noexcept {
+  const std::uint64_t dNumerator = numerator - numerator_;
+  lastSpan_ = denominator - denominator_;
+  numerator_ = numerator;
+  denominator_ = denominator;
+  if (lastSpan_ < minDenominator_) return std::nullopt;
+  return static_cast<double>(dNumerator) / static_cast<double>(lastSpan_);
+}
+
 HealthMonitor::HealthMonitor(std::size_t historyCapacity)
     : historyCapacity_(historyCapacity == 0 ? 1 : historyCapacity) {}
 
@@ -27,17 +61,13 @@ void HealthMonitor::addRule(DetectorRule rule) {
   TP_REQUIRE(!rule.name.empty(), "HealthMonitor: rule needs a name");
   TP_REQUIRE(rule.evaluate != nullptr,
              "HealthMonitor: rule '" << rule.name << "' has no evaluate fn");
-  TP_REQUIRE(rule.triggerAfter >= 1 && rule.clearAfter >= 1,
-             "HealthMonitor: rule '" << rule.name
-                                     << "' needs triggerAfter/clearAfter >= 1");
+  Hysteresis hysteresis(rule.triggerAfter, rule.clearAfter);
   common::MutexLock lock(mutex_);
   for (const RuleState& state : rules_) {
     TP_REQUIRE(state.rule.name != rule.name,
                "HealthMonitor: duplicate rule '" << rule.name << "'");
   }
-  RuleState state;
-  state.rule = std::move(rule);
-  rules_.push_back(std::move(state));
+  rules_.push_back(RuleState{std::move(rule), hysteresis, Firing{}});
 }
 
 std::size_t HealthMonitor::removeRulesByPrefix(const std::string& prefix) {
@@ -79,44 +109,24 @@ std::size_t HealthMonitor::evaluateOnce() {
       }
       if (firing.has_value()) {
         ++counters_.firings;
-        ++state.firingStreak;
-        state.quietStreak = 0;
         state.lastFiring = *firing;
-        if (state.active) {
-          ++counters_.suppressedFirings;
-        } else if (state.firingStreak >= state.rule.triggerAfter) {
-          state.active = true;
-          HealthEvent event;
-          event.seq = ++nextSeq_;
-          event.ticks = nowTicks();
-          event.severity = state.rule.severity;
-          event.rule = state.rule.name;
-          event.message = firing->message;
-          event.value = firing->value;
-          event.threshold = firing->threshold;
-          ++counters_.eventsEmitted;
-          history_.push_back(event);
-          emitted.push_back(std::move(event));
-        }
-      } else {
-        state.firingStreak = 0;
-        if (state.active && ++state.quietStreak >= state.rule.clearAfter) {
-          state.active = false;
-          state.quietStreak = 0;
-          HealthEvent event;
-          event.seq = ++nextSeq_;
-          event.ticks = nowTicks();
-          event.severity = Severity::Info;
-          event.rule = state.rule.name;
-          event.message = "recovered";
-          event.value = state.lastFiring.value;
-          event.threshold = state.lastFiring.threshold;
-          event.cleared = true;
-          ++counters_.eventsCleared;
-          history_.push_back(event);
-          emitted.push_back(std::move(event));
-        }
+        if (state.hysteresis.active()) ++counters_.suppressedFirings;
       }
+      const Hysteresis::Edge edge = state.hysteresis.update(firing.has_value());
+      if (edge == Hysteresis::Edge::None) continue;
+      const bool cleared = edge == Hysteresis::Edge::Closed;
+      HealthEvent event;
+      event.seq = ++nextSeq_;
+      event.ticks = nowTicks();
+      event.severity = cleared ? Severity::Info : state.rule.severity;
+      event.rule = state.rule.name;
+      event.message = cleared ? "recovered" : state.lastFiring.message;
+      event.value = state.lastFiring.value;
+      event.threshold = state.lastFiring.threshold;
+      event.cleared = cleared;
+      ++(cleared ? counters_.eventsCleared : counters_.eventsEmitted);
+      history_.push_back(event);
+      emitted.push_back(std::move(event));
     }
     while (history_.size() > historyCapacity_) history_.pop_front();
     callback = callback_;

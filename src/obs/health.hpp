@@ -7,7 +7,7 @@
 // A DetectorRule is a named closure returning std::nullopt (quiet) or a
 // Firing{value, threshold, message}. The monitor evaluates every rule
 // serially (manually via evaluateOnce(), or from a background thread
-// via start(period)) and runs a small state machine per rule:
+// via start(period)) and debounces each rule with an obs::Hysteresis:
 //
 //     quiet --triggerAfter consecutive firings--> active  (emit event)
 //     active --stays firing--> active                     (suppressed)
@@ -15,6 +15,9 @@
 //
 // so a breach produces exactly one event until it genuinely recovers,
 // and a recovery produces exactly one cleared event (severity Info).
+// Rate rules judge counter deltas between evaluations through an
+// obs::WindowedRatio. serve::PartitionService's admission breaker runs
+// on the same two primitives.
 //
 // Threading contract: rule closures run on the evaluating thread under
 // the monitor mutex, one at a time — they may keep mutable state (delta
@@ -40,6 +43,59 @@
 #include "obs/clock.hpp"
 
 namespace tp::obs {
+
+/// Trip/clear debounce: the one state machine behind every detector
+/// rule and the admission breaker.
+///
+///     closed --tripAfter consecutive firing updates--> active  (Opened)
+///     active --clearAfter consecutive quiet updates--> closed  (Closed)
+///
+/// A quiet update resets the firing streak and a firing update resets
+/// the quiet streak, so alternating evaluations never change state. Not
+/// thread-safe: one owner drives update().
+class Hysteresis {
+public:
+  enum class Edge { None, Opened, Closed };
+
+  /// Both counts must be >= 1; throws tp::Error otherwise.
+  Hysteresis(std::size_t tripAfter, std::size_t clearAfter);
+
+  /// Feed one evaluation; returns the transition it caused, if any.
+  Edge update(bool firing) noexcept;
+  bool active() const noexcept { return active_; }
+
+private:
+  std::size_t tripAfter_;
+  std::size_t clearAfter_;
+  std::size_t firingStreak_ = 0;  ///< consecutive firings while closed
+  std::size_t quietStreak_ = 0;   ///< consecutive quiets while active
+  bool active_ = false;
+};
+
+/// The ratio of two monotonic counters' growth between consecutive
+/// update() calls ("evictions per lookup since the last evaluation").
+/// Every call advances the window, judged or not. Not thread-safe: one
+/// owner drives update().
+class WindowedRatio {
+public:
+  /// Windows whose denominator grew by less than minDenominator (at
+  /// least 1) are not judged.
+  explicit WindowedRatio(std::uint64_t minDenominator) noexcept;
+
+  /// Advance to the counters' current totals; the numerator's growth
+  /// over the denominator's since the previous call, or std::nullopt
+  /// when the denominator grew too little.
+  std::optional<double> update(std::uint64_t numerator,
+                               std::uint64_t denominator) noexcept;
+  /// Denominator growth over the most recent update()'s window.
+  std::uint64_t lastSpan() const noexcept { return lastSpan_; }
+
+private:
+  std::uint64_t minDenominator_;
+  std::uint64_t numerator_ = 0;
+  std::uint64_t denominator_ = 0;
+  std::uint64_t lastSpan_ = 0;
+};
 
 enum class Severity { Info = 0, Warning = 1, Critical = 2 };
 
@@ -124,9 +180,7 @@ public:
 private:
   struct RuleState {
     DetectorRule rule;
-    std::size_t firingStreak = 0;
-    std::size_t quietStreak = 0;
-    bool active = false;
+    Hysteresis hysteresis;
     Firing lastFiring;  ///< echoed into the cleared event
   };
 

@@ -136,6 +136,11 @@ std::vector<SloTracker::WindowSnapshot> SloTracker::liveSubWindows(
   return live;
 }
 
+std::optional<double> SloTracker::Report::breachBurnRate() const noexcept {
+  if (!breached) return std::nullopt;
+  return std::max(burnRateP99, burnRateP999);
+}
+
 SloTracker::Report SloTracker::reportAt(std::uint64_t atTicks) const {
   Report report;
   report.windowSeconds = config_.windowSeconds;

@@ -37,6 +37,7 @@
 // contract (over-estimate by at most 2x); violation counts are exact.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -114,6 +115,10 @@ public:
     bool breached = false;
     double windowSeconds = 0.0;   ///< configured horizon
     std::size_t subWindowsMerged = 0;
+
+    /// The burn rate a breach is judged by: max(burnRateP99,
+    /// burnRateP999) while breached, std::nullopt otherwise.
+    std::optional<double> breachBurnRate() const noexcept;
   };
   Report report() const { return reportAt(nowTicks()); }
   Report reportAt(std::uint64_t atTicks) const;

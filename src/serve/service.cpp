@@ -30,6 +30,24 @@ std::size_t autoInlineLanes(std::size_t configured) {
   return configured != 0 ? configured : common::defaultStripes();
 }
 
+// The breaker's lane arm: trip when more than this share of the
+// machine's admissions since the previous evaluation ran lane-exhausted,
+// judged once at least kBreakerMinAdmissions arrived.
+constexpr double kBreakerLaneExhaustionCeiling = 0.5;
+constexpr std::uint64_t kBreakerMinAdmissions = 64;
+
+// Stock detector rules (registerHealthRules; README.md lists them). Rate
+// rules judge only windows of at least kRuleMinWindow lookups, refiner
+// decisions or submissions.
+constexpr std::size_t kRuleTriggerAfter = 2;
+constexpr std::size_t kRuleClearAfter = 2;
+constexpr std::uint64_t kRuleMinWindow = 256;
+constexpr double kHitRateFloor = 0.5;
+constexpr double kEvictionStormCeiling = 0.25;
+constexpr double kProbeStormCeiling = 0.5;
+constexpr double kLaneExhaustionCeiling = 0.25;
+constexpr double kRetrainOverrunSeconds = 30.0;
+
 }  // namespace
 
 struct PartitionService::MachineState {
@@ -63,18 +81,20 @@ struct PartitionService::MachineState {
   /// latency_slo detector.
   std::unique_ptr<obs::SloTracker> slo;
 
+  /// Requests run on a private context because every inline lane was
+  /// busy; summed over machines for stats() and the lane_exhaustion rule.
+  std::atomic<std::uint64_t> laneExhausted{0};
+
   // Admission breaker (ServiceConfig::breaker). The warm path touches
   // only admitTick (relaxed bump) and shedding (relaxed load); everything
   // else belongs to the single evaluation winner holding evalBusy via
-  // ClaimGuard — the claim's acq_rel CAS orders the streak/prev fields
+  // ClaimGuard — the claim's acq_rel CAS orders the hysteresis and window
   // between consecutive winners, so they need no mutex and no atomics.
   std::atomic<std::uint64_t> admitTick{0};
   std::atomic<std::uint32_t> evalBusy{0};
   std::atomic<std::uint32_t> shedding{0};
-  std::size_t hotStreak = 0;            ///< evalBusy holder only
-  std::size_t coolStreak = 0;           ///< evalBusy holder only
-  std::uint64_t prevSubmitted = 0;      ///< evalBusy holder only
-  std::uint64_t prevExhausted = 0;      ///< evalBusy holder only
+  obs::Hysteresis breaker;           ///< evalBusy holder only
+  obs::WindowedRatio laneExhaustion; ///< evalBusy holder only
 
   MachineState(const sim::MachineConfig& m,
                std::shared_ptr<const ml::Classifier> mdl,
@@ -82,7 +102,9 @@ struct PartitionService::MachineState {
       : machine(m),
         space(m.numDevices(), config.divisions),
         model(std::move(mdl)),
-        load(m.numDevices()) {
+        load(m.numDevices()),
+        breaker(config.breaker.tripAfter, config.breaker.clearAfter),
+        laneExhaustion(kBreakerMinAdmissions) {
     computePool =
         config.execMode == vcl::ExecMode::Compute ? &common::globalThreadPool()
                                                   : nullptr;
@@ -143,20 +165,13 @@ void PartitionService::registerMetrics()
   reg.registerCounter(p + "requests_inline",
                       [this] { return inlineHits_.total(); });
   reg.registerCounter(p + "inline_lane_exhausted",
-                      [this] { return inlineLaneExhausted_.total(); });
+                      [this] { return laneExhaustedTotal(); });
   reg.registerCounter(p + "requests_shed", [this] { return shed_.total(); });
   reg.registerCounter(p + "breaker_trips", [this] {
     return breakerTrips_.load(std::memory_order_relaxed);
   });
   reg.registerGauge(p + "breaker_open", [this] {
-    // Number of machines currently shedding (0 = all breakers closed).
-    double open = 0.0;
-    common::MutexLock lock(machinesMutex_);
-    for (const auto& [name, ms] : machines_) {
-      (void)name;
-      if (ms->shedding.load(std::memory_order_relaxed) != 0) open += 1.0;
-    }
-    return open;
+    return static_cast<double>(openBreakers());
   });
   reg.registerCounter(p + "retrains", [this] {
     return retrains_.load(std::memory_order_relaxed);
@@ -510,7 +525,7 @@ bool PartitionService::executeOnLane(MachineState& ms,
     return true;  // the guard releases the lane
   }
   // Every lane is busy: run on a private context built on this frame.
-  inlineLaneExhausted_.add();
+  ms.laneExhausted.fetch_add(1, std::memory_order_relaxed);
   vcl::Context context(ms.machine, config_.execMode, ms.computePool);
   runtime::Scheduler scheduler(context);
   finishDecided(ms, scheduler, task, response, fp);
@@ -821,7 +836,6 @@ ServiceStats PartitionService::stats() const {
   s.requestsCompleted = completed_.total();
   s.requestsFailed = failed_.total();
   s.requestsInline = inlineHits_.total();
-  s.inlineLaneExhausted = inlineLaneExhausted_.total();
   s.requestsShed = shed_.total();
   s.breakerTrips = breakerTrips_.load(std::memory_order_relaxed);
   s.cache = cache_->counters();
@@ -846,6 +860,7 @@ ServiceStats PartitionService::stats() const {
     (void)name;
     MachineStats m;
     m.machine = ms->machine.name;
+    s.inlineLaneExhausted += ms->laneExhausted.load(std::memory_order_relaxed);
     {
       common::SharedMutexLockShared modelLock(ms->modelMutex);
       m.modelVersion = ms->modelVersion;
@@ -892,9 +907,9 @@ void PartitionService::maybeEvaluateBreaker(MachineState& ms)
 void PartitionService::evaluateBreaker(MachineState& ms)
     TP_LOCK_FREE_AUDITED(
         "single-winner evaluation: the ClaimGuard CAS (acq_rel) hands the "
-        "streak/prev words from winner to winner; losers return without "
-        "touching them; the shedding flag itself is a relaxed on/off word "
-        "read by the admission path; TSan: test_serve "
+        "hysteresis and lane window from winner to winner; losers return "
+        "without touching them; the shedding flag itself is a relaxed "
+        "on/off word read by the admission path; TSan: test_serve "
         "PartitionService.BreakerShedsUnderOverloadAndRecovers") {
   common::ClaimGuard claim(ms.evalBusy);
   if (!claim.claimed()) return;  // another admission is already judging
@@ -903,59 +918,67 @@ void PartitionService::evaluateBreaker(MachineState& ms)
   double value = 0.0;
   double threshold = 0.0;
   if (ms.slo != nullptr) {
-    const obs::SloTracker::Report report = ms.slo->report();
-    const double burn = std::max(report.burnRateP99, report.burnRateP999);
-    if (report.breached && burn > config_.breaker.burnRateCeiling) {
+    const std::optional<double> burn = ms.slo->report().breachBurnRate();
+    if (burn.has_value() && *burn > config_.breaker.burnRateCeiling) {
       hot = true;
-      value = burn;
+      value = *burn;
       threshold = config_.breaker.burnRateCeiling;
     }
   }
-  // Lane-exhaustion arm: bounce rate since the previous evaluation.
-  // Service-wide counters (they are striped per thread, not per machine);
-  // with one overloaded machine that is exactly the victim signal.
-  const std::uint64_t submitted = submitted_.total();
-  const std::uint64_t exhausted = inlineLaneExhausted_.total();
-  const std::uint64_t dSubmitted = submitted - ms.prevSubmitted;
-  const std::uint64_t dExhausted = exhausted - ms.prevExhausted;
-  ms.prevSubmitted = submitted;
-  ms.prevExhausted = exhausted;
-  if (!hot && dSubmitted >= config_.breaker.minSamplesPerEval) {
-    const double rate =
-        static_cast<double>(dExhausted) / static_cast<double>(dSubmitted);
-    if (rate > config_.breaker.laneExhaustionCeiling) {
-      hot = true;
-      value = rate;
-      threshold = config_.breaker.laneExhaustionCeiling;
-    }
+  // Lane-exhaustion arm: this machine's bounces per admission since the
+  // previous evaluation. The window advances even when the SLO arm
+  // already judged hot.
+  const std::optional<double> bounceRate = ms.laneExhaustion.update(
+      ms.laneExhausted.load(std::memory_order_relaxed),
+      ms.admitTick.load(std::memory_order_relaxed));
+  if (!hot && bounceRate.has_value() &&
+      *bounceRate > kBreakerLaneExhaustionCeiling) {
+    hot = true;
+    value = *bounceRate;
+    threshold = kBreakerLaneExhaustionCeiling;
   }
 
-  if (hot) {
-    ms.coolStreak = 0;
-    ++ms.hotStreak;
-    if (ms.hotStreak >= config_.breaker.tripAfter &&
-        ms.shedding.load(std::memory_order_relaxed) == 0) {
+  switch (ms.breaker.update(hot)) {
+    case obs::Hysteresis::Edge::Opened:
       ms.shedding.store(1, std::memory_order_relaxed);
       breakerTrips_.fetch_add(1, std::memory_order_relaxed);
       TP_WARN("admission breaker OPEN on " << ms.machine.name << ": "
                                            << value << " > " << threshold
                                            << " — shedding load");
-    }
-  } else {
-    ms.hotStreak = 0;
-    ++ms.coolStreak;
-    if (ms.coolStreak >= config_.breaker.clearAfter &&
-        ms.shedding.load(std::memory_order_relaxed) != 0) {
+      break;
+    case obs::Hysteresis::Edge::Closed:
       ms.shedding.store(0, std::memory_order_relaxed);
       TP_INFO("admission breaker closed on " << ms.machine.name
                                              << ": window recovered");
-    }
+      break;
+    case obs::Hysteresis::Edge::None:
+      break;
   }
 }
 
 void PartitionService::evaluateBreakerNow(const std::string& machine) {
   if (!config_.breaker.enabled) return;
   evaluateBreaker(state(machine));
+}
+
+std::uint64_t PartitionService::laneExhaustedTotal() const {
+  std::uint64_t total = 0;
+  common::MutexLock lock(machinesMutex_);
+  for (const auto& [name, ms] : machines_) {
+    (void)name;
+    total += ms->laneExhausted.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+std::size_t PartitionService::openBreakers() const {
+  std::size_t open = 0;
+  common::MutexLock lock(machinesMutex_);
+  for (const auto& [name, ms] : machines_) {
+    (void)name;
+    if (ms->shedding.load(std::memory_order_relaxed) != 0) ++open;
+  }
+  return open;
 }
 
 bool PartitionService::breakerOpen(const std::string& machine) const
@@ -965,8 +988,7 @@ bool PartitionService::breakerOpen(const std::string& machine) const
   return state(machine).shedding.load(std::memory_order_relaxed) != 0;
 }
 
-void PartitionService::registerHealthRules(obs::HealthMonitor& monitor,
-                                           const HealthRulesConfig& rules)
+void PartitionService::registerHealthRules(obs::HealthMonitor& monitor)
     TP_LOCK_FREE_AUDITED(
         "registers rule lambdas reading thread-safe snapshot surfaces "
         "(SLO reports, cache counter snapshots, striped-counter totals, "
@@ -974,27 +996,29 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor,
         "them serially under its own mutex; TSan: test_health "
         "HealthMonitor.BreachWhileDrainStaysConsistent") {
   const std::string p = config_.metricsPrefix;
+  const auto stockRule = [&](const char* name) {
+    obs::DetectorRule rule;
+    rule.name = p + name;
+    rule.triggerAfter = kRuleTriggerAfter;
+    rule.clearAfter = kRuleClearAfter;
+    return rule;
+  };
 
   // ONE aggregated latency rule, not one per machine: a fleet-wide
   // latency incident should page once. The firing carries the worst
   // burn rate and names its machine.
   {
-    obs::DetectorRule rule;
-    rule.name = p + "latency_slo";
+    obs::DetectorRule rule = stockRule("latency_slo");
     rule.severity = obs::Severity::Critical;
-    rule.triggerAfter = rules.triggerAfter;
-    rule.clearAfter = rules.clearAfter;
     rule.evaluate = [this]() -> std::optional<obs::Firing> {
       double worstBurn = 0.0;
       std::string worstMachine;
       common::MutexLock lock(machinesMutex_);
       for (const auto& [name, ms] : machines_) {
         if (ms->slo == nullptr) continue;
-        const obs::SloTracker::Report r = ms->slo->report();
-        if (!r.breached) continue;
-        const double burn = std::max(r.burnRateP99, r.burnRateP999);
-        if (burn >= worstBurn) {
-          worstBurn = burn;
+        const std::optional<double> burn = ms->slo->report().breachBurnRate();
+        if (burn.has_value() && *burn >= worstBurn) {
+          worstBurn = *burn;
           worstMachine = name;
         }
       }
@@ -1008,94 +1032,64 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor,
   }
 
   {
-    obs::DetectorRule rule;
-    rule.name = p + "cache_hit_collapse";
-    rule.triggerAfter = rules.triggerAfter;
-    rule.clearAfter = rules.clearAfter;
-    rule.evaluate = [this, rules, prevLookups = std::uint64_t{0},
-                     prevHits =
-                         std::uint64_t{0}]() mutable -> std::optional<obs::Firing> {
+    obs::DetectorRule rule = stockRule("cache_hit_collapse");
+    rule.evaluate = [this, window = obs::WindowedRatio(kRuleMinWindow)]() mutable
+        -> std::optional<obs::Firing> {
       const CacheCounters c = cache_->counters();
-      const std::uint64_t dLookups = c.lookups - prevLookups;
-      const std::uint64_t dHits = c.hits - prevHits;
-      prevLookups = c.lookups;
-      prevHits = c.hits;
-      if (dLookups < rules.minLookupsPerEval) return std::nullopt;
-      const double rate = static_cast<double>(dHits) / dLookups;
-      if (rate >= rules.hitRateFloor) return std::nullopt;
-      return obs::Firing{rate, rules.hitRateFloor,
+      const std::optional<double> rate = window.update(c.hits, c.lookups);
+      if (!rate.has_value() || *rate >= kHitRateFloor) return std::nullopt;
+      return obs::Firing{*rate, kHitRateFloor,
                          "cache hit rate collapsed to " +
-                             std::to_string(rate) + " over the last " +
-                             std::to_string(dLookups) + " lookups"};
+                             std::to_string(*rate) + " over the last " +
+                             std::to_string(window.lastSpan()) + " lookups"};
     };
     monitor.addRule(std::move(rule));
   }
 
   {
-    obs::DetectorRule rule;
-    rule.name = p + "eviction_storm";
-    rule.triggerAfter = rules.triggerAfter;
-    rule.clearAfter = rules.clearAfter;
-    rule.evaluate = [this, rules, prevLookups = std::uint64_t{0},
-                     prevEvictions =
-                         std::uint64_t{0}]() mutable -> std::optional<obs::Firing> {
+    obs::DetectorRule rule = stockRule("eviction_storm");
+    rule.evaluate = [this, window = obs::WindowedRatio(kRuleMinWindow)]() mutable
+        -> std::optional<obs::Firing> {
       const CacheCounters c = cache_->counters();
-      const std::uint64_t dLookups = c.lookups - prevLookups;
-      const std::uint64_t dEvictions = c.evictions - prevEvictions;
-      prevLookups = c.lookups;
-      prevEvictions = c.evictions;
-      if (dLookups < rules.minLookupsPerEval) return std::nullopt;
-      const double rate = static_cast<double>(dEvictions) / dLookups;
-      if (rate <= rules.evictionStormCeiling) return std::nullopt;
-      return obs::Firing{rate, rules.evictionStormCeiling,
-                         "cache evicting at " + std::to_string(rate) +
+      const std::optional<double> rate = window.update(c.evictions, c.lookups);
+      if (!rate.has_value() || *rate <= kEvictionStormCeiling) {
+        return std::nullopt;
+      }
+      return obs::Firing{*rate, kEvictionStormCeiling,
+                         "cache evicting at " + std::to_string(*rate) +
                              " per lookup (undersized for the working set)"};
     };
     monitor.addRule(std::move(rule));
   }
 
   if (refiner_ != nullptr) {
-    obs::DetectorRule rule;
-    rule.name = p + "probe_storm";
-    rule.triggerAfter = rules.triggerAfter;
-    rule.clearAfter = rules.clearAfter;
-    rule.evaluate = [this, rules, prevDecisions = std::uint64_t{0},
-                     prevExplorations =
-                         std::uint64_t{0}]() mutable -> std::optional<obs::Firing> {
+    obs::DetectorRule rule = stockRule("probe_storm");
+    rule.evaluate = [this, window = obs::WindowedRatio(kRuleMinWindow)]() mutable
+        -> std::optional<obs::Firing> {
       const adapt::RefinerCounters c = refiner_->counters();
-      const std::uint64_t dDecisions = c.decisions - prevDecisions;
-      const std::uint64_t dExplorations = c.explorations - prevExplorations;
-      prevDecisions = c.decisions;
-      prevExplorations = c.explorations;
-      if (dDecisions < rules.minLookupsPerEval) return std::nullopt;
-      const double rate = static_cast<double>(dExplorations) / dDecisions;
-      if (rate <= rules.probeStormCeiling) return std::nullopt;
-      return obs::Firing{rate, rules.probeStormCeiling,
-                         "refiner probing on " + std::to_string(rate) +
+      const std::optional<double> rate =
+          window.update(c.explorations, c.decisions);
+      if (!rate.has_value() || *rate <= kProbeStormCeiling) {
+        return std::nullopt;
+      }
+      return obs::Firing{*rate, kProbeStormCeiling,
+                         "refiner probing on " + std::to_string(*rate) +
                              " of decisions (exploration never converging)"};
     };
     monitor.addRule(std::move(rule));
   }
 
   {
-    obs::DetectorRule rule;
-    rule.name = p + "lane_exhaustion";
-    rule.triggerAfter = rules.triggerAfter;
-    rule.clearAfter = rules.clearAfter;
-    rule.evaluate = [this, rules, prevSubmitted = std::uint64_t{0},
-                     prevExhausted =
-                         std::uint64_t{0}]() mutable -> std::optional<obs::Firing> {
-      const std::uint64_t submitted = submitted_.total();
-      const std::uint64_t exhausted = inlineLaneExhausted_.total();
-      const std::uint64_t dSubmitted = submitted - prevSubmitted;
-      const std::uint64_t dExhausted = exhausted - prevExhausted;
-      prevSubmitted = submitted;
-      prevExhausted = exhausted;
-      if (dSubmitted < rules.minSubmitsPerEval) return std::nullopt;
-      const double rate = static_cast<double>(dExhausted) / dSubmitted;
-      if (rate <= rules.laneExhaustionCeiling) return std::nullopt;
-      return obs::Firing{rate, rules.laneExhaustionCeiling,
-                         "inline lanes exhausted on " + std::to_string(rate) +
+    obs::DetectorRule rule = stockRule("lane_exhaustion");
+    rule.evaluate = [this, window = obs::WindowedRatio(kRuleMinWindow)]() mutable
+        -> std::optional<obs::Firing> {
+      const std::optional<double> rate =
+          window.update(laneExhaustedTotal(), submitted_.total());
+      if (!rate.has_value() || *rate <= kLaneExhaustionCeiling) {
+        return std::nullopt;
+      }
+      return obs::Firing{*rate, kLaneExhaustionCeiling,
+                         "inline lanes exhausted on " + std::to_string(*rate) +
                              " of submissions (requests running on "
                              "short-lived private contexts)"};
     };
@@ -1103,14 +1097,11 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor,
   }
 
   {
-    obs::DetectorRule rule;
-    rule.name = p + "retrain_overrun";
-    rule.triggerAfter = rules.triggerAfter;
-    rule.clearAfter = rules.clearAfter;
-    rule.evaluate = [this, rules]() -> std::optional<obs::Firing> {
+    obs::DetectorRule rule = stockRule("retrain_overrun");
+    rule.evaluate = [this]() -> std::optional<obs::Firing> {
       const double last = lastRetrainSeconds_.load(std::memory_order_relaxed);
-      if (last <= rules.retrainOverrunSeconds) return std::nullopt;
-      return obs::Firing{last, rules.retrainOverrunSeconds,
+      if (last <= kRetrainOverrunSeconds) return std::nullopt;
+      return obs::Firing{last, kRetrainOverrunSeconds,
                          "last retrain took " + std::to_string(last) +
                              "s (model refresh falling behind traffic)"};
     };
@@ -1122,28 +1113,15 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor,
     // evaluation OR a breaker still open), clears once shedding stopped
     // and every breaker closed — so one overload incident produces one
     // deduped breach/clear pair, not one per shed request.
-    obs::DetectorRule rule;
-    rule.name = p + "load_shed";
+    obs::DetectorRule rule = stockRule("load_shed");
     rule.severity = obs::Severity::Critical;
     rule.triggerAfter = 1;  // the breaker's own hysteresis already gates
-    rule.clearAfter = rules.clearAfter;
     rule.evaluate = [this, prevShed = std::uint64_t{0}]() mutable
         -> std::optional<obs::Firing> {
       const std::uint64_t shed = shed_.total();
       const std::uint64_t dShed = shed - prevShed;
       prevShed = shed;
-      bool anyOpen = false;
-      {
-        common::MutexLock lock(machinesMutex_);
-        for (const auto& [name, ms] : machines_) {
-          (void)name;
-          if (ms->shedding.load(std::memory_order_relaxed) != 0) {
-            anyOpen = true;
-            break;
-          }
-        }
-      }
-      if (dShed == 0 && !anyOpen) return std::nullopt;
+      if (dShed == 0 && openBreakers() == 0) return std::nullopt;
       return obs::Firing{static_cast<double>(dShed), 0.0,
                          "admission breaker shedding load (" +
                              std::to_string(dShed) +

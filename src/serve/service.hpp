@@ -84,30 +84,27 @@
 namespace tp::serve {
 
 /// Per-machine admission breaker: when the machine's SLO window burns
-/// error budget past the ceiling (or inline lanes exhaust faster than
-/// the ceiling), new requests for it are shed — answered immediately
-/// with LaunchResponse::shed set, nothing decided or executed — until
-/// the window recovers. Evaluation is amortized (every evalEvery-th
-/// admission, single winner via CAS claim) so the warm path pays one
-/// relaxed counter bump and one relaxed flag load. Trip and clear both
-/// take consecutive agreeing evaluations (hysteresis mirroring
-/// obs::HealthMonitor), so one bad window cannot flap the breaker.
+/// error budget past burnRateCeiling, or more than half of the requests
+/// admitted to the machine since the previous evaluation (at least 64 of
+/// them) found every inline lane busy, new requests for it are shed —
+/// answered immediately with LaunchResponse::shed set, nothing decided
+/// or executed — until the window recovers. Evaluation is amortized
+/// (every evalEvery-th admission, single winner via CAS claim) so the
+/// warm path pays one relaxed counter bump and one relaxed flag load.
+/// Trip and clear both take consecutive agreeing evaluations (the
+/// obs::Hysteresis every detector rule uses), so one bad window cannot
+/// flap the breaker.
 struct BreakerConfig {
   bool enabled = false;
-  /// Trip when the SLO report is breached AND max(burnRateP99,
-  /// burnRateP999) exceeds this.
+  /// Trip when the SLO report is breached AND its breachBurnRate()
+  /// exceeds this.
   double burnRateCeiling = 2.0;
-  /// Trip when inline-lane-exhaustion bounces per submitted request
-  /// (delta since the previous evaluation) exceed this.
-  double laneExhaustionCeiling = 0.5;
-  std::size_t tripAfter = 2;   ///< consecutive hot evaluations to open
-  std::size_t clearAfter = 3;  ///< consecutive cool evaluations to close
+  /// Consecutive hot evaluations to open and cool ones to close; both
+  /// >= 1, or addMachine() throws.
+  std::size_t tripAfter = 2;
+  std::size_t clearAfter = 3;
   /// Evaluate once per this many admissions to the machine.
   std::uint64_t evalEvery = 256;
-  /// Lane-exhaustion judgment needs at least this many submissions since
-  /// the previous evaluation (the SLO arm judges regardless — its own
-  /// minSamples gate lives in the tracker).
-  std::uint64_t minSamplesPerEval = 64;
 };
 
 struct ServiceConfig {
@@ -154,32 +151,6 @@ struct ServiceConfig {
   /// SLO-driven admission breaker (load shedding). Off by default; the
   /// burn-rate arm additionally needs slo.enabled().
   BreakerConfig breaker;
-};
-
-/// Thresholds for the stock detector rules registerHealthRules()
-/// installs. Rate rules judge deltas between consecutive evaluations —
-/// recent behaviour, not lifetime averages — so each keeps its own
-/// previous-counter state inside the rule closure (the monitor runs
-/// rules serially under its mutex; see obs/health.hpp).
-struct HealthRulesConfig {
-  std::size_t triggerAfter = 2;  ///< consecutive firings before the event
-  std::size_t clearAfter = 2;    ///< consecutive quiets before recovery
-  /// cache_hit_collapse: hit rate since the last evaluation below this
-  /// floor (with at least minLookupsPerEval lookups) fires.
-  double hitRateFloor = 0.5;
-  std::uint64_t minLookupsPerEval = 256;
-  /// eviction_storm: evictions per lookup since the last evaluation.
-  double evictionStormCeiling = 0.25;
-  /// probe_storm (refinement only): exploration probes per refiner
-  /// decision since the last evaluation.
-  double probeStormCeiling = 0.5;
-  /// lane_exhaustion: all-inline-lanes-busy bounces per submitted
-  /// request since the last evaluation.
-  double laneExhaustionCeiling = 0.25;
-  std::uint64_t minSubmitsPerEval = 256;
-  /// retrain_overrun: wall seconds of the most recent retrain() pass
-  /// (stays firing until a faster retrain lands).
-  double retrainOverrunSeconds = 30.0;
 };
 
 class PartitionService {
@@ -301,11 +272,12 @@ public:
   /// them): latency_slo (Critical, aggregated over machines — a
   /// fleet-wide latency incident pages once, the firing names the worst
   /// burner), cache_hit_collapse, eviction_storm, probe_storm (with
-  /// refinement on), lane_exhaustion and retrain_overrun. The closures
-  /// capture `this`: stop the monitor (or remove the rules) before this
-  /// service is destroyed.
-  void registerHealthRules(obs::HealthMonitor& monitor,
-                           const HealthRulesConfig& rules = {});
+  /// refinement on), lane_exhaustion, retrain_overrun and load_shed
+  /// (with the breaker on). Thresholds are fixed; README.md lists them.
+  /// Rate rules judge counter deltas since the previous evaluation. The
+  /// closures capture `this`: stop the monitor (or remove the rules)
+  /// before this service is destroyed.
+  void registerHealthRules(obs::HealthMonitor& monitor);
 
   const runtime::PartitioningSpace& space(const std::string& machine) const;
   const DecisionCache& cache() const noexcept { return *cache_; }
@@ -376,9 +348,14 @@ private:
   /// machine's admission tick and runs evaluateBreaker() on every
   /// breaker.evalEvery-th admission.
   void maybeEvaluateBreaker(MachineState& ms);
-  /// One breaker evaluation: judge the SLO burn rate and lane-exhaustion
-  /// delta, advance the trip/clear streaks, flip the shedding flag.
+  /// One breaker evaluation: judge the SLO burn rate and the machine's
+  /// lane-exhaustion delta, advance the hysteresis, flip the shedding
+  /// flag.
   void evaluateBreaker(MachineState& ms);
+  /// Lane-exhausted requests summed over every machine.
+  std::uint64_t laneExhaustedTotal() const TP_EXCLUDES(machinesMutex_);
+  /// Machines whose admission breaker is open (shedding).
+  std::size_t openBreakers() const TP_EXCLUDES(machinesMutex_);
   void requestDone() noexcept;
 
   ServiceConfig config_;
@@ -412,9 +389,6 @@ private:
   common::StripedCounter completed_;
   common::StripedCounter failed_;
   common::StripedCounter inlineHits_;
-  /// Requests run on a private context because every inline lane was
-  /// busy (the lane_exhaustion detector's numerator).
-  common::StripedCounter inlineLaneExhausted_;
   /// Requests fast-failed by an open admission breaker (they count as
   /// completed too — every admitted request is answered exactly once).
   common::StripedCounter shed_;

@@ -1057,7 +1057,7 @@ TEST(Fleet, GossipSendFailureBacksOffAndRetries) {
   throwing.throwProbability = 1.0;
   net.setPlan("r0", "r1", throwing);
   r0.publishWins();
-  auto g0 = r0.gossipCounters();
+  auto g0 = r0.stats().fleet;
   EXPECT_EQ(g0.sendFailures, 1u);
   EXPECT_EQ(g0.sendRetries, 0u);
   EXPECT_EQ(r0.stats().fleet.winsSent, 0u);  // nothing delivered
@@ -1068,7 +1068,7 @@ TEST(Fleet, GossipSendFailureBacksOffAndRetries) {
   // on new wins.
   net.clearFaults();
   r0.publishWins();
-  g0 = r0.gossipCounters();
+  g0 = r0.stats().fleet;
   EXPECT_EQ(g0.sendFailures, 1u);
   EXPECT_EQ(g0.sendRetries, 1u);
   EXPECT_GT(r0.stats().fleet.winsSent, 0u);
@@ -1078,7 +1078,7 @@ TEST(Fleet, GossipSendFailureBacksOffAndRetries) {
 
   // Healthy again: no further retries are recorded for this peer.
   r0.publishWins();
-  EXPECT_EQ(r0.gossipCounters().sendRetries, 1u);
+  EXPECT_EQ(r0.stats().fleet.sendRetries, 1u);
 }
 
 TEST(Fleet, DuplicatedDeliveriesAreRejectedByReplayWindow) {
@@ -1099,7 +1099,7 @@ TEST(Fleet, DuplicatedDeliveriesAreRejectedByReplayWindow) {
   r0.publishWins();
 
   EXPECT_EQ(net.faultCounters().injectedDuplicates, 1u);
-  const auto g1 = r1.gossipCounters();
+  const auto g1 = r1.stats().fleet;
   EXPECT_EQ(g1.envelopesReceived, 2u);  // both copies reached the handler
   EXPECT_EQ(g1.replaysRejected, 1u);    // the second was rejected by seq
   const auto s1 = r1.stats().fleet;
@@ -1124,7 +1124,7 @@ TEST(Fleet, CorruptPayloadsAreCountedRejections) {
   r0.publishWins();
 
   EXPECT_EQ(net.faultCounters().injectedCorruptions, 1u);
-  const auto g1 = r1.gossipCounters();
+  const auto g1 = r1.stats().fleet;
   EXPECT_EQ(g1.envelopesReceived, 1u);
   EXPECT_EQ(g1.decodeFailures, 1u);  // injected corruption == observed
   EXPECT_EQ(r1.stats().fleet.winsReceived, 0u);
@@ -1158,7 +1158,7 @@ TEST(Fleet, PartitionedCoordinatorAbortsRetrainWithoutQuorum) {
   EXPECT_TRUE(result.aborted);
   EXPECT_EQ(result.quorumNeeded, 2u);
   EXPECT_EQ(result.leaseGrants, 1u);  // only the self-grant
-  EXPECT_EQ(r0.gossipCounters().retrainsAborted, 1u);
+  EXPECT_EQ(r0.stats().fleet.retrainsAborted, 1u);
   EXPECT_EQ(r0.service().modelVersion(), before);
   EXPECT_EQ(r1.service().modelVersion(), before);
   EXPECT_GE(net.faultCounters().partitionedDrops, 2u);

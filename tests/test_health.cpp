@@ -1,6 +1,7 @@
 // tp::obs health layer: SloTracker window algebra (empty window, single
 // sample, exact rollover boundaries, merge associativity, burn-rate and
-// minSamples gating), HealthMonitor state machine (debounce, dedup,
+// minSamples gating), the Hysteresis/WindowedRatio primitives (exact
+// trip/clear streaks, windowed deltas), HealthMonitor state machine (debounce, dedup,
 // hysteresis clear, bounded history, throwing rules, background thread)
 // and FlightRecorder bundles (schema, prune, sequence continuation,
 // attach-once-per-breach). The two Concurrent* tests are the named TSan
@@ -322,6 +323,73 @@ TEST(SloTracker, ConcurrentRecordWhileRotateKeepsTotalsSane) {
   const SloTracker::Report r = tracker.report();
   EXPECT_LE(r.count, kThreads * kPerThread);
   EXPECT_LE(r.violationsP99, r.count);
+}
+
+// ---------------------------------------------------------------------------
+// Hysteresis and WindowedRatio: the shared debounce and rate primitives
+
+TEST(Hysteresis, TripsAndClearsOnExactStreaks) {
+  // Inputs: H = firing, c = quiet. Edges: O = opened, C = closed,
+  // . = none.
+  struct Row {
+    const char* what;
+    std::size_t tripAfter;
+    std::size_t clearAfter;
+    const char* inputs;
+    const char* edges;
+  };
+  const Row rows[] = {
+      {"trips on exactly the third firing", 3, 1, "HHH", "..O"},
+      {"firings while active emit nothing", 2, 1, "HHHHH", ".O..."},
+      {"clears on exactly the third quiet", 1, 3, "Hccc", "O..C"},
+      {"quiets while closed emit nothing", 1, 1, "cccHcc", "...OC."},
+      {"alternating never trips at tripAfter 2", 2, 2, "HcHcHcHc",
+       "........"},
+      {"a quiet resets the firing streak", 2, 1, "HcHH", "...O"},
+      {"a firing resets the quiet streak", 1, 2, "HcHccH", "O...CO"},
+  };
+  for (const Row& row : rows) {
+    tp::obs::Hysteresis hysteresis(row.tripAfter, row.clearAfter);
+    std::string edges;
+    bool active = false;
+    for (const char* in = row.inputs; *in != '\0'; ++in) {
+      switch (hysteresis.update(*in == 'H')) {
+        case tp::obs::Hysteresis::Edge::Opened: edges += 'O'; active = true; break;
+        case tp::obs::Hysteresis::Edge::Closed: edges += 'C'; active = false; break;
+        case tp::obs::Hysteresis::Edge::None: edges += '.'; break;
+      }
+      EXPECT_EQ(hysteresis.active(), active) << row.what;
+    }
+    EXPECT_EQ(edges, row.edges) << row.what;
+  }
+
+  // Zero counts are rejected, as addRule rejects a rule carrying them.
+  EXPECT_THROW(tp::obs::Hysteresis(0, 1), tp::Error);
+  EXPECT_THROW(tp::obs::Hysteresis(1, 0), tp::Error);
+  HealthMonitor monitor;
+  std::atomic<bool> flag{false};
+  EXPECT_THROW(monitor.addRule(flagRule("zero.trigger", flag,
+                                        Severity::Warning, 0, 1)),
+               tp::Error);
+  EXPECT_THROW(monitor.addRule(flagRule("zero.clear", flag,
+                                        Severity::Warning, 1, 0)),
+               tp::Error);
+  EXPECT_EQ(monitor.ruleCount(), 0u);
+}
+
+TEST(WindowedRatio, JudgesDeltasAndAdvancesEveryCall) {
+  tp::obs::WindowedRatio window(10);
+  EXPECT_EQ(window.update(3, 9), std::nullopt) << "9 < 10: not judged";
+  EXPECT_EQ(window.lastSpan(), 9u);
+  // The skipped window still advanced: only growth since (3, 9) counts.
+  EXPECT_EQ(window.update(8, 29), std::optional<double>(0.25));
+  EXPECT_EQ(window.lastSpan(), 20u);
+  EXPECT_EQ(window.update(8, 30), std::nullopt);
+  EXPECT_EQ(window.update(18, 40), std::optional<double>(1.0));
+  // A minimum of 0 still refuses an empty window (no 0/0).
+  tp::obs::WindowedRatio any(0);
+  EXPECT_EQ(any.update(0, 0), std::nullopt);
+  EXPECT_EQ(any.update(1, 2), std::optional<double>(0.5));
 }
 
 // ---------------------------------------------------------------------------

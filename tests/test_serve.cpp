@@ -4,8 +4,9 @@
 // contention, striped latency reservoirs, feedback deduplication, and the
 // PartitionService end to end — served decisions equal the uncached
 // predict path on every path (hit, miss, probe, lane-exhausted), faults
-// reach the caller, latency is recorded once per served request, retrain
-// swaps models without deadlock, shutdown drains.
+// reach the caller, latency is recorded once per served request, the
+// admission breaker judges each machine's own traffic, retrain swaps
+// models without deadlock, shutdown drains.
 
 #include <gtest/gtest.h>
 
@@ -1088,6 +1089,72 @@ TEST(PartitionService, LoadShedHealthRuleEmitsOneBreachClearPair) {
   }
   EXPECT_EQ(breaches, 1u);  // deduped: sustained shedding pages once
   EXPECT_EQ(clears, 1u);
+}
+
+TEST(PartitionService, BreakerLaneArmJudgesOnlyItsOwnMachinesTraffic) {
+  // SLO off, so only the lane-exhaustion arm can trip. Compute mode lets
+  // a blocking kernel hold machine A's only inline lane while more A
+  // requests arrive; machine B sees no traffic at all.
+  ServiceConfig config;
+  config.execMode = vcl::ExecMode::Compute;
+  config.inlineLanes = 1;
+  config.breaker.enabled = true;
+  config.breaker.tripAfter = 2;
+  config.breaker.clearAfter = 2;
+  config.breaker.evalEvery = std::uint64_t{1} << 30;
+  ServiceFixture fx(config);
+  const std::string a = fx.machine.name;
+  sim::MachineConfig other = fx.machine;
+  other.name = a + "-b";
+  fx.service->addMachine(other, fx.service->deployedModels().front().model);
+  const std::string& b = other.name;
+
+  const auto request = [](const std::string& machine,
+                          const runtime::Task& task) {
+    LaunchRequest r;
+    r.machine = machine;
+    r.task = task;
+    return r;
+  };
+  runtime::Task bounced = makeScaleTask(128, 10);
+  bounced.native = [](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {};
+  std::atomic<int> gate{0};  // 0 armed, 1 holding A's lane, 2 released
+  runtime::Task blocking = makeScaleTask(64, 10);
+  blocking.native = [&gate](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {
+    int armed = 0;
+    if (gate.compare_exchange_strong(armed, 1)) {
+      while (gate.load() != 2) std::this_thread::yield();
+    }
+  };
+  std::thread holder([&] { (void)fx.service->call(request(a, blocking)); });
+  while (gate.load() != 1) std::this_thread::yield();
+
+  // Two rounds in which every A request runs lane-exhausted, each judged
+  // on both machines: A trips after the second, B has nothing to judge.
+  constexpr std::size_t kPerRound = 64;
+  bool bOpened = false;
+  bool aOpenAfterFirst = false;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < kPerRound; ++i) {
+      (void)fx.service->call(request(a, bounced));
+    }
+    fx.service->evaluateBreakerNow(b);
+    bOpened = bOpened || fx.service->breakerOpen(b);
+    fx.service->evaluateBreakerNow(a);
+    if (round == 0) aOpenAfterFirst = fx.service->breakerOpen(a);
+  }
+  const bool aOpen = fx.service->breakerOpen(a);
+  gate.store(2);
+  holder.join();
+
+  EXPECT_FALSE(bOpened) << "A's exhausted lanes must not shed B";
+  EXPECT_FALSE(aOpenAfterFirst);  // hysteresis: one hot evaluation arms
+  EXPECT_TRUE(aOpen);
+  EXPECT_FALSE(fx.service->call(request(b, bounced)).shed);
+  EXPECT_TRUE(fx.service->call(request(a, bounced)).shed);
+  const auto stats = fx.service->stats();
+  EXPECT_EQ(stats.inlineLaneExhausted, 2 * kPerRound);
+  EXPECT_EQ(stats.breakerTrips, 1u);
 }
 
 TEST(PartitionService, LatencyIsRecordedOncePerServedRequestOnEveryPath) {
