@@ -36,24 +36,20 @@ per-rule allowlist whose every entry carries a reason, see *_ALLOW):
       no lock-free code ships without a named audit + TSan test
       (rule R7 checks the reason string's "TSan:" tag).
 
-Backends (shared rule engine, two front ends):
-
-  clang   libclang (clang.cindex) over the exported compile_commands.json
-          — the authoritative backend, used by the static-analysis CI
-          job. Exits 3 with installation instructions when libclang is
-          unavailable (a missing gate must fail loudly, not skip).
-  token   a comment/string-stripped token scanner over src/ that builds
-          the same per-function event streams from declarations it
-          collects across the tree. No toolchain needed; runs in tier-1
-          so the rules are enforced (and self-testable) on every
-          machine. It resolves names, not types, so it can under-report
-          in ambiguous corners the clang backend decides exactly.
+Front end: a comment/string-stripped token scanner over src/ that
+builds per-function event streams from declarations it collects across
+the tree. It needs no toolchain, so tier-1 enforces the rules (and the
+self-tests exercise them) on every machine. It resolves names, not
+types: a name is atomic when some std::atomic declaration in src/ uses
+it, and a namesake plain field is told apart by its owner's declared
+type. Its one known blind spot is an atomic passed as a call argument
+(seqClaim(slot.seq), ClaimGuard g(lane.busy), f(counter)): a textual
+scan cannot tell a by-reference parameter from a by-value one, so such
+an argument is never reported as an implicit conversion read.
 
 Usage:
-  python3 scripts/analyze_ast.py [--backend clang|token] [-p BUILD_DIR]
-                                 [--root DIR] [--json REPORT]
-Exit status: 0 clean, 1 findings, 2 internal error,
-             3 clang backend unavailable (libclang/bindings missing).
+  python3 scripts/analyze_ast.py [--root DIR] [--json REPORT]
+Exit status: 0 clean, 1 findings, 2 internal error.
 """
 
 import argparse
@@ -156,7 +152,7 @@ class Event:
     scope: member|local|unknown — member covers class members and
            namespace-scope globals (both A4-relevant)
     orders: memory_order suffixes named in the argument list
-    pos: ordering key within the function (backend-specific, comparable)
+    pos: offset in the stripped source (orders events in a function)
     """
 
     __slots__ = ("kind", "chain", "orders", "line", "pos", "scope", "name")
@@ -216,7 +212,7 @@ class Finding:
 
 
 # --------------------------------------------------------------------------
-# Rule engine (backend-independent)
+# Rule engine
 
 
 def check_a1(functions):
@@ -459,7 +455,7 @@ def run_rules(functions, seq_names):
 
 
 # --------------------------------------------------------------------------
-# Token backend: comment/string-stripped scanner over src/.
+# Front end: comment/string-stripped token scanner over src/
 
 
 def strip_comments_and_strings(text):
@@ -543,6 +539,21 @@ MAKE_SHARED_ATOMIC_RE = re.compile(
 PLAIN_FIELD_RE = re.compile(
     r"\b(?:std\s*::\s*)?(?:u?int(?:8|16|32|64)?_t|size_t|int|bool|double|"
     r"float|long|unsigned|string)\s+(" + _IDENT + r")\s*[;={]")
+CHAIN_RE = re.compile(r"(?<![\w.:])(?<!->)(" + _CHAIN_PAT + r")")
+# An implicit conversion read is a chain used as a value. Left of the
+# chain that means return, an if/while condition or an operator; `*`,
+# a lone `&` and `>` are left out there because they may be a
+# declarator, an address-of or the close of a template argument list.
+# `(` and `,` are left out too: a call argument may bind by reference.
+_VALUE_BEFORE_RE = re.compile(
+    r"(?:\breturn|\b(?:if|while)\s*\(|=|&&|\|\||<<|<|!|\?|(?<!:):|"
+    r"(?<!\+)\+|(?<!-)-|[/%|^])\s*$")
+_VALUE_AFTER_RE = re.compile(
+    r"\s*(?:==|!=|<=|>=|&&|\|\||<<|>>|[-+*/%^|&<>?](?![-+=>&|<]))")
+# Whatever follows the chain that makes it a member access, a call, a
+# subscript or a mutation (the op-call and mutate scans own those).
+_NOT_A_READ_RE = re.compile(
+    r"\s*(?:\.|->|\(|\[|\{|::|\+\+|--|<<=|>>=|[-+*/%^|&]?=(?!=))")
 LOCK_RE = re.compile(
     r"\b(?:common\s*::\s*)?(?:MutexLock|SharedMutexLock|"
     r"SharedMutexLockShared)\s+" + _IDENT + r"\s*[({]")
@@ -727,6 +738,7 @@ class TokenBackend:
         # access is an atomic op, whole-object assignment is not
         self.plain_fields = set()
         self.owner_types = set()   # record types that declare atomics
+        self.owner_of = {}         # (rel, root) -> _root_is_atomic_owner
         self.file_locals = {}      # rel -> set of local atomic names
         self.audited_names = set()
         self.seq_names = {"seq"}
@@ -829,10 +841,17 @@ class TokenBackend:
         stats.x = ... when field names collide across structs). Searches
         the event's own file first, then the rest of the tree (members
         are usually declared in the matching header)."""
+        if (rel, root) not in self.owner_of:
+            self.owner_of[(rel, root)] = self._resolve_owner(rel, root)
+        return self.owner_of[(rel, root)]
+
+    def _resolve_owner(self, rel, root):
         decl_re = re.compile(r"\b([A-Za-z_][\w:]*)\s+[&*]?\s*" +
                              re.escape(root) + r"\s*[;={(,]")
         ordered = [rel] + [p for p in sorted(self.files) if p != rel]
         for path in ordered:
+            if root not in self.files[path]:
+                continue  # cheap pre-filter: the regex is slow to miss
             m = decl_re.search(self.files[path])
             if not m:
                 continue
@@ -844,6 +863,14 @@ class TokenBackend:
                 continue
             return False
         return None
+
+    def _plain_namesake(self, rel, chain):
+        """Whether `chain` names a plain field that merely shares its
+        name with an atomic one (CacheCounters::hits vs an atomic hits):
+        true unless the chain root's declared type owns atomics."""
+        if chain.split(".")[-1] not in self.plain_fields:
+            return False
+        return self._root_is_atomic_owner(rel, chain.split(".")[0]) is not True
 
     def functions(self):
         models = []
@@ -859,11 +886,11 @@ class TokenBackend:
                     requires="TP_REQUIRES" in header,
                     locks=bool(LOCK_RE.search(code, bs, be)))
                 fn.line = _line_of(offs, bs)
-                self._extract_events(fn, rel, code, offs, bs, be)
+                self._extract_events(fn, rel, code, offs, hstart, bs, be)
                 models.append(fn)
         return models
 
-    def _extract_events(self, fn, rel, code, offs, bs, be):
+    def _extract_events(self, fn, rel, code, offs, hstart, bs, be):
         taken = []  # spans already claimed by op-call matches
 
         def overlaps(a, b):
@@ -919,10 +946,8 @@ class TokenBackend:
             stmt = code[stmt_start:stmt_end if stmt_end != -1 else be]
             if re.search(r"\b(atomic|auto|make_shared)\b", stmt):
                 continue  # declaration/initialization, not an atomic op
-            if base in self.plain_fields:
-                owner = self._root_is_atomic_owner(rel, chain.split(".")[0])
-                if owner is not True:
-                    continue  # ambiguous name resolves to a plain struct
+            if self._plain_namesake(rel, chain):
+                continue
             kind = ("incdec" if op in ("++", "--")
                     else "assign" if op == "=" else "compound")
             fn.events.append(Event(
@@ -934,13 +959,12 @@ class TokenBackend:
             base = chain.split(".")[-1]
             if not self._is_atomic_name(rel, base, mutate=True):
                 continue
-            if base in self.plain_fields:
-                owner = self._root_is_atomic_owner(rel, chain.split(".")[0])
-                if owner is not True:
-                    continue
+            if self._plain_namesake(rel, chain):
+                continue
             fn.events.append(Event(
                 "incdec", chain, [], _line_of(offs, m.start()), m.start(),
                 self._scope_of(rel, base)))
+        self._extract_conversions(fn, rel, code, offs, hstart, bs, be)
         for m in CALL_RE.finditer(code, bs, be):
             name = m.group(1)
             if name in _KEYWORDS or name in _TYPE_WORDS:
@@ -951,6 +975,49 @@ class TokenBackend:
                 "call", "", [], _line_of(offs, m.start()), m.start(),
                 name=name))
 
+    def _extract_conversions(self, fn, rel, code, offs, hstart, bs, be):
+        """Implicit conversion reads (operator T): an atomic chain used as
+        a value. A chain passed as a call argument is never one (see the
+        module docstring), nor is a bare name the function declares as a
+        parameter or local of its own."""
+        shadowed = {}
+        for m in CHAIN_RE.finditer(code, bs, be):
+            start, end = m.span(1)
+            chain = ".".join(re.findall(_IDENT, m.group(1).replace("->", ".")))
+            base = chain.split(".")[-1]
+            if not self._is_atomic_name(rel, base, mutate=True):
+                continue
+            if _NOT_A_READ_RE.match(code, end):
+                continue
+            before = _VALUE_BEFORE_RE.search(code, max(bs, start - 64), start)
+            if before is None and not _VALUE_AFTER_RE.match(code, end):
+                continue
+            if before is not None and before.group(0)[0] == "=":
+                eq = before.start()
+                if code[eq - 1] not in "=!<>+-*/%^|&" and re.search(
+                        r"&\s*" + _IDENT + r"\s*$", code[max(bs, eq - 200):eq]):
+                    continue  # binds a reference, reads nothing
+            if "." not in chain:
+                if base not in shadowed:
+                    shadowed[base] = _declares(code, hstart, be, base)
+                if shadowed[base]:
+                    continue
+            if self._plain_namesake(rel, chain):
+                continue
+            fn.events.append(Event(
+                "conv", chain, [], _line_of(offs, start), start,
+                self._scope_of(rel, base)))
+
+
+def _declares(code, start, end, name):
+    """Whether code[start:end] declares `name` as a parameter or local.
+    The word before a declarator is its type, never a keyword: `return
+    flag == 1` is a read of flag, not a declaration."""
+    decl = re.compile(r"(?:\b(" + _IDENT + r")|(?<!-)>)\s*[&*]*\s*\b" +
+                      re.escape(name) + r"\s*(?:=(?!=)|[;{(,)\[:])")
+    return any(m.group(1) not in _KEYWORDS
+               for m in decl.finditer(code, start, end))
+
 
 def analyze_token(root):
     backend = TokenBackend(root).load()
@@ -959,321 +1026,11 @@ def analyze_token(root):
 
 
 # --------------------------------------------------------------------------
-# clang backend: libclang over compile_commands.json.
-
-CLANG_INSTALL_HINT = (
-    "analyze_ast: the clang backend needs libclang and its Python "
-    "bindings.\n"
-    "  Debian/Ubuntu:  apt-get install python3-clang libclang1\n"
-    "  (CI installs these in the static-analysis job's toolchain step.)\n"
-    "This is a hard failure, not a skip: a missing gate must not look "
-    "green.\nThe token backend (--backend=token) needs no toolchain and "
-    "covers the\nsame rules from a textual scan."
-)
-
-
-def _load_cindex():
-    try:
-        from clang import cindex  # type: ignore
-    except ImportError as e:
-        return None, f"python clang bindings not importable ({e})"
-    import glob
-    candidates = [None]
-    candidates += sorted(glob.glob("/usr/lib/llvm-*/lib/libclang-*.so*"),
-                         reverse=True)
-    candidates += sorted(glob.glob("/usr/lib/llvm-*/lib/libclang.so*"),
-                         reverse=True)
-    candidates += sorted(glob.glob("/usr/lib/*/libclang-*.so*"),
-                         reverse=True)
-    last = "no libclang shared library found"
-    for cand in candidates:
-        try:
-            if cand is not None:
-                cindex.Config.loaded = False
-                cindex.Config.set_library_file(cand)
-            cindex.Index.create()
-            return cindex, None
-        except Exception as e:  # LibclangError, OSError
-            last = str(e)
-    return None, f"libclang not loadable ({last})"
-
-
-def _tokens(cursor):
-    for tok in cursor.get_tokens():
-        if tok.kind.name != "COMMENT":
-            yield tok.spelling
-
-
-def _clang_chain(cindex, node):
-    """Normalized member chain for a MEMBER_REF/DECL_REF expression."""
-    parts = []
-    cur = node
-    while cur is not None:
-        if cur.kind == cindex.CursorKind.MEMBER_REF_EXPR:
-            parts.append(cur.spelling)
-            children = list(cur.get_children())
-            cur = children[0] if children else None
-        elif cur.kind == cindex.CursorKind.DECL_REF_EXPR:
-            parts.append(cur.spelling)
-            cur = None
-        elif cur.kind in (cindex.CursorKind.UNEXPOSED_EXPR,
-                          cindex.CursorKind.PAREN_EXPR,
-                          cindex.CursorKind.ARRAY_SUBSCRIPT_EXPR,
-                          cindex.CursorKind.CALL_EXPR):
-            children = list(cur.get_children())
-            cur = children[0] if children else None
-        else:
-            cur = None
-    parts = [p for p in parts if p]
-    parts.reverse()
-    return ".".join(parts)
-
-
-def _clang_scope(cindex, node):
-    """member|local|unknown for the chain's base member/variable."""
-    cur = node
-    while cur is not None:
-        if cur.kind == cindex.CursorKind.MEMBER_REF_EXPR:
-            return "member"
-        if cur.kind == cindex.CursorKind.DECL_REF_EXPR:
-            ref = cur.referenced
-            if ref is None:
-                return "unknown"
-            if ref.kind == cindex.CursorKind.VAR_DECL:
-                parent = ref.semantic_parent
-                if parent is not None and parent.kind in (
-                        cindex.CursorKind.NAMESPACE,
-                        cindex.CursorKind.TRANSLATION_UNIT):
-                    return "member"  # namespace-scope global: A4 applies
-                return "local"
-            return "local"  # parameters etc.
-        children = list(cur.get_children())
-        cur = children[0] if children else None
-    return "unknown"
-
-
-def _is_atomic_type(type_spelling):
-    return "atomic" in type_spelling
-
-
-class ClangBackend:
-    def __init__(self, cindex, root, build_dir):
-        self.cindex = cindex
-        self.root = root
-        self.build_dir = build_dir
-        self.seq_names = {"seq"}
-        self.models = {}
-        self.parse_errors = []
-
-    def load(self):
-        cindex = self.cindex
-        db = cindex.CompilationDatabase.fromDirectory(self.build_dir)
-        index = cindex.Index.create()
-        seen_tu = set()
-        for cmd in db.getAllCompileCommands():
-            path = os.path.normpath(
-                os.path.join(cmd.directory, cmd.filename))
-            rel = os.path.relpath(path, self.root).replace(os.sep, "/")
-            if not rel.startswith(SOURCE_DIRS) or rel in seen_tu:
-                continue
-            seen_tu.add(rel)
-            args = []
-            skip_next = False
-            for a in list(cmd.arguments)[1:]:
-                if skip_next:
-                    skip_next = False
-                    continue
-                if a in ("-c", path, cmd.filename):
-                    continue
-                if a == "-o":
-                    skip_next = True
-                    continue
-                args.append(a)
-            try:
-                tu = index.parse(path, args=args)
-            except Exception as e:
-                self.parse_errors.append(f"{rel}: {e}")
-                continue
-            fatal = [d for d in tu.diagnostics if d.severity >= 4]
-            if fatal:
-                self.parse_errors.append(f"{rel}: {fatal[0].spelling}")
-                continue
-            self._walk_tu(tu)
-        return self
-
-    def _walk_tu(self, tu):
-        cindex = self.cindex
-        fn_kinds = (cindex.CursorKind.FUNCTION_DECL,
-                    cindex.CursorKind.CXX_METHOD,
-                    cindex.CursorKind.CONSTRUCTOR,
-                    cindex.CursorKind.DESTRUCTOR,
-                    cindex.CursorKind.FUNCTION_TEMPLATE,
-                    cindex.CursorKind.CONVERSION_FUNCTION)
-
-        def visit(cursor):
-            for child in cursor.get_children():
-                loc = child.location
-                if loc.file is None:
-                    continue
-                rel = os.path.relpath(
-                    os.path.normpath(loc.file.name),
-                    self.root).replace(os.sep, "/")
-                if not rel.startswith(SOURCE_DIRS):
-                    continue
-                if child.kind in fn_kinds and child.is_definition():
-                    self._visit_function(child, rel)
-                else:
-                    visit(child)
-
-        visit(tu.cursor)
-
-    def _visit_function(self, cursor, rel):
-        key = (rel, cursor.location.line, cursor.spelling)
-        if key in self.models:
-            return
-        toks = set()
-        for t in cursor.get_tokens():
-            if t.kind.name == "COMMENT":
-                continue
-            toks.add(t.spelling)
-            if len(toks) > 4000:
-                break
-        qual = cursor.spelling
-        parent = cursor.semantic_parent
-        if parent is not None and parent.kind in (
-                self.cindex.CursorKind.CLASS_DECL,
-                self.cindex.CursorKind.STRUCT_DECL,
-                self.cindex.CursorKind.CLASS_TEMPLATE):
-            qual = f"{parent.spelling}::{qual}"
-        fn = FunctionModel(
-            cursor.spelling, qual, rel, cursor.location.line,
-            audited=AUDIT_TOKEN in toks,
-            requires="TP_REQUIRES" in toks,
-            locks=False)
-        self.models[key] = fn
-        body = None
-        for child in cursor.get_children():
-            if child.kind == self.cindex.CursorKind.COMPOUND_STMT:
-                body = child
-        if body is not None:
-            self._visit_body(fn, body)
-
-    def _order_tokens(self, cursor):
-        orders = []
-        for sp in _tokens(cursor):
-            m = re.match(r"memory_order_(\w+)", sp)
-            if m:
-                orders.append(m.group(1))
-            elif sp in ("relaxed", "acquire", "release", "acq_rel",
-                        "seq_cst", "consume"):
-                orders.append(sp)
-        return orders
-
-    def _visit_body(self, fn, body):
-        cindex = self.cindex
-
-        def pos_of(node):
-            return (node.location.line, node.location.column)
-
-        def visit(node):
-            handled = False
-            if node.kind == cindex.CursorKind.CALL_EXPR:
-                handled = self._handle_call(fn, node, pos_of(node))
-            elif node.kind in (cindex.CursorKind.VAR_DECL,):
-                if "MutexLock" in node.type.spelling:
-                    fn.locks = True
-            if not handled:
-                for child in node.get_children():
-                    visit(child)
-
-        visit(body)
-
-    def _handle_call(self, fn, node, pos):
-        cindex = self.cindex
-        name = node.spelling
-        children = list(node.get_children())
-        base = children[0] if children else None
-        line = node.location.line
-
-        if name in ("seqClaim", "seqRelease"):
-            args = list(node.get_arguments())
-            chain = _clang_chain(cindex, args[0]) if args else ""
-            kind = "seq_claim" if name == "seqClaim" else "seq_release"
-            if kind == "seq_claim" and chain:
-                self.seq_names.add(chain.split(".")[-1])
-            scope = (_clang_scope(cindex, args[0]) if args else "unknown")
-            fn.events.append(Event(kind, chain, [], line, pos, scope))
-            return False  # still record nested calls in the args
-
-        if name in ATOMIC_OPS and base is not None and \
-                _is_atomic_type(self._base_type(base)):
-            orders = self._order_tokens(node)
-            fn.events.append(Event(
-                ATOMIC_OPS[name], _clang_chain(cindex, base), orders,
-                line, pos, _clang_scope(cindex, base)))
-            return True
-
-        if name.startswith("operator") and base is not None and \
-                _is_atomic_type(self._base_type(base)):
-            op = name[len("operator"):].strip()
-            if op in ("++", "--"):
-                kind = "incdec"
-            elif op == "=":
-                kind = "assign"
-            elif op and op[0] in "+-&|^":
-                kind = "compound"
-            else:
-                kind = "conv"  # operator T: implicit conversion load
-            fn.events.append(Event(
-                kind, _clang_chain(cindex, base), [], line, pos,
-                _clang_scope(cindex, base)))
-            return True
-
-        fn.events.append(Event("call", "", [], line, pos, name=name))
-        return False
-
-    def _base_type(self, base):
-        t = base.type.spelling
-        if not t:
-            return ""
-        return t
-
-    def functions(self):
-        return list(self.models.values())
-
-
-def analyze_clang(root, build_dir):
-    cindex, err = _load_cindex()
-    if cindex is None:
-        return None, err
-    if not os.path.isfile(os.path.join(build_dir, "compile_commands.json")):
-        return None, (f"no compile_commands.json under {build_dir} — "
-                      "configure a build first (cmake --preset tidy exports "
-                      "one)")
-    backend = ClangBackend(cindex, root, build_dir).load()
-    if backend.parse_errors and not backend.models:
-        raise RuntimeError(
-            "clang backend parsed no TU successfully: " +
-            "; ".join(backend.parse_errors[:3]))
-    for e in backend.parse_errors:
-        print(f"analyze_ast: warning: {e}", file=sys.stderr)
-    return run_rules(backend.functions(), backend.seq_names), None
-
-
-# --------------------------------------------------------------------------
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="AST-grade concurrency analyzer (rules A1-A4)")
-    parser.add_argument("--backend", choices=("clang", "token"),
-                        default="clang",
-                        help="clang: libclang over compile_commands.json "
-                             "(default, authoritative); token: textual "
-                             "scanner, no toolchain needed")
-    parser.add_argument("-p", "--build-dir", default=None,
-                        help="build tree with compile_commands.json "
-                             "(default: build-tidy, then build)")
     parser.add_argument("--root", default=REPO_ROOT,
                         help="repo root to analyze (default: this repo)")
     parser.add_argument("--json", metavar="REPORT",
@@ -1282,25 +1039,7 @@ def main(argv=None):
 
     try:
         validate_allowlists()
-        if args.backend == "token":
-            findings = analyze_token(args.root)
-        else:
-            build_dir = args.build_dir
-            if build_dir is None:
-                for cand in ("build-tidy", "build"):
-                    cand_abs = os.path.join(args.root, cand)
-                    if os.path.isfile(os.path.join(
-                            cand_abs, "compile_commands.json")):
-                        build_dir = cand_abs
-                        break
-                build_dir = build_dir or os.path.join(args.root,
-                                                      "build-tidy")
-            findings, err = analyze_clang(args.root, build_dir)
-            if findings is None:
-                print(f"analyze_ast: clang backend unavailable: {err}",
-                      file=sys.stderr)
-                print(CLANG_INSTALL_HINT, file=sys.stderr)
-                return 3
+        findings = analyze_token(args.root)
     except Exception as e:  # pragma: no cover - defensive
         print(f"analyze_ast: internal error: {e}", file=sys.stderr)
         return 2
@@ -1309,14 +1048,13 @@ def main(argv=None):
         print(f)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fp:
-            json.dump({"backend": args.backend,
-                       "findings": [f.as_dict() for f in findings]},
+            json.dump({"findings": [f.as_dict() for f in findings]},
                       fp, indent=2)
             fp.write("\n")
     if findings:
         print(f"analyze_ast: {len(findings)} finding(s)", file=sys.stderr)
         return 1
-    print(f"analyze_ast: clean ({args.backend} backend)")
+    print("analyze_ast: clean")
     return 0
 
 

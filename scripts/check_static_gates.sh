@@ -89,14 +89,12 @@ seed_ast_case() {
   rm -rf "$tmp/ast/src"
   mkdir -p "$tmp/ast/src/m"
   printf '%s\n' "$2" > "$tmp/ast/src/m/seeded.cpp"
-  if python3 scripts/analyze_ast.py --backend=token \
-      --root "$tmp/ast" >/dev/null 2>&1; then
+  if python3 scripts/analyze_ast.py --root "$tmp/ast" >/dev/null 2>&1; then
     echo "FAIL: analyze_ast $rule accepted its seeded violation" >&2
     exit 1
   fi
   printf '%s\n' "$3" > "$tmp/ast/src/m/seeded.cpp"
-  if ! python3 scripts/analyze_ast.py --backend=token \
-      --root "$tmp/ast" >/dev/null 2>&1; then
+  if ! python3 scripts/analyze_ast.py --root "$tmp/ast" >/dev/null 2>&1; then
     echo "FAIL: analyze_ast $rule rejected its conforming twin" >&2
     exit 1
   fi
@@ -112,6 +110,16 @@ struct S {
 struct S {
   std::atomic<int> v{0};
   void touch() $AUDIT { v.store(1, std::memory_order_relaxed); }
+};"
+
+seed_ast_case A1-conv "
+struct S {
+  std::atomic<int> v{0};
+  bool idle() $AUDIT { return v == 0; }
+};" "
+struct S {
+  std::atomic<int> v{0};
+  bool idle() $AUDIT { return v.load(std::memory_order_relaxed) == 0; }
 };"
 
 seed_ast_case A2 "

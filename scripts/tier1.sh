@@ -8,11 +8,10 @@ cd "$(dirname "$0")/.."
 # cheapest failure.
 python3 scripts/test_lint_invariants.py
 python3 scripts/lint_invariants.py --no-headers
-# Concurrency analyzer (rules A1-A4): self-tests first, then the token
-# backend over the tree. The clang backend (authoritative, needs
-# libclang) runs in the static-analysis CI job.
+# Concurrency analyzer (rules A1-A4): self-tests first, then the
+# analyzer over the tree.
 python3 scripts/test_analyze_ast.py
-python3 scripts/analyze_ast.py --backend=token
+python3 scripts/analyze_ast.py
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 # R5 (header self-sufficiency) needs the compiler; run it after the

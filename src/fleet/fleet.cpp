@@ -10,7 +10,7 @@ Fleet::Fleet(FleetConfig config)
   TP_REQUIRE(config_.replicas > 0, "Fleet: need at least one replica");
   for (std::size_t r = 0; r < config_.replicas; ++r) {
     ReplicaConfig rc;
-    rc.id = config_.idPrefix + std::to_string(r);
+    rc.id = "replica-" + std::to_string(r);
     rc.service = config_.service;
     // Decorrelate exploration across replicas: with one shared seed
     // every replica would draw identical probe decisions and re-measure

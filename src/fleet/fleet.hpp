@@ -23,14 +23,13 @@
 namespace tp::fleet {
 
 struct FleetConfig {
-  std::size_t replicas = 3;
+  std::size_t replicas = 3;  ///< ids "replica-0", "replica-1", ...
   serve::ServiceConfig service;  ///< applied to every replica
   GossipConfig gossip;
   bool gossipEnabled = true;  ///< off = replicas refine independently
   /// Root for per-replica snapshot directories ("<dir>/<replica-id>");
   /// empty = persistence off.
   std::string snapshotDir;
-  std::string idPrefix = "replica-";
   /// Namespace for the fleet's own registry entries (the shared
   /// transport's counters register under "<metricsPrefix>transport.*"
   /// when service.metrics is set; per-replica service entries are
@@ -83,7 +82,7 @@ public:
                            const FleetHealthConfig& rules = {});
 
   struct FleetStats {
-    std::vector<serve::ServiceStats> replicas;  ///< index order
+    std::vector<ReplicaStats> replicas;  ///< index order
     TransportCounters transport;
     std::uint64_t gossipRounds = 0;
     /// Participant exceptions caught by the bus's round failure boundary.

@@ -23,6 +23,11 @@ constexpr double kRetrainOverrunSeconds = 60.0;
 constexpr std::size_t kRetrainOverrunTriggerAfter = 2;
 constexpr std::size_t kRetrainOverrunClearAfter = 2;
 
+constexpr std::size_t kSnapshotKeepLast = 8;
+constexpr double kLeaseTtlSeconds = 30.0;
+// Seed of the gossip backoff jitter stream (deterministic per replica).
+constexpr std::uint64_t kRetrySeed = 0x5EEDull;
+
 /// Order-independent digest of a win set (records may come out of the
 /// refiner's shards in any order). Folds the peer count in, so a replica
 /// joining the transport forces a re-broadcast of otherwise unchanged
@@ -48,6 +53,10 @@ std::uint64_t winsDigest(const std::vector<adapt::WinRecord>& wins,
   return common::fnvU64(digest, fold);
 }
 
+/// Lease grants (and feedback responses) a retrain needs: a strict
+/// majority of `nodes`, its own included.
+std::size_t quorumOf(std::size_t nodes) { return nodes / 2 + 1; }
+
 std::uint64_t recordDedupHash(const runtime::LaunchRecord& rec) {
   std::uint64_t h = common::kFnvOffset;
   h = common::fnvString(h, rec.machine);
@@ -63,16 +72,13 @@ std::uint64_t recordDedupHash(const runtime::LaunchRecord& rec) {
 Replica::Replica(ReplicaConfig config, Transport& transport, GossipBus* bus)
     : config_(std::move(config)), transport_(transport), bus_(bus) {
   TP_REQUIRE(!config_.id.empty(), "Replica: empty id");
-  TP_REQUIRE(config_.quorumFraction >= 0.0 && config_.quorumFraction <= 1.0,
-             "Replica: quorumFraction must be in [0, 1], got "
-                 << config_.quorumFraction);
   service_ = std::make_unique<serve::PartitionService>(config_.service);
   if (!config_.snapshotDir.empty()) {
-    store_.emplace(config_.snapshotDir, config_.snapshotKeepLast);
+    store_.emplace(config_.snapshotDir, kSnapshotKeepLast);
   }
   {
     common::MutexLock lock(gossipMutex_);
-    retryRng_.reseed(config_.retrySeed);
+    retryRng_.reseed(kRetrySeed);
   }
   // Start sequence numbers at the monotonic clock: a killed-and-restarted
   // replica reusing its id resumes with sequence numbers *above* anything
@@ -283,14 +289,6 @@ void Replica::notePeerSendFailure(const std::string& peer) {
       static_cast<std::uint64_t>(backoff.backoffSeconds * 1e9);
 }
 
-std::size_t Replica::quorumOf(std::size_t nodes) const {
-  if (nodes == 0) return 1;
-  const auto bar = static_cast<std::size_t>(static_cast<double>(nodes) *
-                                            config_.quorumFraction) +
-                   1;
-  return std::min(nodes, bar);
-}
-
 bool Replica::tryGrantLease(const std::string& holder,
                             std::uint64_t generation, std::uint64_t ttlNanos,
                             std::string* conflictHolder) {
@@ -326,7 +324,7 @@ Replica::FleetRetrain Replica::coordinateRetrain() {
   const std::size_t peers = nodes.empty() ? 0 : nodes.size() - 1;
   const std::uint64_t generation = service_->modelVersion() + 1;
   const auto ttlNanos =
-      static_cast<std::uint64_t>(config_.leaseTtlSeconds * 1e9);
+      static_cast<std::uint64_t>(kLeaseTtlSeconds * 1e9);
 
   FleetRetrain result;
   result.modelVersion = generation;
@@ -471,7 +469,7 @@ Replica::FleetRetrain Replica::coordinateRetrain() {
     if (db.forMachine(deployed.machine).empty()) continue;
     const auto model = runtime::trainDeploymentModel(
         db, deployed.machine, config_.service.retrainSpec,
-        runtime::FeatureSet::Combined, config_.service.retrainSeed);
+        runtime::FeatureSet::Combined, serve::kRetrainSeed);
     std::ostringstream os;
     model->save(os);
     msg.models.push_back(ModelBlob{deployed.machine, os.str()});
@@ -573,12 +571,12 @@ void Replica::registerHealthRules(obs::HealthMonitor& monitor,
   }
 }
 
-serve::ServiceStats Replica::stats() const
+ReplicaStats Replica::stats() const
     TP_LOCK_FREE_AUDITED(
         "relaxed snapshot of independent monotonic counters; readers accept "
         "per-word (not cross-word) consistency by contract; TSan: test_fleet "
         "Fleet.CountersReconcileUnderConcurrentGossipAndRetrain") {
-  serve::ServiceStats s = service_->stats();
+  ReplicaStats s{service_->stats(), {}};
   using std::memory_order_relaxed;
   s.fleet.winsSent = counters_.winsSent.load(memory_order_relaxed);
   s.fleet.winsReceived = counters_.winsReceived.load(memory_order_relaxed);

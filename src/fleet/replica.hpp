@@ -61,13 +61,46 @@ struct FleetHealthConfig {
   std::size_t gossipStallEvals = 3;
 };
 
+/// Replication counters: gossiped refiner wins, snapshot persistence,
+/// and the fault boundaries. Reconciliation invariant:
+/// winsReceived == winsMerged + winsRejectedStale + winsDropped.
+struct FleetCounters {
+  std::uint64_t winsSent = 0;      ///< win records broadcast to peers
+  std::uint64_t winsReceived = 0;  ///< win records arrived from peers
+  std::uint64_t winsMerged = 0;    ///< accepted (evidence merged)
+  std::uint64_t winsAdopted = 0;   ///< merged AND moved an incumbent
+  std::uint64_t winsRejectedStale = 0;  ///< dropped: model-version mismatch
+  std::uint64_t winsDropped = 0;   ///< dropped: capacity / refiner off
+  std::uint64_t snapshotsWritten = 0;
+  std::uint64_t snapshotsLoaded = 0;
+  std::uint64_t modelInstalls = 0;  ///< fleet retrain fan-ins applied
+  std::uint64_t gossipRoundsSkipped = 0;  ///< no-change rounds (digest hit)
+  // Fault-path counters (the chaos boundaries; exact by construction).
+  std::uint64_t sendFailures = 0;   ///< peer sends that threw
+  std::uint64_t sendRetries = 0;    ///< sends re-attempted after a failure
+  std::uint64_t envelopesReceived = 0;  ///< every envelope handler entry
+  std::uint64_t decodeFailures = 0;  ///< corrupt/unexpected payloads dropped
+  std::uint64_t replaysRejected = 0;  ///< duplicate/stale sequence numbers
+  std::uint64_t retrainsAborted = 0;  ///< quorum/lease safe no-ops
+  std::uint64_t installsRejectedLease = 0;  ///< installs from non-holders
+  std::uint64_t snapshotsSalvaged = 0;  ///< corrupt snapshots skipped on load
+};
+
+/// A replica's stats: its service's counters plus the replication ones.
+struct ReplicaStats : serve::ServiceStats {
+  FleetCounters fleet;
+};
+
+/// Fixed policy: snapshot saves prune all but the newest 8 files.
+/// coordinateRetrain() needs a strict majority of lease grants (its own
+/// included) and of feedback responses before it trains and fans out a
+/// new generation. A granted lease stays exclusive for 30 s on the
+/// grantor's obs::Clock, so a crashed coordinator frees the fleet after
+/// at most that long.
 struct ReplicaConfig {
   std::string id;                 ///< transport address, must be unique
   serve::ServiceConfig service;   ///< per-replica serving configuration
   std::string snapshotDir;        ///< empty = persistence off
-  /// Keep-last-K snapshot retention: older snapshot files are pruned
-  /// after each save. 0 keeps every snapshot forever.
-  std::size_t snapshotKeepLast = 8;
   /// How long coordinateRetrain() waits for peer feedback (loopback
   /// answers synchronously; a socket transport would not).
   double retrainWaitSeconds = 5.0;
@@ -76,22 +109,11 @@ struct ReplicaConfig {
   /// messages still converges even when the sender's state is static.
   /// 0 disables the refresh (pure digest skipping).
   std::size_t gossipRefreshRounds = 8;
-  /// coordinateRetrain() needs floor(nodes * quorumFraction) + 1 lease
-  /// grants (its own included, capped at the node count) before it may
-  /// train and fan out a new generation; the same bar applies to the
-  /// feedback responses it hears. 0.5 = strict majority.
-  double quorumFraction = 0.5;
-  /// How long a granted retrain lease stays exclusive. Expiry is stamped
-  /// by each grantor on its own obs::Clock — a crashed coordinator frees
-  /// the fleet after at most this long.
-  double leaseTtlSeconds = 30.0;
   /// First retry delay after a peer's gossip send throws; subsequent
   /// failures back off exponentially with decorrelated jitter.
   double retryBackoffBaseSeconds = 0.05;
   /// Ceiling on the per-peer retry delay.
   double retryBackoffCapSeconds = 2.0;
-  /// Seed for the backoff jitter stream (deterministic per replica).
-  std::uint64_t retrySeed = 0x5EEDull;
 };
 
 class Replica {
@@ -133,7 +155,7 @@ public:
     std::size_t machinesRetrained = 0;
     std::size_t peersHeard = 0;       ///< feedback responses received
     std::size_t leaseGrants = 0;      ///< grants won (self-grant included)
-    std::size_t quorumNeeded = 0;     ///< quorumFraction over current nodes
+    std::size_t quorumNeeded = 0;     ///< majority of current nodes
     /// True when the retrain stopped as a safe no-op: the coordinator
     /// lost the lease race or could not hear a quorum. Nothing was
     /// trained and no install was fanned out.
@@ -147,12 +169,12 @@ public:
   /// racing coordinator holds the lease or a quorum cannot be heard.
   FleetRetrain coordinateRetrain();
 
-  /// Service stats with the fleet counter group populated. Fault-path
+  /// Service stats plus the replica's fleet counters. Fault-path
   /// accounting there (send failures/retries, envelopes received, decode
   /// failures, replays rejected, retrain aborts, lease-rejected installs,
   /// salvaged snapshots) is exact by construction: every boundary counts
   /// before it drops.
-  serve::ServiceStats stats() const;
+  ReplicaStats stats() const;
 
   /// Install this replica's detector rules into `monitor`: gossip_stall
   /// and retrain_overrun under the "<id>." prefix, plus the wrapped
@@ -182,7 +204,6 @@ private:
                      std::uint64_t ttlNanos, std::string* conflictHolder);
   /// Drop our own lease record (abort path / after a successful install).
   void releaseLease(std::uint64_t generation);
-  std::size_t quorumOf(std::size_t nodes) const;
   /// Record a thrown peer send: bump the failure counters and schedule
   /// the next retry with capped decorrelated-jitter backoff.
   void notePeerSendFailure(const std::string& peer);

@@ -49,8 +49,4 @@ runtime::FeatureDatabase FeedbackRecorder::snapshot() const {
   return db_;
 }
 
-void FeedbackRecorder::saveCsv(const std::string& path) const {
-  snapshot().saveCsv(path);
-}
-
 }  // namespace tp::serve

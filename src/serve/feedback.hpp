@@ -43,8 +43,6 @@ public:
   /// Consistent copy of the accumulated database.
   runtime::FeatureDatabase snapshot() const;
 
-  void saveCsv(const std::string& path) const;
-
 private:
   DecisionKey dedupKey(const runtime::Task& task,
                        const std::string& machine) const;

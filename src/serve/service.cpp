@@ -100,7 +100,7 @@ struct PartitionService::MachineState {
                std::shared_ptr<const ml::Classifier> mdl,
                const ServiceConfig& config)
       : machine(m),
-        space(m.numDevices(), config.divisions),
+        space(m.numDevices(), kDivisions),
         model(std::move(mdl)),
         load(m.numDevices()),
         breaker(config.breaker.tripAfter, config.breaker.clearAfter),
@@ -119,8 +119,7 @@ PartitionService::PartitionService(ServiceConfig config)
     : config_(std::move(config)),
       interner_(std::make_unique<common::PairInterner>(config_.internCapacity)),
       cache_(std::make_unique<DecisionCache>(config_.cacheCapacity,
-                                             config_.cacheRoundDigits)),
-      latency_(config_.latencyWindow) {
+                                             kCacheRoundDigits)) {
   if (config_.refine) {
     // The refiner reuses the serving fingerprint scheme: keys map through
     // the same intern table + launchFingerprint as the decision cache, so
@@ -259,7 +258,7 @@ void PartitionService::addMachine(const sim::MachineConfig& machine,
                                             << " already registered");
     if (feedback_ == nullptr) {
       feedback_ = std::make_unique<FeedbackRecorder>(state->space.size(),
-                                                     config_.cacheRoundDigits);
+                                                     kCacheRoundDigits);
     } else {
       // Feedback records share one CSV schema: the time vector is indexed by
       // partitioning label, so every machine must span the same space.
@@ -329,7 +328,7 @@ DecisionKey PartitionService::fullKeyAt(const MachineState& ms,
   key.modelVersion = version;
   key.features = launchSignature(task);
   for (double& f : key.features) {
-    f = roundSignificant(f, config_.cacheRoundDigits);
+    f = roundSignificant(f, kCacheRoundDigits);
   }
   return key;
 }
@@ -418,7 +417,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
     const bool fingerprinted = pairId != common::PairInterner::kInvalid;
     common::Fingerprint fp;
     if (fingerprinted) {
-      fp = launchFingerprint(pairId, task, config_.cacheRoundDigits);
+      fp = launchFingerprint(pairId, task, kCacheRoundDigits);
     }
     const std::uint64_t version = cache_->version();
     const std::optional<std::size_t> hit =
@@ -629,7 +628,7 @@ PartitionService::RetrainResult PartitionService::retrain() {
     // until the swap below.
     auto model = runtime::trainDeploymentModel(
         db, ms->machine.name, config_.retrainSpec,
-        runtime::FeatureSet::Combined, config_.retrainSeed);
+        runtime::FeatureSet::Combined, kRetrainSeed);
     {
       common::SharedMutexLock lock(ms->modelMutex);
       ms->model = std::move(model);
@@ -1129,16 +1128,6 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor)
     };
     monitor.addRule(std::move(rule));
   }
-}
-
-void PartitionService::saveTraffic(const std::string& path) const {
-  FeedbackRecorder* feedback = nullptr;
-  {
-    common::MutexLock lock(machinesMutex_);
-    feedback = feedback_.get();
-  }
-  TP_REQUIRE(feedback != nullptr, "PartitionService: no traffic recorded yet");
-  feedback->saveCsv(path);
 }
 
 }  // namespace tp::serve

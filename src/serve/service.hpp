@@ -107,10 +107,18 @@ struct BreakerConfig {
   std::uint64_t evalEvery = 256;
 };
 
+/// Partitioning-space step granularity of every served machine (10 =
+/// 10% steps).
+inline constexpr int kDivisions = 10;
+/// Significant digits kept when launch features are quantized into
+/// cache keys and feedback signatures.
+inline constexpr int kCacheRoundDigits = 6;
+/// Seed of every retrain, the service's own and a fleet coordinator's,
+/// so the same traffic trains the same model.
+inline constexpr std::uint64_t kRetrainSeed = 42;
+
 struct ServiceConfig {
-  int divisions = 10;  ///< partitioning-space step granularity (10 = 10%)
   std::size_t cacheCapacity = 1024;  ///< rounded up to a power of two
-  int cacheRoundDigits = 6;  ///< significant digits in cache keys
   /// Distinct (machine, program) pairs the intern table can hold; pairs
   /// beyond it serve uncached/unrefined (the model path still answers).
   std::size_t internCapacity = 4096;
@@ -119,10 +127,8 @@ struct ServiceConfig {
   /// first claim. When every lane is busy a request runs on a private
   /// short-lived context and counts in ServiceStats::inlineLaneExhausted.
   std::size_t inlineLanes = 0;
-  std::size_t latencyWindow = 8192;  ///< samples kept per latency stripe
   bool recordFeedback = true;  ///< measure executed launches for retrain()
   std::string retrainSpec = "forest:32";  ///< ml::makeClassifier spec
-  std::uint64_t retrainSeed = 42;
   vcl::ExecMode execMode = vcl::ExecMode::TimeOnly;
   /// Online partition refinement (adapt::Refiner). Off by default: with
   /// refinement on, served labels may deliberately deviate from the pure
@@ -284,9 +290,6 @@ public:
   const common::PairInterner& interner() const noexcept { return *interner_; }
   /// nullptr unless config.refine is set.
   const adapt::Refiner* refiner() const noexcept { return refiner_.get(); }
-
-  /// Persist the recorded traffic database as CSV.
-  void saveTraffic(const std::string& path) const;
 
 private:
   struct MachineState;

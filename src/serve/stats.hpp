@@ -119,33 +119,6 @@ struct MachineStats {
   std::vector<DeviceUtilization> devices;
 };
 
-/// Fleet-replication counters: gossiped refiner wins, snapshot
-/// persistence, and the fault boundaries. Populated by
-/// fleet::Replica::stats() (all zero when the service is not part of a
-/// fleet). Reconciliation invariant:
-/// winsReceived == winsMerged + winsRejectedStale + winsDropped.
-struct FleetCounters {
-  std::uint64_t winsSent = 0;      ///< win records broadcast to peers
-  std::uint64_t winsReceived = 0;  ///< win records arrived from peers
-  std::uint64_t winsMerged = 0;    ///< accepted (evidence merged)
-  std::uint64_t winsAdopted = 0;   ///< merged AND moved an incumbent
-  std::uint64_t winsRejectedStale = 0;  ///< dropped: model-version mismatch
-  std::uint64_t winsDropped = 0;   ///< dropped: capacity / refiner off
-  std::uint64_t snapshotsWritten = 0;
-  std::uint64_t snapshotsLoaded = 0;
-  std::uint64_t modelInstalls = 0;  ///< fleet retrain fan-ins applied
-  std::uint64_t gossipRoundsSkipped = 0;  ///< no-change rounds (digest hit)
-  // Fault-path counters (the chaos boundaries; exact by construction).
-  std::uint64_t sendFailures = 0;   ///< peer sends that threw
-  std::uint64_t sendRetries = 0;    ///< sends re-attempted after a failure
-  std::uint64_t envelopesReceived = 0;  ///< every envelope handler entry
-  std::uint64_t decodeFailures = 0;  ///< corrupt/unexpected payloads dropped
-  std::uint64_t replaysRejected = 0;  ///< duplicate/stale sequence numbers
-  std::uint64_t retrainsAborted = 0;  ///< quorum/lease safe no-ops
-  std::uint64_t installsRejectedLease = 0;  ///< installs from non-holders
-  std::uint64_t snapshotsSalvaged = 0;  ///< corrupt snapshots skipped on load
-};
-
 struct ServiceStats {
   std::uint64_t requestsSubmitted = 0;
   std::uint64_t requestsCompleted = 0;
@@ -178,7 +151,6 @@ struct ServiceStats {
   /// Online-refinement counters (all zero when refinement is disabled).
   adapt::RefinerCounters refiner;
   std::uint64_t refinedKeys = 0;  ///< launch signatures under refinement
-  FleetCounters fleet;  ///< zero unless serving as a fleet replica
   LatencyRecorder::Summary latency;
   std::vector<MachineStats> machines;  ///< insertion order
 };

@@ -486,8 +486,7 @@ struct ServiceFixture {
   std::unique_ptr<PartitionService> service;
 
   explicit ServiceFixture(ServiceConfig config = {}) {
-    const runtime::PartitioningSpace space(machine.numDevices(),
-                                           config.divisions);
+    const runtime::PartitioningSpace space(machine.numDevices(), kDivisions);
     auto db = runtime::FeatureDatabase::withDefaultSchema(space.size());
     for (const std::size_t n : {1u << 12, 1u << 16, 1u << 20}) {
       for (const int k : {10, 2000}) {
@@ -736,8 +735,7 @@ TEST(PartitionService, InternTableOverflowDegradesToUncachedServing) {
 
   // A second machine whose (machine, program) pair cannot be interned.
   const sim::MachineConfig other = sim::makeMc1();
-  const runtime::PartitioningSpace space(other.numDevices(),
-                                         config.divisions);
+  const runtime::PartitioningSpace space(other.numDevices(), kDivisions);
   auto db = runtime::FeatureDatabase::withDefaultSchema(space.size());
   for (auto& task : fx.tasks) {
     db.add(runtime::measureLaunch(task, other, space, "sweep"));
@@ -789,7 +787,7 @@ TEST(PartitionService, ModelsReloadedFromTextDecideLikeTheTrainedOnes) {
   constexpr std::size_t kRungs = 4;
   const auto machines = sim::evaluationMachines();
   const runtime::PartitioningSpace space(machines[0].numDevices(),
-                                         ServiceConfig{}.divisions);
+                                         kDivisions);
   auto db = runtime::FeatureDatabase::withDefaultSchema(space.size());
   for (const auto& bench : suite::allBenchmarks()) {
     for (std::size_t s = 0; s < kRungs; s += 2) {
