@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   const auto warm = service.stats();
   const std::uint64_t firstWave = kClients * kRequestsPerClient;
   std::printf("\nfirst wave: %llu requests, hit-rate %.1f%%, "
-              "p50 %.0fus p95 %.0fus, %llu served on inline lanes\n",
+              "p50 %.0fus p95 %.0fus, %llu cache hits served without inference\n",
               static_cast<unsigned long long>(warm.requestsCompleted),
               100.0 * warm.cacheHitRate, warm.latency.p50Seconds * 1e6,
               warm.latency.p95Seconds * 1e6,

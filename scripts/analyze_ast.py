@@ -87,8 +87,9 @@ A2_ALLOW = (
 )
 
 A3_ALLOW = (
-    # No entries: the one claim/release section (inline lanes) holds its
-    # claim through common::ClaimGuard, which releases on every path.
+    # No entries: the one claim/release section (the admission breaker's
+    # evaluation) holds its claim through common::ClaimGuard, which
+    # releases on every path.
 )
 
 A4_ALLOW = (

@@ -1,12 +1,12 @@
 #pragma once
 
 // vcl::Context — one per (machine, execution mode) pair. Owns the command
-// queues for every device of the machine and the buffers created against it.
+// queue of every device of the machine. The queues hold no clock, so one
+// context serves any number of concurrent callers.
 
 #include <memory>
 #include <vector>
 
-#include "ocl/buffer.hpp"
 #include "ocl/queue.hpp"
 #include "sim/machine.hpp"
 
@@ -27,18 +27,9 @@ public:
   ExecMode mode() const noexcept { return mode_; }
   std::size_t numDevices() const noexcept { return queues_.size(); }
 
-  CommandQueue& queue(std::size_t device) {
+  const CommandQueue& queue(std::size_t device) const {
     TP_ASSERT(device < queues_.size());
     return *queues_[device];
-  }
-
-  /// Reset all device clocks to 0 (start of a new measured execution).
-  void resetClocks() {
-    for (auto& q : queues_) q->resetClock();
-  }
-
-  std::shared_ptr<Buffer> createBuffer(ElemKind kind, std::size_t elements) {
-    return std::make_shared<Buffer>(kind, elements);
   }
 
 private:

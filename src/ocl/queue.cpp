@@ -4,12 +4,13 @@
 
 namespace tp::vcl {
 
-Event CommandQueue::enqueueKernel(const features::KernelFeatures& features,
-                                  const std::map<std::string, double>& bindings,
-                                  std::size_t groupBegin, std::size_t groupEnd,
-                                  const WorkGroupCtx& ctxTemplate,
-                                  const NativeKernel& native,
-                                  const LaunchArgs& args, double dramBytes) {
+double CommandQueue::enqueueKernel(const features::KernelFeatures& features,
+                                   const std::map<std::string, double>& bindings,
+                                   std::size_t groupBegin, std::size_t groupEnd,
+                                   const WorkGroupCtx& ctxTemplate,
+                                   const NativeKernel& native,
+                                   const LaunchArgs& args,
+                                   double dramBytes) const {
   TP_ASSERT(groupEnd >= groupBegin);
   const std::size_t numGroups = groupEnd - groupBegin;
   const double items =
@@ -32,7 +33,7 @@ Event CommandQueue::enqueueKernel(const features::KernelFeatures& features,
   const double seconds =
       model_.kernelTime(features, bindings, items,
                         static_cast<double>(ctxTemplate.localSize), dramBytes);
-  return advance(items > 0.0 ? seconds : 0.0);
+  return items > 0.0 ? seconds : 0.0;
 }
 
 }  // namespace tp::vcl

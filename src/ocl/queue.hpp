@@ -1,13 +1,14 @@
 #pragma once
 
-// Simulated in-order command queues and events.
+// Simulated in-order command queues.
 //
-// Each device has one CommandQueue with a simulated clock. Enqueue
-// operations append to the device timeline and return Events carrying
-// simulated [start, end) timestamps. Queues of different devices advance
-// independently — devices execute concurrently, exactly like the paper's
-// multi-device OpenCL runtime — and the scheduler's makespan is the max of
-// the per-queue completion times.
+// Each device has one CommandQueue. A queue holds no clock: each enqueue
+// returns the simulated seconds of its phase, and the caller lays the
+// phases on a timeline of its own (runtime::Scheduler::execute keeps one
+// per device on its stack frame). Devices execute concurrently, exactly
+// like the paper's multi-device OpenCL runtime, so the scheduler's
+// makespan is the max of the per-device completion times. Because the
+// queue is stateless, any number of threads may enqueue on it at once.
 //
 // In Compute mode, kernel enqueues additionally execute the native
 // work-group function on the host thread pool (results are real; time is
@@ -26,13 +27,7 @@ namespace tp::vcl {
 
 enum class ExecMode {
   Compute,   ///< run kernels for real (tests, examples)
-  TimeOnly,  ///< advance simulated clocks only (training sweeps)
-};
-
-struct Event {
-  double start = 0.0;  ///< simulated seconds
-  double end = 0.0;
-  double duration() const noexcept { return end - start; }
+  TimeOnly,  ///< cost the phases only (training sweeps, serving)
 };
 
 class CommandQueue {
@@ -42,41 +37,31 @@ public:
       : model_(model), mode_(mode), pool_(pool) {}
 
   const sim::DeviceModel& device() const noexcept { return model_; }
-  double now() const noexcept { return now_; }
-  void resetClock() { now_ = 0.0; }
 
-  /// Host→device transfer of `bytes` (accounting only; data already lives
-  /// in host memory).
-  Event enqueueWrite(double bytes) { return advance(model_.transferTime(bytes)); }
+  /// Seconds of a host→device transfer of `bytes` (accounting only; data
+  /// already lives in host memory).
+  double enqueueWrite(double bytes) const { return model_.transferTime(bytes); }
 
-  /// Device→host transfer.
-  Event enqueueRead(double bytes) { return advance(model_.transferTime(bytes)); }
+  /// Seconds of a device→host transfer.
+  double enqueueRead(double bytes) const { return model_.transferTime(bytes); }
 
-  /// Execute work-groups [groupBegin, groupEnd) of a kernel launch.
+  /// Execute work-groups [groupBegin, groupEnd) of a kernel launch and
+  /// return the chunk's seconds (0 for an empty chunk).
   /// `features`/`bindings` drive the analytic cost; `native`/`args` supply
   /// semantics in Compute mode. `ctxTemplate` carries the original NDRange
   /// geometry. `dramBytes` is the chunk's unique global-memory footprint
   /// (see sim::DeviceModel::kernelTime); negative = no-reuse upper bound.
-  Event enqueueKernel(const features::KernelFeatures& features,
-                      const std::map<std::string, double>& bindings,
-                      std::size_t groupBegin, std::size_t groupEnd,
-                      const WorkGroupCtx& ctxTemplate,
-                      const NativeKernel& native, const LaunchArgs& args,
-                      double dramBytes = -1.0);
+  double enqueueKernel(const features::KernelFeatures& features,
+                       const std::map<std::string, double>& bindings,
+                       std::size_t groupBegin, std::size_t groupEnd,
+                       const WorkGroupCtx& ctxTemplate,
+                       const NativeKernel& native, const LaunchArgs& args,
+                       double dramBytes = -1.0) const;
 
 private:
-  Event advance(double seconds) {
-    Event e;
-    e.start = now_;
-    now_ += seconds;
-    e.end = now_;
-    return e;
-  }
-
   const sim::DeviceModel& model_;
   ExecMode mode_;
   common::ThreadPool* pool_;
-  double now_ = 0.0;
 };
 
 }  // namespace tp::vcl

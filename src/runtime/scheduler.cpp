@@ -25,14 +25,14 @@ std::vector<std::pair<std::size_t, std::size_t>> splitGroups(
   return chunks;
 }
 
-ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
+ExecutionResult Scheduler::execute(const Task& task,
+                                   const Partitioning& p) const {
   task.validate();
   TP_REQUIRE(p.numDevices() == context_.numDevices(),
              "partitioning has " << p.numDevices() << " devices, machine has "
                                  << context_.numDevices());
   TP_REQUIRE(p.activeDevices() > 0, "partitioning assigns no work");
 
-  context_.resetClocks();
   const std::size_t totalGroups = task.numGroups();
   const auto chunks = splitGroups(totalGroups, p);
   const auto bindings = task.fullBindings();
@@ -75,7 +75,7 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
     const std::size_t itemBegin = gBegin * task.localSize;
     const std::size_t itemCount = (gEnd - gBegin) * task.localSize;
 
-    auto& queue = context_.queue(d);
+    const vcl::CommandQueue& queue = context_.queue(d);
     DeviceExecution exec;
     exec.device = d;
     exec.groupBegin = gBegin;
@@ -111,8 +111,7 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
           break;
       }
     }
-    const auto inEvent = queue.enqueueWrite(bytesIn * task.transferScale);
-    exec.transferInSeconds = inEvent.duration();
+    exec.transferInSeconds = queue.enqueueWrite(bytesIn * task.transferScale);
 
     // ---- kernel chunk -------------------------------------------------
     vcl::LaunchArgs launchArgs;
@@ -175,10 +174,9 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
         }
       }
     }
-    const auto kernelEvent =
+    exec.kernelSeconds =
         queue.enqueueKernel(task.features, bindings, gBegin, gEnd, ctxTemplate,
                             task.native, launchArgs, dramBytes);
-    exec.kernelSeconds = kernelEvent.duration();
 
     // ---- device → host transfers --------------------------------------
     double bytesOut = 0.0;
@@ -197,9 +195,10 @@ ExecutionResult Scheduler::execute(const Task& task, const Partitioning& p) {
           break;
       }
     }
-    const auto outEvent = queue.enqueueRead(bytesOut * task.transferScale);
-    exec.transferOutSeconds = outEvent.duration();
-    exec.endTime = queue.now();
+    exec.transferOutSeconds = queue.enqueueRead(bytesOut * task.transferScale);
+    // The device's in-order timeline, summed in enqueue order from 0.
+    exec.endTime =
+        exec.transferInSeconds + exec.kernelSeconds + exec.transferOutSeconds;
 
     // Merge accounting (time model; independent of Compute mode).
     for (const auto& arg : task.args) {

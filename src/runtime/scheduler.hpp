@@ -10,6 +10,9 @@
 // of MergeSum buffers. In Compute mode the chunks also execute natively,
 // with each device's buffer views restricted to exactly the slice the
 // access classification assigned to it.
+//
+// The simulated timeline lives on execute()'s stack frame, so one
+// Scheduler (and its Context) serves any number of concurrent callers.
 
 #include <vector>
 
@@ -26,7 +29,7 @@ struct DeviceExecution {
   double transferInSeconds = 0.0;
   double kernelSeconds = 0.0;
   double transferOutSeconds = 0.0;
-  double endTime = 0.0;  ///< completion time on the device's queue
+  double endTime = 0.0;  ///< in + kernel + out, from the launch at 0
 
   std::size_t items(std::size_t localSize) const {
     return (groupEnd - groupBegin) * localSize;
@@ -47,14 +50,15 @@ std::vector<std::pair<std::size_t, std::size_t>> splitGroups(
 
 class Scheduler {
 public:
-  explicit Scheduler(vcl::Context& context) : context_(context) {}
+  explicit Scheduler(const vcl::Context& context) : context_(context) {}
 
-  /// Execute `task` under partitioning `p`. Resets device clocks first, so
-  /// results are independent per call.
-  ExecutionResult execute(const Task& task, const Partitioning& p);
+  /// Execute `task` under partitioning `p`. Every device's timeline starts
+  /// at 0, so results are independent per call and safe to compute
+  /// concurrently.
+  ExecutionResult execute(const Task& task, const Partitioning& p) const;
 
 private:
-  vcl::Context& context_;
+  const vcl::Context& context_;
 };
 
 }  // namespace tp::runtime

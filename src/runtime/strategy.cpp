@@ -5,8 +5,8 @@ namespace tp::runtime {
 std::size_t oracleSearch(const Task& task, const sim::MachineConfig& machine,
                          const PartitioningSpace& space,
                          std::vector<double>* timings) {
-  // Private TimeOnly context: the search must not disturb the caller's
-  // clocks and needs no native execution.
+  // A TimeOnly context of its own: the search only costs each label and
+  // must never run the kernel natively, whatever the caller's mode.
   vcl::Context probe(machine, vcl::ExecMode::TimeOnly, nullptr);
   Scheduler scheduler(probe);
 

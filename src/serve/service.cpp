@@ -22,30 +22,15 @@ namespace {
 using Clock = obs::Clock;
 using obs::secondsSince;
 
-std::size_t autoInlineLanes(std::size_t configured) {
-  // The default tracks the stripe heuristic (2x hardware concurrency in
-  // [16, 64]): enough lanes that concurrent warm callers rarely collide,
-  // bounded so lane *slots* stay cheap — contexts are built lazily on
-  // first claim, so unused lanes cost a few pointers.
-  return configured != 0 ? configured : common::defaultStripes();
-}
-
-// The breaker's lane arm: trip when more than this share of the
-// machine's admissions since the previous evaluation ran lane-exhausted,
-// judged once at least kBreakerMinAdmissions arrived.
-constexpr double kBreakerLaneExhaustionCeiling = 0.5;
-constexpr std::uint64_t kBreakerMinAdmissions = 64;
-
 // Stock detector rules (registerHealthRules; README.md lists them). Rate
-// rules judge only windows of at least kRuleMinWindow lookups, refiner
-// decisions or submissions.
+// rules judge only windows of at least kRuleMinWindow lookups or refiner
+// decisions.
 constexpr std::size_t kRuleTriggerAfter = 2;
 constexpr std::size_t kRuleClearAfter = 2;
 constexpr std::uint64_t kRuleMinWindow = 256;
 constexpr double kHitRateFloor = 0.5;
 constexpr double kEvictionStormCeiling = 0.25;
 constexpr double kProbeStormCeiling = 0.5;
-constexpr double kLaneExhaustionCeiling = 0.25;
 constexpr double kRetrainOverrunSeconds = 30.0;
 
 }  // namespace
@@ -59,21 +44,10 @@ struct PartitionService::MachineState {
   /// Cache generation this model serves.
   std::uint64_t modelVersion TP_GUARDED_BY(modelMutex) = 0;
 
-  // Inline execution lanes, claimed by caller threads with a single CAS,
-  // never a mutex. Each owns a private context/scheduler, so simulated
-  // clocks stay isolated and every lane computes bit-identical results
-  // (Scheduler::execute resets clocks per call). The context/scheduler
-  // are built lazily by the first claimer (the claim CAS serializes
-  // ownership; busy release/acquire publishes the construction), so
-  // startup cost scales with actual client concurrency, not with
-  // cores x machines.
-  struct InlineLane {
-    std::atomic<std::uint32_t> busy{0};
-    std::unique_ptr<vcl::Context> context;
-    std::unique_ptr<runtime::Scheduler> scheduler;
-  };
-  std::vector<InlineLane> inlineLanes;
-  common::ThreadPool* computePool = nullptr;  ///< Compute-mode helper pool
+  // The machine's simulated devices, shared by every caller without a
+  // lock: Scheduler::execute keeps its timeline on its own stack frame.
+  vcl::Context context;
+  runtime::Scheduler scheduler;
 
   MachineLoadStats load;  ///< striped per-thread request accounting
   /// Sliding-window SLO judgment; set when config.slo.enabled(). Fed by
@@ -81,20 +55,15 @@ struct PartitionService::MachineState {
   /// latency_slo detector.
   std::unique_ptr<obs::SloTracker> slo;
 
-  /// Requests run on a private context because every inline lane was
-  /// busy; summed over machines for stats() and the lane_exhaustion rule.
-  std::atomic<std::uint64_t> laneExhausted{0};
-
   // Admission breaker (ServiceConfig::breaker). The warm path touches
   // only admitTick (relaxed bump) and shedding (relaxed load); everything
   // else belongs to the single evaluation winner holding evalBusy via
-  // ClaimGuard — the claim's acq_rel CAS orders the hysteresis and window
-  // between consecutive winners, so they need no mutex and no atomics.
+  // ClaimGuard — the claim's acq_rel CAS orders the hysteresis between
+  // consecutive winners, so it needs no mutex and no atomics.
   std::atomic<std::uint64_t> admitTick{0};
   std::atomic<std::uint32_t> evalBusy{0};
   std::atomic<std::uint32_t> shedding{0};
-  obs::Hysteresis breaker;           ///< evalBusy holder only
-  obs::WindowedRatio laneExhaustion; ///< evalBusy holder only
+  obs::Hysteresis breaker;  ///< evalBusy holder only
 
   MachineState(const sim::MachineConfig& m,
                std::shared_ptr<const ml::Classifier> mdl,
@@ -102,13 +71,13 @@ struct PartitionService::MachineState {
       : machine(m),
         space(m.numDevices(), kDivisions),
         model(std::move(mdl)),
+        context(m, config.execMode,
+                config.execMode == vcl::ExecMode::Compute
+                    ? &common::globalThreadPool()
+                    : nullptr),
+        scheduler(context),
         load(m.numDevices()),
-        breaker(config.breaker.tripAfter, config.breaker.clearAfter),
-        laneExhaustion(kBreakerMinAdmissions) {
-    computePool =
-        config.execMode == vcl::ExecMode::Compute ? &common::globalThreadPool()
-                                                  : nullptr;
-    inlineLanes = std::vector<InlineLane>(autoInlineLanes(config.inlineLanes));
+        breaker(config.breaker.tripAfter, config.breaker.clearAfter) {
     if (config.slo.enabled()) {
       slo = std::make_unique<obs::SloTracker>(config.slo);
     }
@@ -120,6 +89,11 @@ PartitionService::PartitionService(ServiceConfig config)
       interner_(std::make_unique<common::PairInterner>(config_.internCapacity)),
       cache_(std::make_unique<DecisionCache>(config_.cacheCapacity,
                                              kCacheRoundDigits)) {
+  // The SLO burn rate is the breaker's only input: without a target it
+  // could never trip.
+  TP_REQUIRE(!config_.breaker.enabled || config_.slo.enabled(),
+             "PartitionService: the admission breaker needs an enabled SLO "
+             "(a p99 or p99.9 target over a positive window)");
   if (config_.refine) {
     // The refiner reuses the serving fingerprint scheme: keys map through
     // the same intern table + launchFingerprint as the decision cache, so
@@ -163,8 +137,6 @@ void PartitionService::registerMetrics()
                       [this] { return failed_.total(); });
   reg.registerCounter(p + "requests_inline",
                       [this] { return inlineHits_.total(); });
-  reg.registerCounter(p + "inline_lane_exhausted",
-                      [this] { return laneExhaustedTotal(); });
   reg.registerCounter(p + "requests_shed", [this] { return shed_.total(); });
   reg.registerCounter(p + "breaker_trips", [this] {
     return breakerTrips_.load(std::memory_order_relaxed);
@@ -465,8 +437,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
       }
     }
 
-    const bool onLane =
-        executeOnLane(ms, task, response, fingerprinted ? &fp : nullptr);
+    finishDecided(ms, task, response, fingerprinted ? &fp : nullptr);
 
     if (config_.recordFeedback &&
         (!hit.has_value() ||
@@ -484,7 +455,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
     }
     recordLatency(ms, secondsSince(admitted));
     completed_.add();
-    if (hit.has_value() && !response.explored && onLane) inlineHits_.add();
+    if (hit.has_value() && !response.explored) inlineHits_.add();
   } catch (...) {
     failed_.add();
     requestDone();
@@ -494,50 +465,12 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
   return response;
 }
 
-bool PartitionService::executeOnLane(MachineState& ms,
-                                     const runtime::Task& task,
-                                     LaunchResponse& response,
-                                     const common::Fingerprint* fp)
-    TP_LOCK_FREE_AUDITED(
-        "lane ownership is a ClaimGuard CAS claim released on every path "
-        "including unwind; TSan: test_serve "
-        "PartitionService.ConcurrentClientsGetConsistentDecisions") {
-  // Claim an inline lane with one CAS. Start the scan at a per-thread
-  // offset so concurrent callers spread over lanes instead of convoying
-  // on lane 0. The RAII guard keeps the claim exception-safe: any throw
-  // below releases the lane on unwind instead of leaking it (lint rule
-  // A3).
-  const std::size_t numLanes = ms.inlineLanes.size();
-  const std::size_t start = common::threadStripe(numLanes);
-  for (std::size_t i = 0; i < numLanes; ++i) {
-    MachineState::InlineLane& lane = ms.inlineLanes[(start + i) % numLanes];
-    common::ClaimGuard claim(lane.busy);
-    if (!claim.claimed()) continue;
-    if (lane.scheduler == nullptr) {
-      // First claim of this lane: build its private context/scheduler now
-      // (one-time; we own the lane exclusively until the busy release).
-      lane.context = std::make_unique<vcl::Context>(
-          ms.machine, config_.execMode, ms.computePool);
-      lane.scheduler = std::make_unique<runtime::Scheduler>(*lane.context);
-    }
-    finishDecided(ms, *lane.scheduler, task, response, fp);
-    return true;  // the guard releases the lane
-  }
-  // Every lane is busy: run on a private context built on this frame.
-  ms.laneExhausted.fetch_add(1, std::memory_order_relaxed);
-  vcl::Context context(ms.machine, config_.execMode, ms.computePool);
-  runtime::Scheduler scheduler(context);
-  finishDecided(ms, scheduler, task, response, fp);
-  return false;
-}
-
 void PartitionService::finishDecided(MachineState& ms,
-                                     runtime::Scheduler& scheduler,
                                      const runtime::Task& task,
                                      LaunchResponse& response,
                                      const common::Fingerprint* fp) {
   response.partitioning = ms.space.at(response.label);
-  response.execution = scheduler.execute(task, response.partitioning);
+  response.execution = ms.scheduler.execute(task, response.partitioning);
 
   if (refiner_ != nullptr && fp != nullptr) {
     const adapt::Observation obs =
@@ -859,7 +792,6 @@ ServiceStats PartitionService::stats() const {
     (void)name;
     MachineStats m;
     m.machine = ms->machine.name;
-    s.inlineLaneExhausted += ms->laneExhausted.load(std::memory_order_relaxed);
     {
       common::SharedMutexLockShared modelLock(ms->modelMutex);
       m.modelVersion = ms->modelVersion;
@@ -906,44 +838,23 @@ void PartitionService::maybeEvaluateBreaker(MachineState& ms)
 void PartitionService::evaluateBreaker(MachineState& ms)
     TP_LOCK_FREE_AUDITED(
         "single-winner evaluation: the ClaimGuard CAS (acq_rel) hands the "
-        "hysteresis and lane window from winner to winner; losers return "
-        "without touching them; the shedding flag itself is a relaxed "
-        "on/off word read by the admission path; TSan: test_serve "
+        "hysteresis from winner to winner; losers return without touching "
+        "it; the shedding flag itself is a relaxed on/off word read by the "
+        "admission path; TSan: test_serve "
         "PartitionService.BreakerShedsUnderOverloadAndRecovers") {
   common::ClaimGuard claim(ms.evalBusy);
   if (!claim.claimed()) return;  // another admission is already judging
 
-  bool hot = false;
-  double value = 0.0;
-  double threshold = 0.0;
-  if (ms.slo != nullptr) {
-    const std::optional<double> burn = ms.slo->report().breachBurnRate();
-    if (burn.has_value() && *burn > config_.breaker.burnRateCeiling) {
-      hot = true;
-      value = *burn;
-      threshold = config_.breaker.burnRateCeiling;
-    }
-  }
-  // Lane-exhaustion arm: this machine's bounces per admission since the
-  // previous evaluation. The window advances even when the SLO arm
-  // already judged hot.
-  const std::optional<double> bounceRate = ms.laneExhaustion.update(
-      ms.laneExhausted.load(std::memory_order_relaxed),
-      ms.admitTick.load(std::memory_order_relaxed));
-  if (!hot && bounceRate.has_value() &&
-      *bounceRate > kBreakerLaneExhaustionCeiling) {
-    hot = true;
-    value = *bounceRate;
-    threshold = kBreakerLaneExhaustionCeiling;
-  }
-
-  switch (ms.breaker.update(hot)) {
+  // The constructor guarantees an SLO tracker whenever the breaker is on.
+  const std::optional<double> burn = ms.slo->report().breachBurnRate();
+  const double ceiling = config_.breaker.burnRateCeiling;
+  switch (ms.breaker.update(burn.has_value() && *burn > ceiling)) {
     case obs::Hysteresis::Edge::Opened:
       ms.shedding.store(1, std::memory_order_relaxed);
       breakerTrips_.fetch_add(1, std::memory_order_relaxed);
-      TP_WARN("admission breaker OPEN on " << ms.machine.name << ": "
-                                           << value << " > " << threshold
-                                           << " — shedding load");
+      TP_WARN("admission breaker OPEN on " << ms.machine.name << ": burn rate "
+                                           << burn.value_or(0.0) << " > "
+                                           << ceiling << " — shedding load");
       break;
     case obs::Hysteresis::Edge::Closed:
       ms.shedding.store(0, std::memory_order_relaxed);
@@ -958,16 +869,6 @@ void PartitionService::evaluateBreaker(MachineState& ms)
 void PartitionService::evaluateBreakerNow(const std::string& machine) {
   if (!config_.breaker.enabled) return;
   evaluateBreaker(state(machine));
-}
-
-std::uint64_t PartitionService::laneExhaustedTotal() const {
-  std::uint64_t total = 0;
-  common::MutexLock lock(machinesMutex_);
-  for (const auto& [name, ms] : machines_) {
-    (void)name;
-    total += ms->laneExhausted.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 std::size_t PartitionService::openBreakers() const {
@@ -1074,23 +975,6 @@ void PartitionService::registerHealthRules(obs::HealthMonitor& monitor)
       return obs::Firing{*rate, kProbeStormCeiling,
                          "refiner probing on " + std::to_string(*rate) +
                              " of decisions (exploration never converging)"};
-    };
-    monitor.addRule(std::move(rule));
-  }
-
-  {
-    obs::DetectorRule rule = stockRule("lane_exhaustion");
-    rule.evaluate = [this, window = obs::WindowedRatio(kRuleMinWindow)]() mutable
-        -> std::optional<obs::Firing> {
-      const std::optional<double> rate =
-          window.update(laneExhaustedTotal(), submitted_.total());
-      if (!rate.has_value() || *rate <= kLaneExhaustionCeiling) {
-        return std::nullopt;
-      }
-      return obs::Firing{*rate, kLaneExhaustionCeiling,
-                         "inline lanes exhausted on " + std::to_string(*rate) +
-                             " of submissions (requests running on "
-                             "short-lived private contexts)"};
     };
     monitor.addRule(std::move(rule));
   }

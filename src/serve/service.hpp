@@ -20,16 +20,14 @@
 //   5. with refinement on (config.refine), let the online refiner
 //      (adapt/refiner.hpp), addressed by the same fingerprint, keep the
 //      label, exploit an adopted win or probe a neighbour;
-//   6. claim one of the machine's inline lanes with a single CAS and
-//      execute the split on the lane's private vcl::Context +
-//      runtime::Scheduler (Scheduler::execute resets the simulated clocks
-//      per call, so concurrent requests never interleave). When every
-//      lane is busy the request runs on a short-lived private context
-//      instead and counts as lane-exhausted;
-//   7. release the lane, then record feedback, latency and stats.
+//   6. execute the split on the machine's one shared vcl::Context +
+//      runtime::Scheduler. Scheduler::execute keeps the simulated
+//      timeline on its own stack frame, so concurrent requests share
+//      both without a lock and never see each other's clocks;
+//   7. record feedback, latency and stats.
 //
 // The decision fast path of a hit that is not a probe (fingerprint, cache
-// probe, lane claim, stats) takes no lock and allocates nothing; the
+// probe, execute, stats) takes no lock and allocates nothing; the
 // response payload (partitioning copy, per-device execution report)
 // still allocates, as does submit()'s future (call() avoids it). With
 // refinement on, steps 5 and 6 take the refiner's shard mutex.
@@ -84,13 +82,14 @@
 namespace tp::serve {
 
 /// Per-machine admission breaker: when the machine's SLO window burns
-/// error budget past burnRateCeiling, or more than half of the requests
-/// admitted to the machine since the previous evaluation (at least 64 of
-/// them) found every inline lane busy, new requests for it are shed —
+/// error budget past burnRateCeiling, new requests for it are shed —
 /// answered immediately with LaunchResponse::shed set, nothing decided
-/// or executed — until the window recovers. Evaluation is amortized
-/// (every evalEvery-th admission, single winner via CAS claim) so the
-/// warm path pays one relaxed counter bump and one relaxed flag load.
+/// or executed — until the window recovers. The burn rate is its only
+/// input, so an enabled breaker needs ServiceConfig::slo.enabled(); the
+/// PartitionService constructor throws tp::Error otherwise. Evaluation
+/// is amortized (every evalEvery-th admission, single winner via CAS
+/// claim) so the warm path pays one relaxed counter bump and one relaxed
+/// flag load.
 /// Trip and clear both take consecutive agreeing evaluations (the
 /// obs::Hysteresis every detector rule uses), so one bad window cannot
 /// flap the breaker.
@@ -122,11 +121,6 @@ struct ServiceConfig {
   /// Distinct (machine, program) pairs the intern table can hold; pairs
   /// beyond it serve uncached/unrefined (the model path still answers).
   std::size_t internCapacity = 4096;
-  /// Per-machine inline execution lanes (pipeline step 6); 0 = auto (2x
-  /// hardware concurrency in [16, 64]). Lane contexts are built lazily on
-  /// first claim. When every lane is busy a request runs on a private
-  /// short-lived context and counts in ServiceStats::inlineLaneExhausted.
-  std::size_t inlineLanes = 0;
   bool recordFeedback = true;  ///< measure executed launches for retrain()
   std::string retrainSpec = "forest:32";  ///< ml::makeClassifier spec
   vcl::ExecMode execMode = vcl::ExecMode::TimeOnly;
@@ -154,13 +148,14 @@ struct ServiceConfig {
   /// targets. With metrics set, per-machine burn-rate gauges register
   /// under `<metricsPrefix>slo.<machine>.*`.
   obs::SloConfig slo;
-  /// SLO-driven admission breaker (load shedding). Off by default; the
-  /// burn-rate arm additionally needs slo.enabled().
+  /// SLO-driven admission breaker (load shedding). Off by default; when
+  /// on, slo.enabled() must hold.
   BreakerConfig breaker;
 };
 
 class PartitionService {
 public:
+  /// Throws tp::Error for an enabled breaker without an enabled SLO.
   explicit PartitionService(ServiceConfig config = {});
   ~PartitionService();  ///< shutdown(): waits for in-flight requests
 
@@ -278,8 +273,8 @@ public:
   /// them): latency_slo (Critical, aggregated over machines — a
   /// fleet-wide latency incident pages once, the firing names the worst
   /// burner), cache_hit_collapse, eviction_storm, probe_storm (with
-  /// refinement on), lane_exhaustion, retrain_overrun and load_shed
-  /// (with the breaker on). Thresholds are fixed; README.md lists them.
+  /// refinement on), retrain_overrun and load_shed (with the breaker
+  /// on). Thresholds are fixed; README.md lists them.
   /// Rate rules judge counter deltas since the previous evaluation. The
   /// closures capture `this`: stop the monitor (or remove the rules)
   /// before this service is destroyed.
@@ -335,28 +330,20 @@ private:
   /// accounting; every path ends the request's in-flight count.
   LaunchResponse serveAdmitted(MachineState& ms, const LaunchRequest& request,
                                obs::Clock::time_point admitted);
-  /// Pipeline step 6: claim an inline lane and run finishDecided on it, or
-  /// on a private context when every lane is busy. `fp` is null for
-  /// launches the intern table could not hold. Returns whether a lane was
-  /// claimed.
-  bool executeOnLane(MachineState& ms, const runtime::Task& task,
+  /// Pipeline step 6: execute the decided `response.label` on the
+  /// machine's shared scheduler, let the refiner observe the makespan
+  /// (writing a measured win back into the cache), and account the
+  /// machine load. `fp` is null for launches the intern table could not
+  /// hold.
+  void finishDecided(MachineState& ms, const runtime::Task& task,
                      LaunchResponse& response, const common::Fingerprint* fp);
-  /// Execute the decided `response.label`, let the refiner observe the
-  /// makespan (writing a measured win back into the cache), and account
-  /// the machine load.
-  void finishDecided(MachineState& ms, runtime::Scheduler& scheduler,
-                     const runtime::Task& task, LaunchResponse& response,
-                     const common::Fingerprint* fp);
   /// Amortized breaker evaluation on the admission path: bumps the
   /// machine's admission tick and runs evaluateBreaker() on every
   /// breaker.evalEvery-th admission.
   void maybeEvaluateBreaker(MachineState& ms);
-  /// One breaker evaluation: judge the SLO burn rate and the machine's
-  /// lane-exhaustion delta, advance the hysteresis, flip the shedding
-  /// flag.
+  /// One breaker evaluation: judge the SLO burn rate, advance the
+  /// hysteresis, flip the shedding flag.
   void evaluateBreaker(MachineState& ms);
-  /// Lane-exhausted requests summed over every machine.
-  std::uint64_t laneExhaustedTotal() const TP_EXCLUDES(machinesMutex_);
   /// Machines whose admission breaker is open (shedding).
   std::size_t openBreakers() const TP_EXCLUDES(machinesMutex_);
   void requestDone() noexcept;

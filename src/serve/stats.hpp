@@ -128,11 +128,12 @@ struct ServiceStats {
   /// serve.max_batch readouts.
   std::uint64_t batches = 0;
   std::uint64_t maxBatch = 0;  ///< always 0, see batches
-  /// Cache hits (refiner probes excluded) served on a claimed inline lane:
-  /// the requests that ran no model inference.
+  /// Cache hits that were not refiner probes: the requests that ran no
+  /// model inference.
   std::uint64_t requestsInline = 0;
-  /// Requests run on a short-lived private context because every inline
-  /// lane was busy.
+  /// Always 0: every request executes on its machine's one shared
+  /// scheduler, so there are no lanes to exhaust. Kept until the
+  /// benchmark drops its serve.lane_exhausted_per_req readout.
   std::uint64_t inlineLaneExhausted = 0;
   /// Requests fast-failed by an open admission breaker (included in
   /// requestsCompleted; the response carried LaunchResponse::shed).

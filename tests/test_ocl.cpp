@@ -1,5 +1,5 @@
 // vcl (virtual OpenCL) layer tests: buffers, bounds-checked views, atomic
-// view operations, launch-argument typing, simulated queues/events, and
+// view operations, launch-argument typing, stateless simulated queues, and
 // work-group geometry.
 
 #include <gtest/gtest.h>
@@ -112,29 +112,30 @@ features::KernelFeatures trivialFeatures() {
   return f;
 }
 
-TEST(CommandQueue, InOrderTimeline) {
+TEST(CommandQueue, EnqueueReturnsThePhaseSecondsAndKeepsNoClock) {
   const auto machine = sim::makeMc2();
-  CommandQueue queue(machine.devices[1], ExecMode::TimeOnly, nullptr);
+  const sim::DeviceModel& device = machine.devices[1];
+  const CommandQueue queue(device, ExecMode::TimeOnly, nullptr);
 
-  const Event w = queue.enqueueWrite(1e6);
-  EXPECT_DOUBLE_EQ(w.start, 0.0);
-  EXPECT_GT(w.end, w.start);
+  // Transfers cost exactly the device model's time, however often and in
+  // whatever order they are enqueued: there is no timeline to advance.
+  const double w = queue.enqueueWrite(1e6);
+  EXPECT_EQ(w, device.transferTime(1e6));
+  EXPECT_GT(w, 0.0);
+  EXPECT_EQ(queue.enqueueRead(1e6), device.transferTime(1e6));
+  EXPECT_EQ(queue.enqueueWrite(1e6), w);
+  EXPECT_EQ(queue.enqueueRead(4e6), device.transferTime(4e6));
 
   WorkGroupCtx ctx;
   ctx.localSize = 64;
   ctx.globalSize = 4096;
   ctx.numGroups = 64;
-  const Event k = queue.enqueueKernel(trivialFeatures(), {}, 0, 64, ctx,
-                                      nullptr, LaunchArgs{});
-  EXPECT_DOUBLE_EQ(k.start, w.end);  // in-order
-  EXPECT_GT(k.duration(), 0.0);
-
-  const Event r = queue.enqueueRead(1e6);
-  EXPECT_DOUBLE_EQ(r.start, k.end);
-  EXPECT_DOUBLE_EQ(queue.now(), r.end);
-
-  queue.resetClock();
-  EXPECT_DOUBLE_EQ(queue.now(), 0.0);
+  const double k = queue.enqueueKernel(trivialFeatures(), {}, 0, 64, ctx,
+                                       nullptr, LaunchArgs{});
+  EXPECT_GT(k, 0.0);
+  EXPECT_EQ(queue.enqueueKernel(trivialFeatures(), {}, 0, 64, ctx, nullptr,
+                                LaunchArgs{}),
+            k);
 }
 
 TEST(CommandQueue, EmptyChunkCostsNothing) {
@@ -144,9 +145,9 @@ TEST(CommandQueue, EmptyChunkCostsNothing) {
   ctx.localSize = 64;
   ctx.globalSize = 1024;
   ctx.numGroups = 16;
-  const Event e = queue.enqueueKernel(trivialFeatures(), {}, 4, 4, ctx,
-                                      nullptr, LaunchArgs{});
-  EXPECT_DOUBLE_EQ(e.duration(), 0.0);
+  EXPECT_EQ(queue.enqueueKernel(trivialFeatures(), {}, 4, 4, ctx, nullptr,
+                                LaunchArgs{}),
+            0.0);
 }
 
 TEST(CommandQueue, ComputeModeExecutesEachGroupExactlyOnce) {
@@ -170,20 +171,17 @@ TEST(CommandQueue, ComputeModeExecutesEachGroupExactlyOnce) {
   }
 }
 
-TEST(Context, DevicesAndClocks) {
-  Context ctx(sim::makeMc1(), ExecMode::TimeOnly, nullptr);
+TEST(Context, OneStatelessQueuePerDevice) {
+  const auto machine = sim::makeMc1();
+  const Context ctx(machine, ExecMode::TimeOnly, nullptr);
   EXPECT_EQ(ctx.numDevices(), 3u);
   EXPECT_EQ(ctx.mode(), ExecMode::TimeOnly);
-  ctx.queue(0).enqueueWrite(1e6);
-  ctx.queue(2).enqueueWrite(1e6);
-  EXPECT_GT(ctx.queue(0).now(), 0.0);
-  EXPECT_DOUBLE_EQ(ctx.queue(1).now(), 0.0);  // queues are independent
-  ctx.resetClocks();
-  EXPECT_DOUBLE_EQ(ctx.queue(0).now(), 0.0);
-  EXPECT_DOUBLE_EQ(ctx.queue(2).now(), 0.0);
-
-  auto buf = ctx.createBuffer(ElemKind::F32, 32);
-  EXPECT_EQ(buf->size(), 32u);
+  for (std::size_t d = 0; d < ctx.numDevices(); ++d) {
+    // Each queue costs with its own device's model.
+    EXPECT_EQ(ctx.queue(d).device().name, machine.devices[d].name);
+    EXPECT_EQ(ctx.queue(d).enqueueWrite(1e6),
+              machine.devices[d].transferTime(1e6));
+  }
 }
 
 }  // namespace

@@ -1,8 +1,14 @@
 // Scheduler tests: simulated-timeline properties (concurrency, transfer
-// accounting, merge cost) and Compute-mode execution through the full
-// TaskBuilder path, including slice enforcement.
+// accounting, merge cost), reentrancy of one shared scheduler, and
+// Compute-mode execution through the full TaskBuilder path, including
+// slice enforcement.
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "runtime/compiler.hpp"
 #include "runtime/scheduler.hpp"
@@ -136,9 +142,9 @@ TEST(Scheduler, SingleDeviceMakespanMatchesQueueTime) {
   const auto& d = result.devices[0];
   EXPECT_EQ(d.device, 0u);
   EXPECT_DOUBLE_EQ(result.makespan, d.endTime);
-  EXPECT_NEAR(d.endTime,
-              d.transferInSeconds + d.kernelSeconds + d.transferOutSeconds,
-              1e-12);
+  // The device's timeline is its phases summed in enqueue order.
+  EXPECT_EQ(d.endTime,
+            d.transferInSeconds + d.kernelSeconds + d.transferOutSeconds);
   EXPECT_DOUBLE_EQ(result.mergeSeconds, 0.0);
 }
 
@@ -185,6 +191,62 @@ TEST(Scheduler, SplitBuffersTransferOnlyTheirSlice) {
   ASSERT_EQ(gpuSmall->device, 1u);
   EXPECT_NEAR(gpuSmall->transferInSeconds,
               full.devices[0].transferInSeconds * 0.1, 2e-5);
+}
+
+TEST(Scheduler, ConcurrentExecuteOnOneSchedulerMatchesSerial) {
+  // One scheduler (and context) shared by every thread, as a serving
+  // machine shares it: each execute() must see only its own timeline, so
+  // every concurrent result is bit-identical to the serial one.
+  vcl::Context ctx(sim::makeMc2(), vcl::ExecMode::TimeOnly, nullptr);
+  Scheduler scheduler(ctx);
+  const auto space = space3();
+  std::vector<Task> tasks;
+  for (const auto& [n, k] : {std::pair<std::size_t, int>{1 << 10, 10},
+                             std::pair<std::size_t, int>{1 << 16, 200},
+                             std::pair<std::size_t, int>{1 << 20, 2000}}) {
+    tasks.push_back(makeScaleTask(n, k));
+  }
+  struct Job {
+    const Task* task;
+    std::size_t label;
+  };
+  std::vector<Job> jobs;
+  std::vector<ExecutionResult> serial;
+  for (const Task& task : tasks) {
+    for (std::size_t label = 0; label < space.size(); ++label) {
+      jobs.push_back({&task, label});
+      serial.push_back(scheduler.execute(task, space.at(label)));
+    }
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 20;
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread walks the jobs from its own offset, so concurrent
+        // executions run different tasks and labels.
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          const std::size_t j = (i + t * jobs.size() / kThreads) % jobs.size();
+          const ExecutionResult r =
+              scheduler.execute(*jobs[j].task, space.at(jobs[j].label));
+          bool same = r.makespan == serial[j].makespan &&
+                      r.devices.size() == serial[j].devices.size();
+          for (std::size_t d = 0; same && d < r.devices.size(); ++d) {
+            same = r.devices[d].endTime == serial[j].devices[d].endTime;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(Scheduler, RejectsMismatchedPartitioning) {

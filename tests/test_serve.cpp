@@ -3,10 +3,11 @@
 // collision verification), counter consistency under ThreadPool
 // contention, striped latency reservoirs, feedback deduplication, and the
 // PartitionService end to end — served decisions equal the uncached
-// predict path on every path (hit, miss, probe, lane-exhausted), faults
-// reach the caller, latency is recorded once per served request, the
-// admission breaker judges each machine's own traffic, retrain swaps
-// models without deadlock, shutdown drains.
+// predict path on every path (hit, miss, probe), faults reach the
+// caller, latency is recorded once per served request, the admission
+// breaker sheds and recovers on the SLO burn rate, a blocked kernel does
+// not stall its machine, retrain swaps models without deadlock, shutdown
+// drains.
 
 #include <gtest/gtest.h>
 
@@ -228,8 +229,8 @@ TEST(DecisionCacheBasics, InsertVerifiesFullKeyAndCountsCollisions) {
 }
 
 TEST(DecisionCacheVersioning, FreshInsertSurvivesTheInvalidationSweep) {
-  // Deterministic replay of the retrain-vs-insert interleaving: a lane
-  // worker computes a decision under the *new* model version while
+  // Deterministic replay of the retrain-vs-insert interleaving: a
+  // request computes a decision under the *new* model version while
   // bumpVersion()'s sweep is still walking the table. The fresh entry
   // must survive the sweep; only stale-generation entries may be dropped.
   DecisionCache cache(8);
@@ -560,12 +561,10 @@ TEST(PartitionService, ConcurrentClientsGetConsistentDecisions) {
   EXPECT_GT(stats.cacheHitRate, 0.5);
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.cache.lookups);
   EXPECT_EQ(stats.cache.lookups, kClients * kRequests);  // one probe each
-  // Every distinct launch reached the model at least once; every hit that
-  // found a free lane counts as inline, and no miss does.
+  // Every distinct launch reached the model at least once; with no
+  // refiner probing, every hit counts as inline and no miss does.
   EXPECT_GE(stats.cache.misses, fx.tasks.size());
-  EXPECT_LE(stats.requestsInline, stats.cache.hits);
-  EXPECT_GE(stats.requestsInline + stats.inlineLaneExhausted,
-            stats.cache.hits);
+  EXPECT_EQ(stats.requestsInline, stats.cache.hits);
   EXPECT_EQ(stats.latency.count, kClients * kRequests);
   EXPECT_LE(stats.latency.p50Seconds, stats.latency.p95Seconds);
   // Feedback deduplicates to the distinct launches.
@@ -585,8 +584,8 @@ TEST(PartitionService, WarmHitsAreServedInline) {
   EXPECT_EQ(cold.requestsInline, 0u);
   EXPECT_EQ(cold.cache.misses, fx.tasks.size());
 
-  // Warm pass: every request hits the fingerprint cache and is served on
-  // an inline lane — no model inference, inline counter tracks exactly.
+  // Warm pass: every request hits the fingerprint cache and is served
+  // inline — no model inference, inline counter tracks exactly.
   for (int round = 0; round < 3; ++round) {
     for (std::size_t t = 0; t < fx.tasks.size(); ++t) {
       const auto r = fx.service->call(fx.request(t));
@@ -692,6 +691,15 @@ TEST(PartitionService, RejectsUnknownMachineAndBadConfig) {
                    fx.machine, std::shared_ptr<const ml::Classifier>(
                                    ml::makeClassifier("mostfreq"))),
                Error);
+  // A breaker judges only the SLO burn rate: enabling it without an SLO
+  // target would build a breaker that can never trip.
+  ServiceConfig noSlo;
+  noSlo.breaker.enabled = true;
+  EXPECT_THROW(PartitionService{noSlo}, Error);
+  noSlo.slo.windowSeconds = 1.0;  // a window alone sets no target
+  EXPECT_THROW(PartitionService{noSlo}, Error);
+  noSlo.slo.targetP99Seconds = 1e-3;
+  EXPECT_NO_THROW(PartitionService{noSlo});
   // Machines must be registered before traffic starts: the first admitted
   // request freezes the machine map.
   (void)fx.service->call(fx.request(0));
@@ -926,9 +934,8 @@ TEST(PartitionService, ExecutionFaultsReachTheCallerOnBothEntryPoints) {
   EXPECT_EQ(stats.latency.count, 0u);  // failed requests record no latency
 }
 
-TEST(PartitionService, OneInlineLaneUnderConcurrentClientsStaysConsistent) {
+TEST(PartitionService, SmallCacheUnderConcurrentClientsStaysConsistent) {
   ServiceConfig config;
-  config.inlineLanes = 1;
   config.cacheCapacity = 4;  // fewer slots than launches: misses recur
   ServiceFixture fx(config);
   std::vector<std::size_t> expected;
@@ -936,31 +943,26 @@ TEST(PartitionService, OneInlineLaneUnderConcurrentClientsStaysConsistent) {
     expected.push_back(fx.service->predictLabel(fx.machine.name, task));
   }
 
-  // Waves of 4 clients over one lane until some request found the lane
-  // busy; on a multi-core host the first wave almost always does, and a
-  // single core gets there once a client is preempted holding the lane.
+  // 4 clients interleave hits, misses and evictions, all executing on the
+  // machine's one shared scheduler.
   constexpr std::size_t kClients = 4;
   constexpr std::size_t kRequests = 200;
   std::atomic<std::uint64_t> mismatches{0};
-  for (int wave = 0;
-       wave < 100 && fx.service->stats().inlineLaneExhausted == 0; ++wave) {
-    std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (std::size_t r = 0; r < kRequests; ++r) {
-          const std::size_t t = (c + r * 7) % fx.tasks.size();
-          if (fx.service->call(fx.request(t)).label != expected[t]) {
-            mismatches.fetch_add(1);
-          }
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t r = 0; r < kRequests; ++r) {
+        const std::size_t t = (c + r * 7) % fx.tasks.size();
+        if (fx.service->call(fx.request(t)).label != expected[t]) {
+          mismatches.fetch_add(1);
         }
-      });
-    }
-    for (auto& c : clients) c.join();
+      }
+    });
   }
+  for (auto& c : clients) c.join();
 
   EXPECT_EQ(mismatches.load(), 0u);
   const auto stats = fx.service->stats();
-  EXPECT_GT(stats.inlineLaneExhausted, 0u);
   EXPECT_GT(stats.cache.hits, 0u);
   EXPECT_GT(stats.cache.misses, fx.tasks.size());
   EXPECT_EQ(stats.requestsSubmitted,
@@ -1089,34 +1091,24 @@ TEST(PartitionService, LoadShedHealthRuleEmitsOneBreachClearPair) {
   EXPECT_EQ(clears, 1u);
 }
 
-TEST(PartitionService, BreakerLaneArmJudgesOnlyItsOwnMachinesTraffic) {
-  // SLO off, so only the lane-exhaustion arm can trip. Compute mode lets
-  // a blocking kernel hold machine A's only inline lane while more A
-  // requests arrive; machine B sees no traffic at all.
+TEST(PartitionService, BlockedKernelDoesNotStallItsMachine) {
+  // Every request of a machine executes on its one shared scheduler, with
+  // no lock around it. A Compute-mode kernel that blocks must hold only
+  // its own caller: a second request for the same machine completes while
+  // the first is still blocked.
   ServiceConfig config;
   config.execMode = vcl::ExecMode::Compute;
-  config.inlineLanes = 1;
-  config.breaker.enabled = true;
-  config.breaker.tripAfter = 2;
-  config.breaker.clearAfter = 2;
-  config.breaker.evalEvery = std::uint64_t{1} << 30;
   ServiceFixture fx(config);
-  const std::string a = fx.machine.name;
-  sim::MachineConfig other = fx.machine;
-  other.name = a + "-b";
-  fx.service->addMachine(other, fx.service->deployedModels().front().model);
-  const std::string& b = other.name;
-
-  const auto request = [](const std::string& machine,
-                          const runtime::Task& task) {
+  const auto request = [&](const runtime::Task& task) {
     LaunchRequest r;
-    r.machine = machine;
+    r.machine = fx.machine.name;
     r.task = task;
     return r;
   };
-  runtime::Task bounced = makeScaleTask(128, 10);
-  bounced.native = [](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {};
-  std::atomic<int> gate{0};  // 0 armed, 1 holding A's lane, 2 released
+  runtime::Task quick = makeScaleTask(128, 10);
+  quick.native = [](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {};
+  // One work-group: the kernel runs on the calling thread, not the pool.
+  std::atomic<int> gate{0};  // 0 armed, 1 blocked in the kernel, 2 released
   runtime::Task blocking = makeScaleTask(64, 10);
   blocking.native = [&gate](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {
     int armed = 0;
@@ -1124,44 +1116,28 @@ TEST(PartitionService, BreakerLaneArmJudgesOnlyItsOwnMachinesTraffic) {
       while (gate.load() != 2) std::this_thread::yield();
     }
   };
-  std::thread holder([&] { (void)fx.service->call(request(a, blocking)); });
+  std::thread holder([&] { (void)fx.service->call(request(blocking)); });
   while (gate.load() != 1) std::this_thread::yield();
 
-  // Two rounds in which every A request runs lane-exhausted, each judged
-  // on both machines: A trips after the second, B has nothing to judge.
-  constexpr std::size_t kPerRound = 64;
-  bool bOpened = false;
-  bool aOpenAfterFirst = false;
-  for (int round = 0; round < 2; ++round) {
-    for (std::size_t i = 0; i < kPerRound; ++i) {
-      (void)fx.service->call(request(a, bounced));
-    }
-    fx.service->evaluateBreakerNow(b);
-    bOpened = bOpened || fx.service->breakerOpen(b);
-    fx.service->evaluateBreakerNow(a);
-    if (round == 0) aOpenAfterFirst = fx.service->breakerOpen(a);
-  }
-  const bool aOpen = fx.service->breakerOpen(a);
+  // Wait with a deadline, so a re-serialized scheduler fails the test
+  // instead of hanging it.
+  std::future<LaunchResponse> second = std::async(
+      std::launch::async, [&] { return fx.service->call(request(quick)); });
+  const bool servedWhileBlocked =
+      second.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
   gate.store(2);
   holder.join();
 
-  EXPECT_FALSE(bOpened) << "A's exhausted lanes must not shed B";
-  EXPECT_FALSE(aOpenAfterFirst);  // hysteresis: one hot evaluation arms
-  EXPECT_TRUE(aOpen);
-  EXPECT_FALSE(fx.service->call(request(b, bounced)).shed);
-  EXPECT_TRUE(fx.service->call(request(a, bounced)).shed);
+  EXPECT_TRUE(servedWhileBlocked);
+  EXPECT_GT(second.get().execution.makespan, 0.0);
   const auto stats = fx.service->stats();
-  EXPECT_EQ(stats.inlineLaneExhausted, 2 * kPerRound);
-  EXPECT_EQ(stats.breakerTrips, 1u);
+  EXPECT_EQ(stats.requestsCompleted, 2u);
+  EXPECT_EQ(stats.requestsFailed, 0u);
 }
 
 TEST(PartitionService, LatencyIsRecordedOncePerServedRequestOnEveryPath) {
-  // Compute mode runs each launch's native kernel on the executing
-  // thread, which lets one request hold the only inline lane while
-  // another arrives. Refinement on, so warm traffic also probes.
+  // Refinement on, so warm traffic also probes.
   ServiceConfig config = overloadedConfig();
-  config.execMode = vcl::ExecMode::Compute;
-  config.inlineLanes = 1;
   config.refine = true;
   config.refiner.exploreFraction = 0.5;
   config.refiner.seed = 5;
@@ -1171,8 +1147,6 @@ TEST(PartitionService, LatencyIsRecordedOncePerServedRequestOnEveryPath) {
   std::vector<runtime::Task> tasks;
   for (const std::size_t n : {64u, 128u, 256u, 512u}) {
     tasks.push_back(makeScaleTask(n, 10));
-    tasks.back().native = [](const vcl::WorkGroupCtx&,
-                             const vcl::LaunchArgs&) {};
   }
   const auto request = [&](const runtime::Task& task) {
     LaunchRequest r;
@@ -1185,23 +1159,6 @@ TEST(PartitionService, LatencyIsRecordedOncePerServedRequestOnEveryPath) {
   for (int round = 0; round < 20; ++round) {
     for (const auto& task : tasks) (void)fx.service->call(request(task));
   }
-
-  // Forced lane exhaustion: a one-work-group launch whose kernel blocks
-  // until released keeps the only lane busy while the next request runs.
-  std::atomic<int> gate{0};  // 0 armed, 1 holding the lane, 2 released
-  runtime::Task blocking = tasks[0];
-  blocking.native = [&gate](const vcl::WorkGroupCtx&, const vcl::LaunchArgs&) {
-    int armed = 0;
-    if (gate.compare_exchange_strong(armed, 1)) {
-      while (gate.load() != 2) std::this_thread::yield();
-    }
-  };
-  std::thread holder([&] { (void)fx.service->call(request(blocking)); });
-  while (gate.load() != 1) std::this_thread::yield();
-  const auto bounced = fx.service->call(request(tasks[1]));
-  gate.store(2);
-  holder.join();
-  EXPECT_GT(bounced.execution.makespan, 0.0);
 
   // A shed request: fresh samples breach the impossible SLO, and two hot
   // evaluations open the breaker.
@@ -1217,7 +1174,6 @@ TEST(PartitionService, LatencyIsRecordedOncePerServedRequestOnEveryPath) {
   EXPECT_GE(stats.cache.misses, tasks.size());
   EXPECT_GT(stats.cache.hits, 0u);
   EXPECT_GT(stats.refiner.explorations, 0u);
-  EXPECT_GE(stats.inlineLaneExhausted, 1u);
   EXPECT_EQ(stats.requestsShed, 1u);
   EXPECT_EQ(stats.requestsFailed, 0u);
   EXPECT_EQ(stats.latency.count,
