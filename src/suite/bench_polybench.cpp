@@ -46,8 +46,6 @@ __kernel void conv2d(__global const float* in, __global const float* coef,
     auto in = randomFloatBuffer(n, rng);
     auto coef = randomFloatBuffer(9, rng);
     auto out = zeroFloatBuffer(n);
-    const auto in0 = in->toVector<float>();
-    const auto c0 = coef->toVector<float>();
 
     auto convAt = [](const std::vector<float>& in,
                      const std::vector<float>& coef, std::size_t idx,
@@ -106,7 +104,9 @@ __kernel void conv2d(__global const float* in, __global const float* coef,
               }
             })
             .build();
-    inst.verify = [out, in0, c0, edge, convAt](std::string* error) {
+    inst.verify = [out, in, coef, edge, convAt](std::string* error) {
+      const auto in0 = in->pristine<float>();
+      const auto c0 = coef->pristine<float>();
       const std::size_t n = edge * edge;
       std::vector<float> expected(n);
       for (std::size_t idx = 0; idx < n; ++idx) {
@@ -145,8 +145,6 @@ __kernel void bicg(__global const float* A, __global const float* r,
     auto A = randomFloatBuffer(kRows * cols, rng);
     auto r = randomFloatBuffer(kRows, rng);
     auto s = zeroFloatBuffer(cols);
-    const auto A0 = A->toVector<float>();
-    const auto r0 = r->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -178,7 +176,9 @@ __kernel void bicg(__global const float* A, __global const float* r,
               }
             })
             .build();
-    inst.verify = [s, A0, r0, cols](std::string* error) {
+    inst.verify = [s, A, r, cols](std::string* error) {
+      const auto A0 = A->pristine<float>();
+      const auto r0 = r->pristine<float>();
       std::vector<float> expected(cols);
       for (std::size_t j = 0; j < cols; ++j) {
         float acc = 0.0f;

@@ -41,8 +41,6 @@ __kernel void nn(__global const float* lat, __global const float* lng,
     auto lng = randomFloatBuffer(n, rng, -180.0f, 180.0f);
     auto dist = zeroFloatBuffer(n);
     const float tlat = 30.0f, tlng = -40.0f;
-    const auto lat0 = lat->toVector<float>();
-    const auto lng0 = lng->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task = TaskBuilder(compiled, "nn")
@@ -70,7 +68,9 @@ __kernel void nn(__global const float* lat, __global const float* lng,
                       }
                     })
                     .build();
-    inst.verify = [dist, lat0, lng0, tlat, tlng](std::string* error) {
+    inst.verify = [dist, lat, lng, tlat, tlng](std::string* error) {
+      const auto lat0 = lat->pristine<float>();
+      const auto lng0 = lng->pristine<float>();
       std::vector<float> expected(lat0.size());
       for (std::size_t i = 0; i < lat0.size(); ++i) {
         const float dlat = lat0[i] - tlat;
@@ -129,8 +129,6 @@ __kernel void hotspot(__global const float* temp, __global const float* power,
     auto power = randomFloatBuffer(n, rng, 0.0f, 1.0f);
     auto out = zeroFloatBuffer(n);
     const float cap = 0.5f, rx = 1.0f, ry = 1.0f, rz = 4.0f, amb = 300.0f;
-    const auto t0 = temp->toVector<float>();
-    const auto p0 = power->toVector<float>();
 
     auto updateAt = [](const std::vector<float>& temp,
                        const std::vector<float>& power, std::size_t idx,
@@ -193,8 +191,10 @@ __kernel void hotspot(__global const float* temp, __global const float* power,
               }
             })
             .build();
-    inst.verify = [out, t0, p0, edge, cap, rx, ry, rz, amb,
+    inst.verify = [out, temp, power, edge, cap, rx, ry, rz, amb,
                    updateAt](std::string* error) {
+      const auto t0 = temp->pristine<float>();
+      const auto p0 = power->pristine<float>();
       const std::size_t n = edge * edge;
       std::vector<float> expected(n);
       for (std::size_t idx = 0; idx < n; ++idx) {
@@ -264,7 +264,6 @@ __kernel void srad(__global const float* img, __global float* out,
     auto img = randomFloatBuffer(n, rng, 0.05f, 1.0f);
     auto out = zeroFloatBuffer(n);
     const float lambda = 0.5f, q0 = 0.2f;
-    const auto i0 = img->toVector<float>();
 
     auto sradAt = [](const std::vector<float>& img, std::size_t idx,
                      std::size_t width, std::size_t height, float lambda,
@@ -332,7 +331,8 @@ __kernel void srad(__global const float* img, __global float* out,
               }
             })
             .build();
-    inst.verify = [out, i0, edge, lambda, q0, sradAt](std::string* error) {
+    inst.verify = [out, img, edge, lambda, q0, sradAt](std::string* error) {
+      const auto i0 = img->pristine<float>();
       const std::size_t n = edge * edge;
       std::vector<float> expected(n);
       for (std::size_t idx = 0; idx < n; ++idx) {
@@ -379,8 +379,6 @@ __kernel void pathfinder(__global const int* wall, __global const int* src,
     auto wall = randomIntBuffer(n, rng, 0, 9);
     auto srcRow = randomIntBuffer(n, rng, 0, 100);
     auto dst = zeroIntBuffer(n);
-    const auto w0 = wall->toVector<int>();
-    const auto s0 = srcRow->toVector<int>();
 
     BenchmarkInstance inst;
     inst.task = TaskBuilder(compiled, "pathfinder")
@@ -407,7 +405,9 @@ __kernel void pathfinder(__global const int* wall, __global const int* src,
                       }
                     })
                     .build();
-    inst.verify = [dst, w0, s0](std::string* error) {
+    inst.verify = [dst, wall, srcRow](std::string* error) {
+      const auto w0 = wall->pristine<int>();
+      const auto s0 = srcRow->pristine<int>();
       const std::size_t n = w0.size();
       std::vector<int> expected(n);
       for (std::size_t x = 0; x < n; ++x) {
@@ -450,19 +450,12 @@ __kernel void bfs(__global const int* rowptr, __global const int* cols,
   bench.make = [compiled](std::size_t n) {
     common::Rng rng(instanceSeed("bfs", n));
     // Random graph, 1..8 out-edges per node; ~25% of nodes in the frontier.
-    std::vector<int> rowptrV(n + 1, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      rowptrV[v + 1] = rowptrV[v] + static_cast<int>(rng.range(1, 8));
-    }
-    const auto edges = static_cast<std::size_t>(rowptrV[n]);
-    auto rowptr = std::make_shared<vcl::Buffer>(vcl::ElemKind::I32, n + 1);
-    rowptr->fill(rowptrV);
+    std::size_t edges = 0;
+    auto rowptr = randomRowPtrBuffer(n, rng, 1, 8, &edges);
     auto cols = randomIntBuffer(edges, rng, 0, static_cast<int>(n) - 1);
     auto frontier = randomIntBuffer(n, rng, 0, 3);  // level ∈ {0..3}
     auto touched = zeroIntBuffer(n);
     const int level = 1;
-    const auto c0 = cols->toVector<int>();
-    const auto f0 = frontier->toVector<int>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -496,7 +489,10 @@ __kernel void bfs(__global const int* rowptr, __global const int* cols,
               }
             })
             .build();
-    inst.verify = [touched, rowptrV, c0, f0, level](std::string* error) {
+    inst.verify = [touched, rowptr, cols, frontier, level](std::string* error) {
+      const auto rowptrV = rowptr->pristine<int>();
+      const auto c0 = cols->pristine<int>();
+      const auto f0 = frontier->pristine<int>();
       const std::size_t n = f0.size();
       std::vector<int> expected(n, 0);
       for (std::size_t v = 0; v < n; ++v) {
@@ -552,8 +548,6 @@ __kernel void kmeans(__global const float* points,
     auto centroids = randomFloatBuffer(
         static_cast<std::size_t>(kClusters) * kDim, rng);
     auto assign = zeroIntBuffer(n);
-    const auto p0 = points->toVector<float>();
-    const auto ctr0 = centroids->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -597,7 +591,9 @@ __kernel void kmeans(__global const float* points,
               }
             })
             .build();
-    inst.verify = [assign, p0, ctr0](std::string* error) {
+    inst.verify = [assign, points, centroids](std::string* error) {
+      const auto p0 = points->pristine<float>();
+      const auto ctr0 = centroids->pristine<float>();
       const std::size_t n = p0.size() / kDim;
       std::vector<int> expected(n);
       for (std::size_t i = 0; i < n; ++i) {

@@ -55,7 +55,6 @@ __kernel void reduction(__global const float* in, __global float* partial,
     const std::size_t groups = n / kLocal;
     auto partial = zeroFloatBuffer(groups);
     auto scratchDummy = zeroFloatBuffer(kLocal);
-    const auto in0 = in->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -86,7 +85,8 @@ __kernel void reduction(__global const float* in, __global float* partial,
               partial[wg.groupId] = scratch[0];
             })
             .build();
-    inst.verify = [partial, in0](std::string* error) {
+    inst.verify = [partial, in](std::string* error) {
+      const auto in0 = in->pristine<float>();
       const std::size_t groups = partial->size();
       const std::size_t local = in0.size() / groups;
       std::vector<float> expected(groups);
@@ -133,20 +133,12 @@ __kernel void spmv(__global const int* rowptr, __global const int* colidx,
   bench.make = [compiled](std::size_t n) {
     common::Rng rng(instanceSeed("spmv", n));
     // CSR with 1..16 nonzeros per row (mean ~8), random columns.
-    std::vector<int> rowptrV(n + 1, 0);
-    for (std::size_t r = 0; r < n; ++r) {
-      rowptrV[r + 1] = rowptrV[r] + static_cast<int>(rng.range(1, 16));
-    }
-    const auto nnz = static_cast<std::size_t>(rowptrV[n]);
-    auto rowptr = std::make_shared<vcl::Buffer>(vcl::ElemKind::I32, n + 1);
-    rowptr->fill(rowptrV);
+    std::size_t nnz = 0;
+    auto rowptr = randomRowPtrBuffer(n, rng, 1, 16, &nnz);
     auto colidx = randomIntBuffer(nnz, rng, 0, static_cast<int>(n) - 1);
     auto val = randomFloatBuffer(nnz, rng);
     auto x = randomFloatBuffer(n, rng);
     auto y = zeroFloatBuffer(n);
-    const auto col0 = colidx->toVector<int>();
-    const auto val0 = val->toVector<float>();
-    const auto x0 = x->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -181,7 +173,11 @@ __kernel void spmv(__global const int* rowptr, __global const int* colidx,
               }
             })
             .build();
-    inst.verify = [y, rowptrV, col0, val0, x0, n](std::string* error) {
+    inst.verify = [y, rowptr, colidx, val, x, n](std::string* error) {
+      const auto rowptrV = rowptr->pristine<int>();
+      const auto col0 = colidx->pristine<int>();
+      const auto val0 = val->pristine<float>();
+      const auto x0 = x->pristine<float>();
       std::vector<float> expected(n);
       for (std::size_t row = 0; row < n; ++row) {
         float acc = 0.0f;
@@ -247,27 +243,17 @@ __kernel void md(__global const float* px, __global const float* py,
     auto pz = randomFloatBuffer(n, rng, 0.0f, 10.0f);
     // Neighbor lists never contain the particle itself (self-interaction
     // would divide by r² = 0).
-    auto neigh = std::make_shared<vcl::Buffer>(vcl::ElemKind::I32,
-                                               n * kMaxNeigh);
-    {
-      int* nb = neigh->data<int>();
-      for (std::size_t i = 0; i < n; ++i) {
-        for (int k = 0; k < kMaxNeigh; ++k) {
+    auto neigh = drawnBuffer<int>(
+        n * kMaxNeigh, rng, [n](common::Rng& r, std::size_t slot) {
+          const std::size_t i = slot / kMaxNeigh;
           const auto offset =
-              static_cast<std::size_t>(rng.range(1, static_cast<int>(n) - 1));
-          nb[i * kMaxNeigh + static_cast<std::size_t>(k)] =
-              static_cast<int>((i + offset) % n);
-        }
-      }
-    }
+              static_cast<std::size_t>(r.range(1, static_cast<int>(n) - 1));
+          return static_cast<int>((i + offset) % n);
+        });
     auto fx = zeroFloatBuffer(n);
     auto fy = zeroFloatBuffer(n);
     auto fz = zeroFloatBuffer(n);
     const float cutsq = 4.0f, lj1 = 1.5f, lj2 = 2.0f;
-    const auto x0 = px->toVector<float>();
-    const auto y0 = py->toVector<float>();
-    const auto z0 = pz->toVector<float>();
-    const auto nb0 = neigh->toVector<int>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -326,8 +312,12 @@ __kernel void md(__global const float* px, __global const float* py,
               }
             })
             .build();
-    inst.verify = [fx, fy, fz, x0, y0, z0, nb0, cutsq, lj1,
+    inst.verify = [fx, fy, fz, px, py, pz, neigh, cutsq, lj1,
                    lj2](std::string* error) {
+      const auto x0 = px->pristine<float>();
+      const auto y0 = py->pristine<float>();
+      const auto z0 = pz->pristine<float>();
+      const auto nb0 = neigh->pristine<int>();
       const std::size_t n = x0.size();
       std::vector<float> ex(n), ey(n), ez(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -398,7 +388,6 @@ __kernel void stencil2d(__global const float* in, __global float* out,
     auto in = randomFloatBuffer(n, rng);
     auto out = zeroFloatBuffer(n);
     const float c0 = 0.6f, c1 = 0.1f;
-    const auto in0 = in->toVector<float>();
 
     auto stencilAt = [](const std::vector<float>& grid, std::size_t idx,
                         std::size_t width, std::size_t height, float c0,
@@ -445,7 +434,8 @@ __kernel void stencil2d(__global const float* in, __global float* out,
               }
             })
             .build();
-    inst.verify = [out, in0, edge, c0, c1, stencilAt](std::string* error) {
+    inst.verify = [out, in, edge, c0, c1, stencilAt](std::string* error) {
+      const auto in0 = in->pristine<float>();
       const std::size_t n = edge * edge;
       std::vector<float> expected(n);
       for (std::size_t idx = 0; idx < n; ++idx) {
@@ -485,7 +475,6 @@ __kernel void sortrank(__global const float* in, __global int* rank, int n) {
     common::Rng rng(instanceSeed("sortrank", n));
     auto in = randomFloatBuffer(n, rng);
     auto rank = zeroIntBuffer(n);
-    const auto in0 = in->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -514,7 +503,8 @@ __kernel void sortrank(__global const float* in, __global int* rank, int n) {
               }
             })
             .build();
-    inst.verify = [rank, in0](std::string* error) {
+    inst.verify = [rank, in](std::string* error) {
+      const auto in0 = in->pristine<float>();
       const std::size_t n = in0.size();
       std::vector<int> expected(n, 0);
       for (std::size_t i = 0; i < n; ++i) {
@@ -571,8 +561,6 @@ __kernel void fftstage(__global const float* re, __global const float* im,
     auto outRe = zeroFloatBuffer(n);
     auto outIm = zeroFloatBuffer(n);
     const int stride = static_cast<int>(n / 2);
-    const auto re0 = re->toVector<float>();
-    const auto im0 = im->toVector<float>();
 
     auto butterfly = [](const std::vector<float>& re,
                         const std::vector<float>& im, std::size_t i,
@@ -641,8 +629,10 @@ __kernel void fftstage(__global const float* re, __global const float* im,
               }
             })
             .build();
-    inst.verify = [outRe, outIm, re0, im0, stride,
+    inst.verify = [outRe, outIm, re, im, stride,
                    butterfly](std::string* error) {
+      const auto re0 = re->pristine<float>();
+      const auto im0 = im->pristine<float>();
       const std::size_t n = re0.size();
       std::vector<float> eRe(n), eIm(n);
       for (std::size_t i = 0; i < n; ++i) {

@@ -39,8 +39,6 @@ __kernel void vecadd(__global const float* a, __global const float* b,
     auto a = randomFloatBuffer(n, rng);
     auto b = randomFloatBuffer(n, rng);
     auto c = zeroFloatBuffer(n);
-    const auto a0 = a->toVector<float>();
-    const auto b0 = b->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task = TaskBuilder(compiled, "vecadd")
@@ -61,7 +59,9 @@ __kernel void vecadd(__global const float* a, __global const float* b,
                       }
                     })
                     .build();
-    inst.verify = [c, a0, b0](std::string* error) {
+    inst.verify = [c, a, b](std::string* error) {
+      const auto a0 = a->pristine<float>();
+      const auto b0 = b->pristine<float>();
       std::vector<float> expected(a0.size());
       for (std::size_t i = 0; i < a0.size(); ++i) expected[i] = a0[i] + b0[i];
       return verifyFloat(*c, expected, 1e-6, error);
@@ -94,8 +94,6 @@ __kernel void saxpy(__global const float* x, __global float* y,
     auto x = randomFloatBuffer(n, rng);
     auto y = randomFloatBuffer(n, rng);
     const float alpha = 2.5f;
-    const auto x0 = x->toVector<float>();
-    const auto y0 = y->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task = TaskBuilder(compiled, "saxpy")
@@ -117,7 +115,9 @@ __kernel void saxpy(__global const float* x, __global float* y,
                       }
                     })
                     .build();
-    inst.verify = [y, x0, y0, alpha](std::string* error) {
+    inst.verify = [y, x, alpha](std::string* error) {
+      const auto x0 = x->pristine<float>();
+      const auto y0 = y->pristine<float>();
       std::vector<float> expected(x0.size());
       for (std::size_t i = 0; i < x0.size(); ++i) {
         expected[i] = alpha * x0[i] + y0[i];
@@ -171,8 +171,6 @@ __kernel void dotprod(__global const float* a, __global const float* b,
     const std::size_t groups = n / kLocal;
     auto partial = zeroFloatBuffer(groups);
     auto scratchDummy = zeroFloatBuffer(kLocal);  // __local placeholder
-    const auto a0 = a->toVector<float>();
-    const auto b0 = b->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -208,7 +206,9 @@ __kernel void dotprod(__global const float* a, __global const float* b,
               partial[wg.groupId] = scratch[0];
             })
             .build();
-    inst.verify = [partial, a0, b0](std::string* error) {
+    inst.verify = [partial, a, b](std::string* error) {
+      const auto a0 = a->pristine<float>();
+      const auto b0 = b->pristine<float>();
       const std::size_t groups = partial->size();
       const std::size_t local = a0.size() / groups;
       std::vector<float> expected(groups);
@@ -259,8 +259,6 @@ __kernel void matmul(__global const float* A, __global const float* B,
     auto A = randomFloatBuffer(n * n, rng);
     auto B = randomFloatBuffer(n * n, rng);
     auto C = zeroFloatBuffer(n * n);
-    const auto A0 = A->toVector<float>();
-    const auto B0 = B->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -294,7 +292,9 @@ __kernel void matmul(__global const float* A, __global const float* B,
               }
             })
             .build();
-    inst.verify = [C, A0, B0, n](std::string* error) {
+    inst.verify = [C, A, B, n](std::string* error) {
+      const auto A0 = A->pristine<float>();
+      const auto B0 = B->pristine<float>();
       std::vector<float> expected(n * n);
       for (std::size_t idx = 0; idx < n * n; ++idx) {
         const std::size_t row = idx / n;
@@ -338,8 +338,6 @@ __kernel void matvec(__global const float* A, __global const float* x,
     auto A = randomFloatBuffer(n * kCols, rng);
     auto x = randomFloatBuffer(kCols, rng);
     auto y = zeroFloatBuffer(n);
-    const auto A0 = A->toVector<float>();
-    const auto x0 = x->toVector<float>();
 
     BenchmarkInstance inst;
     inst.task =
@@ -368,7 +366,9 @@ __kernel void matvec(__global const float* A, __global const float* x,
               }
             })
             .build();
-    inst.verify = [y, A0, x0, n](std::string* error) {
+    inst.verify = [y, A, x, n](std::string* error) {
+      const auto A0 = A->pristine<float>();
+      const auto x0 = x->pristine<float>();
       std::vector<float> expected(n);
       for (std::size_t row = 0; row < n; ++row) {
         float acc = 0.0f;
@@ -447,9 +447,6 @@ __kernel void blackscholes(__global const float* sp, __global const float* xp,
     auto put = zeroFloatBuffer(n);
     const float r = 0.02f;
     const float v = 0.30f;
-    const auto s0 = sp->toVector<float>();
-    const auto x0 = xp->toVector<float>();
-    const auto t0 = t->toVector<float>();
 
     auto priceOne = [](float s, float x, float tt, float r, float v,
                        float* outCall, float* outPut) {
@@ -499,7 +496,10 @@ __kernel void blackscholes(__global const float* sp, __global const float* xp,
               }
             })
             .build();
-    inst.verify = [call, put, s0, x0, t0, r, v, priceOne](std::string* error) {
+    inst.verify = [call, put, sp, xp, t, r, v, priceOne](std::string* error) {
+      const auto s0 = sp->pristine<float>();
+      const auto x0 = xp->pristine<float>();
+      const auto t0 = t->pristine<float>();
       std::vector<float> expectedCall(s0.size()), expectedPut(s0.size());
       for (std::size_t i = 0; i < s0.size(); ++i) {
         priceOne(s0[i], x0[i], t0[i], r, v, &expectedCall[i], &expectedPut[i]);
@@ -625,7 +625,6 @@ __kernel void histogram(__global const int* data, __global int* bins,
     common::Rng rng(instanceSeed("histogram", n));
     auto data = randomIntBuffer(n, rng, 0, 1 << 20);
     auto bins = zeroIntBuffer(kBins);
-    const auto d0 = data->toVector<int>();
 
     BenchmarkInstance inst;
     inst.task = TaskBuilder(compiled, "histogram")
@@ -649,7 +648,8 @@ __kernel void histogram(__global const int* data, __global int* bins,
                       }
                     })
                     .build();
-    inst.verify = [bins, d0](std::string* error) {
+    inst.verify = [bins, data](std::string* error) {
+      const auto d0 = data->pristine<int>();
       std::vector<int> expected(kBins, 0);
       for (const int v : d0) {
         int b = v % kBins;
@@ -709,9 +709,6 @@ __kernel void nbody(__global const float* px, __global const float* py,
     auto ay = zeroFloatBuffer(n);
     auto az = zeroFloatBuffer(n);
     const float eps = 1e-4f;
-    const auto x0 = px->toVector<float>();
-    const auto y0 = py->toVector<float>();
-    const auto z0 = pz->toVector<float>();
 
     auto forceOne = [](const std::vector<float>& xs,
                        const std::vector<float>& ys,
@@ -780,7 +777,10 @@ __kernel void nbody(__global const float* px, __global const float* py,
               }
             })
             .build();
-    inst.verify = [ax, ay, az, x0, y0, z0, eps, forceOne](std::string* error) {
+    inst.verify = [ax, ay, az, px, py, pz, eps, forceOne](std::string* error) {
+      const auto x0 = px->pristine<float>();
+      const auto y0 = py->pristine<float>();
+      const auto z0 = pz->pristine<float>();
       const std::size_t n = x0.size();
       std::vector<float> ex(n), ey(n), ez(n);
       for (std::size_t i = 0; i < n; ++i) {

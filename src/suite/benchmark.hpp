@@ -6,13 +6,17 @@
 // Every benchmark provides:
 //   - the OpenCL-C-subset kernel source, compiled once through the full
 //     pipeline (parse → verify → static features → access classification);
-//   - a factory that, for a given problem size, allocates deterministic
-//     input data and produces a ready-to-run Task plus a verifier;
+//   - a factory that, for a given problem size, produces a ready-to-run
+//     Task over deterministic, lazily generated inputs (suite_util.hpp:
+//     no element memory exists until something reads the data, so
+//     TimeOnly runs never allocate it) plus a verifier;
 //   - a ladder of problem sizes used by the training sweep (chosen to
 //     straddle the CPU/GPU crossover on the simulated machines).
 //
 // Instances are single-use: execute the Task once (Compute mode), then call
-// verify(); inputs are captured at creation for reference computation.
+// verify(); it regenerates the creation-time inputs (Buffer::pristine) for
+// the reference computation, so kernels that update an input in place are
+// checked against the values they started from.
 
 #include <functional>
 #include <string>

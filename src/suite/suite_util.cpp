@@ -19,22 +19,38 @@ std::uint64_t instanceSeed(const std::string& name, std::size_t n) {
 std::shared_ptr<vcl::Buffer> randomFloatBuffer(std::size_t n,
                                                common::Rng& rng, float lo,
                                                float hi) {
-  auto buf = std::make_shared<vcl::Buffer>(vcl::ElemKind::F32, n);
-  float* data = buf->data<float>();
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = static_cast<float>(rng.uniform(lo, hi));
-  }
-  return buf;
+  return drawnBuffer<float>(n, rng, [lo, hi](common::Rng& r, std::size_t) {
+    return static_cast<float>(r.uniform(lo, hi));
+  });
 }
 
 std::shared_ptr<vcl::Buffer> randomIntBuffer(std::size_t n, common::Rng& rng,
                                              int lo, int hi) {
-  auto buf = std::make_shared<vcl::Buffer>(vcl::ElemKind::I32, n);
-  int* data = buf->data<int>();
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = static_cast<int>(rng.range(lo, hi));
+  return drawnBuffer<int>(n, rng, [lo, hi](common::Rng& r, std::size_t) {
+    return static_cast<int>(r.range(lo, hi));
+  });
+}
+
+std::shared_ptr<vcl::Buffer> randomRowPtrBuffer(std::size_t rows,
+                                                common::Rng& rng,
+                                                int minPerRow, int maxPerRow,
+                                                std::size_t* entries) {
+  const common::Rng start = rng;
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    total += static_cast<std::size_t>(rng.range(minPerRow, maxPerRow));
   }
-  return buf;
+  *entries = total;
+  return std::make_shared<vcl::Buffer>(
+      vcl::ElemKind::I32, rows + 1,
+      [start, rows, minPerRow, maxPerRow](void* storage) {
+        common::Rng replay = start;
+        int* out = static_cast<int*>(storage);
+        for (std::size_t r = 0; r < rows; ++r) {
+          out[r + 1] =
+              out[r] + static_cast<int>(replay.range(minPerRow, maxPerRow));
+        }
+      });
 }
 
 std::shared_ptr<vcl::Buffer> zeroFloatBuffer(std::size_t n) {
@@ -59,7 +75,10 @@ bool verifyFloat(const vcl::Buffer& actual, const std::vector<float>& expected,
   for (std::size_t i = 0; i < expected.size(); ++i) {
     const double diff = std::fabs(static_cast<double>(a[i]) - expected[i]);
     const double scale = std::max(1.0, std::fabs(static_cast<double>(expected[i])));
-    if (diff > tolerance * scale || std::isnan(a[i])) {
+    // A NaN on either side is a mismatch: with a NaN reference, diff and
+    // scale would swallow it and every value would pass.
+    if (std::isnan(a[i]) || std::isnan(expected[i]) ||
+        diff > tolerance * scale) {
       if (error != nullptr) {
         std::ostringstream os;
         os << "element " << i << ": got " << a[i] << ", expected "

@@ -1,6 +1,6 @@
-// vcl (virtual OpenCL) layer tests: buffers, bounds-checked views, atomic
-// view operations, launch-argument typing, stateless simulated queues, and
-// work-group geometry.
+// vcl (virtual OpenCL) layer tests: buffers and their lazy storage,
+// bounds-checked views, atomic view operations, launch-argument typing,
+// stateless simulated queues, and work-group geometry.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,10 @@
 #include "ocl/kernel.hpp"
 #include "ocl/queue.hpp"
 #include "ocl/view.hpp"
+#include "runtime/evaluation.hpp"
+#include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
+#include "suite/benchmark.hpp"
 
 namespace tp::vcl {
 namespace {
@@ -42,6 +45,111 @@ TEST(Buffer, IntAndUnsignedKinds) {
   Buffer bu(ElemKind::U32, 2);
   bu.at<unsigned>(1) = 7u;
   EXPECT_EQ(bu.at<unsigned>(1), 7u);
+}
+
+TEST(Buffer, StorageAppearsOnFirstDataAccessFromTheGenerator) {
+  int runs = 0;
+  const Buffer buf(ElemKind::I32, 4, [&runs](void* storage) {
+    ++runs;
+    int* out = static_cast<int*>(storage);
+    for (int i = 0; i < 4; ++i) out[i] = 10 * i;
+  });
+  EXPECT_EQ(buf.size(), 4u);
+  EXPECT_EQ(buf.bytes(), 16u);
+  EXPECT_EQ(buf.kind(), ElemKind::I32);
+  EXPECT_FALSE(buf.materialized());
+  EXPECT_EQ(buf.pristine<int>(), (std::vector<int>{0, 10, 20, 30}));
+  EXPECT_FALSE(buf.materialized()) << "pristine() must not materialize";
+  EXPECT_EQ(buf.at<int>(3), 30);
+  EXPECT_TRUE(buf.materialized());
+  EXPECT_EQ(runs, 2);  // one pristine() copy + one materialization
+  EXPECT_EQ(buf.toVector<int>(), (std::vector<int>{0, 10, 20, 30}));
+  EXPECT_EQ(runs, 2);
+
+  Buffer plain(ElemKind::F32, 3);
+  EXPECT_EQ(plain.pristine<float>(), std::vector<float>(3, 0.0f));
+  plain.zero();
+  EXPECT_TRUE(plain.materialized());
+}
+
+// (b) Threads racing on the first access run the generator once and all see
+// the same storage.
+TEST(Buffer, RacingFirstAccessMaterializesOnce) {
+  constexpr std::size_t kElems = 1u << 16;
+  constexpr int kThreads = 8;
+  std::atomic<int> runs{0};
+  Buffer buf(ElemKind::F32, kElems, [&runs](void* storage) {
+    runs.fetch_add(1, std::memory_order_relaxed);
+    float* out = static_cast<float*>(storage);
+    for (std::size_t i = 0; i < kElems; ++i) {
+      out[i] = static_cast<float>(i % 251) * 0.5f;
+    }
+  });
+  std::atomic<bool> go{false};
+  std::vector<const float*> seen(kThreads, nullptr);
+  std::vector<std::vector<float>> copies(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      const float* p = buf.data<float>();
+      seen[static_cast<std::size_t>(t)] = p;
+      copies[static_cast<std::size_t>(t)].assign(p, p + kElems);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_TRUE(buf.materialized());
+  const std::vector<float> expected = buf.pristine<float>();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(t)], seen[0]) << "thread " << t;
+    EXPECT_EQ(copies[static_cast<std::size_t>(t)], expected) << "thread " << t;
+  }
+}
+
+// (a) Timing reads only sizes: a TimeOnly run of every suite instance, on
+// both machines, under a mixed partitioning and under the whole training
+// sweep, leaves every input without storage.
+TEST(Buffer, TimeOnlyExecutionNeverMaterializesSuiteInputs) {
+  const runtime::PartitioningSpace space(3, 10);
+  for (const auto& machine : {sim::makeMc1(), sim::makeMc2()}) {
+    const Context ctx(machine, ExecMode::TimeOnly, nullptr);
+    const runtime::Scheduler scheduler(ctx);
+    for (const auto& bench : suite::allBenchmarks()) {
+      const suite::BenchmarkInstance inst = bench.make(bench.sizes.front());
+      EXPECT_GT(scheduler.execute(inst.task, {{4, 3, 3}, 10}).makespan, 0.0);
+      runtime::measureLaunch(inst.task, machine, space, "s0");
+      for (const auto& arg : inst.task.args) {
+        if (const auto* b = std::get_if<runtime::BufferArg>(&arg)) {
+          EXPECT_FALSE(b->buffer->materialized())
+              << bench.name << " on " << machine.name;
+        }
+      }
+    }
+  }
+}
+
+// (c) verify() needs the creation-time inputs even after a kernel updated
+// one in place: saxpy overwrites y, and the regenerated reference is still
+// the y a fresh instance starts with.
+TEST(Buffer, PristineIsTheCreationTimeContentsAfterAnInPlaceUpdate) {
+  const auto& saxpy = suite::benchmarkByName("saxpy");
+  const std::size_t n = saxpy.sizes.front();
+  const suite::BenchmarkInstance run = saxpy.make(n);
+  const suite::BenchmarkInstance fresh = saxpy.make(n);
+  const auto yOf = [](const suite::BenchmarkInstance& inst) {
+    return std::get<runtime::BufferArg>(inst.task.args[1]).buffer;
+  };
+  const auto y = yOf(run);
+  const std::vector<float> y0 = yOf(fresh)->toVector<float>();
+
+  const Context ctx(sim::makeMc1(), ExecMode::Compute);
+  runtime::Scheduler(ctx).execute(run.task, {{4, 3, 3}, 10});
+  ASSERT_NE(y->toVector<float>(), y0) << "saxpy must update y in place";
+  EXPECT_EQ(y->pristine<float>(), y0);
+  std::string error;
+  EXPECT_TRUE(run.verify(&error)) << error;
 }
 
 TEST(BufferView, AbsoluteIndexingWithinSlice) {

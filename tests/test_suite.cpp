@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "suite/benchmark.hpp"
+#include "suite/suite_util.hpp"
 
 namespace tp::suite {
 namespace {
@@ -131,6 +135,62 @@ TEST(Suite, RuntimeFeaturesChangeWithProblemSize) {
                                                    large.task.launchInfo());
     EXPECT_NE(fs, fl) << b.name;
   }
+}
+
+// The inputs every instance hands its kernel, hashed in suite order at the
+// two smallest rungs: FNV-1a-64 over the bytes of each buffer argument (in
+// argument order, read before any kernel runs), each instance's hash folded
+// into a running FNV value. The constant was produced by the eager fill that
+// wrote every element at creation, so it pins the deferred fill to replay
+// exactly the same Rng stream.
+TEST(Suite, InputBytesMatchTheEagerStream) {
+  constexpr std::uint64_t kOffset = 1469598103934665603ull;
+  constexpr std::uint64_t kPrime = 1099511628211ull;
+  const auto bytesOf = [](const vcl::Buffer& buf) -> const unsigned char* {
+    switch (buf.kind()) {
+      case vcl::ElemKind::F32:
+        return reinterpret_cast<const unsigned char*>(buf.data<float>());
+      case vcl::ElemKind::I32:
+        return reinterpret_cast<const unsigned char*>(buf.data<int>());
+      case vcl::ElemKind::U32:
+        return reinterpret_cast<const unsigned char*>(buf.data<unsigned>());
+    }
+    return nullptr;
+  };
+  std::uint64_t all = kOffset;
+  for (const auto& b : allBenchmarks()) {
+    for (const std::size_t n : {b.sizes[0], b.sizes[1]}) {
+      const BenchmarkInstance inst = b.make(n);
+      std::uint64_t h = kOffset;
+      for (const auto& arg : inst.task.args) {
+        const auto* ba = std::get_if<runtime::BufferArg>(&arg);
+        if (ba == nullptr) continue;
+        const unsigned char* p = bytesOf(*ba->buffer);
+        for (std::size_t i = 0; i < ba->buffer->bytes(); ++i) {
+          h ^= p[i];
+          h *= kPrime;
+        }
+      }
+      all ^= h;
+      all *= kPrime;
+    }
+  }
+  EXPECT_EQ(all, 0x58fd7d85dc794668ull) << std::hex << "0x" << all;
+}
+
+// A NaN on either side of the comparison is a mismatch, a NaN reference
+// included: its diff and scale would otherwise let every value pass.
+TEST(SuiteUtil, VerifyFloatRejectsANaNOnEitherSide) {
+  vcl::Buffer actual(vcl::ElemKind::F32, 3);
+  actual.fill(std::vector<float>{1.0f, 2.0f, 3.0f});
+  std::string error;
+  EXPECT_TRUE(verifyFloat(actual, {1.0f, 2.0f, 3.0f}, 1e-6, &error));
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(verifyFloat(actual, {1.0f, nan, 3.0f}, 1e-6, &error));
+  EXPECT_NE(error.find("element 1"), std::string::npos) << error;
+  actual.at<float>(2) = nan;
+  EXPECT_FALSE(verifyFloat(actual, {1.0f, 2.0f, 3.0f}, 1e-6, &error));
+  EXPECT_NE(error.find("element 2"), std::string::npos) << error;
 }
 
 }  // namespace
