@@ -244,10 +244,10 @@ __kernel void md(__global const float* px, __global const float* py,
     // Neighbor lists never contain the particle itself (self-interaction
     // would divide by r² = 0).
     auto neigh = drawnBuffer<int>(
-        n * kMaxNeigh, rng, [n](common::Rng& r, std::size_t slot) {
+        n * kMaxNeigh, rng, [n](std::uint64_t bits, std::size_t slot) {
           const std::size_t i = slot / kMaxNeigh;
-          const auto offset =
-              static_cast<std::size_t>(r.range(1, static_cast<int>(n) - 1));
+          const auto offset = static_cast<std::size_t>(
+              drawInt(bits, 1, static_cast<int>(n) - 1));
           return static_cast<int>((i + offset) % n);
         });
     auto fx = zeroFloatBuffer(n);

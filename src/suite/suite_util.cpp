@@ -19,15 +19,16 @@ std::uint64_t instanceSeed(const std::string& name, std::size_t n) {
 std::shared_ptr<vcl::Buffer> randomFloatBuffer(std::size_t n,
                                                common::Rng& rng, float lo,
                                                float hi) {
-  return drawnBuffer<float>(n, rng, [lo, hi](common::Rng& r, std::size_t) {
-    return static_cast<float>(r.uniform(lo, hi));
+  return drawnBuffer<float>(n, rng, [lo, hi](std::uint64_t bits, std::size_t) {
+    return static_cast<float>(common::Rng::toUniform(bits, lo, hi));
   });
 }
 
 std::shared_ptr<vcl::Buffer> randomIntBuffer(std::size_t n, common::Rng& rng,
                                              int lo, int hi) {
-  return drawnBuffer<int>(n, rng, [lo, hi](common::Rng& r, std::size_t) {
-    return static_cast<int>(r.range(lo, hi));
+  TP_ASSERT(lo <= hi);
+  return drawnBuffer<int>(n, rng, [lo, hi](std::uint64_t bits, std::size_t) {
+    return drawInt(bits, lo, hi);
   });
 }
 

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <unordered_set>
@@ -101,6 +103,118 @@ TEST(Rng, SplitStreamsAreIndependent) {
   Rng parent(29);
   Rng child = parent.split();
   EXPECT_NE(parent(), child());
+}
+
+// The next eight outputs of a generator: equal states give equal outputs,
+// and eight consecutive outputs pin all 256 state bits in practice.
+std::vector<std::uint64_t> nextOutputs(Rng rng) {
+  std::vector<std::uint64_t> out;
+  for (int i = 0; i < 8; ++i) out.push_back(rng());
+  return out;
+}
+
+Rng stepped(Rng rng, std::uint64_t k) {
+  for (std::uint64_t i = 0; i < k; ++i) static_cast<void>(rng());
+  return rng;
+}
+
+Rng jumped(Rng rng, std::uint64_t k) {
+  rng.jump(k);
+  return rng;
+}
+
+// The first jump in this binary derives the jump table; eight threads race
+// to it (TSan runs this suite) and must all land on the same state.
+TEST(Rng, FirstJumpsFromManyThreadsAgree) {
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kSteps = (std::uint64_t{1} << 40) + 12345;
+  std::atomic<bool> go{false};
+  std::vector<std::vector<std::uint64_t>> outputs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&go, &outputs, t] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      outputs[static_cast<std::size_t>(t)] =
+          nextOutputs(jumped(Rng(31), kSteps));
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  for (const auto& out : outputs) EXPECT_EQ(out, outputs[0]);
+  EXPECT_EQ(outputs[0], nextOutputs(jumped(Rng(31), kSteps)));
+}
+
+TEST(Rng, JumpEqualsSingleSteps) {
+  for (const std::uint64_t k :
+       {0ull, 1ull, 63ull, 64ull, 255ull, 256ull, 257ull, (1ull << 20) + 3}) {
+    EXPECT_EQ(nextOutputs(jumped(Rng(37), k)), nextOutputs(stepped(Rng(37), k)))
+        << "k = " << k;
+  }
+  // Seeded distances touching every table entry up to 2^23; larger ones are
+  // pinned by JumpsCompose and the published 2^128 constant below, since
+  // stepping 2^32 outputs one by one takes seconds.
+  Rng pick(41);
+  for (int i = 0; i < 3; ++i) {
+    const std::uint64_t k = pick.below(std::uint64_t{1} << 24);
+    const Rng start(pick());
+    EXPECT_EQ(nextOutputs(jumped(start, k)), nextOutputs(stepped(start, k)))
+        << "k = " << k;
+  }
+}
+
+TEST(Rng, JumpsCompose) {
+  Rng pick(43);
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t a = pick.below(std::uint64_t{1} << 32);
+    const std::uint64_t b = pick.below(std::uint64_t{1} << 32);
+    const Rng start(pick());
+    EXPECT_EQ(nextOutputs(jumped(jumped(start, a), b)),
+              nextOutputs(jumped(start, a + b)))
+        << "a = " << a << ", b = " << b;
+  }
+}
+
+// x^(2^128) and x^(2^192) mod P are xoshiro256's published JUMP and
+// LONG_JUMP words, so the derived characteristic polynomial and the
+// squaring chain are exactly the generator's.
+TEST(Rng, JumpPolynomialsAreThePublishedJumps) {
+  using Words = std::array<std::uint64_t, 4>;
+  EXPECT_EQ(Rng::jumpPolynomial(128),
+            (Words{0x180ec6d33cfd0abaull, 0xd5a61266f0c9392cull,
+                   0xa9582618e03fc9aaull, 0x39abdc4529b1661cull}));
+  EXPECT_EQ(Rng::jumpPolynomial(192),
+            (Words{0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull,
+                   0x77710069854ee241ull, 0x39109bb02acbe635ull}));
+  // x^(2^0) = x: one step.
+  EXPECT_EQ(Rng::jumpPolynomial(0), (Words{2, 0, 0, 0}));
+}
+
+// range() takes any lo <= hi: the span is unsigned, so a span beyond
+// INT64_MAX no longer overflows (UBSan runs this suite), and over the full
+// 2^64 range the offset from lo is the raw output.
+TEST(Rng, RangeSpansBeyondInt64Max) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(47);
+  Rng raw = rng;
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t offset = raw();
+    EXPECT_EQ(rng.range(kMin, kMax),
+              static_cast<std::int64_t>(static_cast<std::uint64_t>(kMin) +
+                                        offset));
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_GE(rng.range(-1, kMax), -1);
+    EXPECT_LT(rng.range(kMin, kMax - 1), kMax);
+  }
+  EXPECT_EQ(rng.range(kMin, kMin), kMin);
+  EXPECT_EQ(rng.range(kMax, kMax), kMax);
+  // Small spans keep their stream: lo + below(span + 1).
+  Rng a(53), b(53);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(a.range(-7, 9), -7 + static_cast<std::int64_t>(b.below(17)));
+  }
 }
 
 TEST(Stats, MeanAndStddev) {
