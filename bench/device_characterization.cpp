@@ -58,7 +58,12 @@ __kernel void m(__global const float* a, __global float* b, int n) {
 })");
 
   const std::map<std::string, double> bind = {{"K", 1024.0}};
-  const double items = 1 << 22;
+  const std::size_t globalSize = 1 << 22;
+  const double items = globalSize;
+  const auto flopCounts = flops.evaluate(bind, globalSize);
+  const auto specialCounts = specials.evaluate(bind, globalSize);
+  const auto branchCounts = branches.evaluate(bind, globalSize);
+  const auto streamingCounts = streaming.evaluate({}, globalSize);
 
   for (const auto& machine : sim::evaluationMachines()) {
     std::printf("--- %s ---\n", machine.name.c_str());
@@ -66,13 +71,13 @@ __kernel void m(__global const float* a, __global float* b, int n) {
         {"device", "GFLOP/s", "Gspecial/s", "Gbranch/s", "stream GB/s",
          "PCIe GB/s", "launch us", "util@4K", "util@1M"});
     for (const auto& d : machine.devices) {
-      const double tF = d.kernelTime(flops, bind, items, 64.0);
+      const double tF = d.kernelTime(flopCounts, items, 64.0);
       const double opsF = 2.0 * 1024.0 * items;  // mul+add per iteration
-      const double tS = d.kernelTime(specials, bind, items, 64.0);
+      const double tS = d.kernelTime(specialCounts, items, 64.0);
       const double opsS = 1024.0 * items;
-      const double tB = d.kernelTime(branches, bind, items, 64.0);
+      const double tB = d.kernelTime(branchCounts, items, 64.0);
       const double opsB = 1024.0 * items;
-      const double tM = d.kernelTime(streaming, {}, items, 64.0);
+      const double tM = d.kernelTime(streamingCounts, items, 64.0);
       const double bytesM = 8.0 * items;
       table.addRow({d.name, tp::bench::fmt(opsF / tF / 1e9, 1),
                     tp::bench::fmt(opsS / tS / 1e9, 1),

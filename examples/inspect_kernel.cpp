@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- normalized source (round-tripped through the IR) ---\n%s",
               ir::printKernel(kernel).c_str());
 
-  const auto& f = compiled.features();
+  const auto& f = compiled.features().counts();
   std::printf("\n--- static features (per work item, symbolic) ---\n");
   std::printf("  int ops:        %s\n", f.intOps.toString().c_str());
   std::printf("  float ops:      %s\n", f.floatOps.toString().c_str());
@@ -98,16 +98,16 @@ int main(int argc, char** argv) {
       bindings[p.name] = static_cast<double>(globalSize);
     }
   }
-  bindings[features::kGlobalSizeParam] = static_cast<double>(globalSize);
+  const features::LaunchCounts counts =
+      compiled.features().evaluate(bindings, globalSize);
   const double bytes =
-      (f.globalLoads + f.globalStores).eval(bindings) * 4.0 *
-      static_cast<double>(globalSize);
+      counts[features::Count::GlobalBytes] * static_cast<double>(globalSize);
 
   for (const auto& machine : sim::evaluationMachines()) {
     std::printf("  %s:\n", machine.name.c_str());
     for (const auto& d : machine.devices) {
-      const double kernelTime = d.kernelTime(
-          f, bindings, static_cast<double>(globalSize), 64.0);
+      const double kernelTime =
+          d.kernelTime(counts, static_cast<double>(globalSize), 64.0);
       const double transfer = d.transferTime(bytes);
       std::printf("    %-30s kernel %9.3f ms + transfers %8.3f ms\n",
                   d.name.c_str(), kernelTime * 1e3, transfer * 1e3);

@@ -1,7 +1,5 @@
 #include "features/runtime_features.hpp"
 
-#include <cmath>
-
 namespace tp::features {
 
 std::vector<std::string> runtimeFeatureNames() {
@@ -22,36 +20,39 @@ std::vector<std::string> runtimeFeatureNames() {
   };
 }
 
-std::vector<double> runtimeFeatureVector(const KernelFeatures& f,
-                                         const LaunchInfo& launch) {
-  std::map<std::string, double> bindings = launch.sizeBindings;
-  bindings[kGlobalSizeParam] = static_cast<double>(launch.globalSize);
+namespace {
 
-  const double perItemOps = f.arithmeticOps().eval(bindings);
-  const double perItemFlops = f.floatOps.eval(bindings);
-  const double perItemSpecial = f.specialOps.eval(bindings);
-  const double perItemLoads = f.globalLoads.eval(bindings);
-  const double perItemStores = f.globalStores.eval(bindings);
-  const double perItemBranches = f.branches.eval(bindings);
+void appendRuntimeFeatures(const KernelFeatures& f, const LaunchInfo& launch,
+                           std::vector<double>& out) {
+  const LaunchCounts c = f.evaluate(launch.sizeBindings, launch.globalSize);
+  const double perItemOps = c[Count::ArithmeticOps];
   const double items = static_cast<double>(launch.globalSize);
   const double totalOps = perItemOps * items;
   const double transfer = launch.bytesToDevice + launch.bytesFromDevice;
 
-  return {
-      items,
-      static_cast<double>(launch.localSize),
-      perItemOps,
-      perItemFlops,
-      perItemSpecial,
-      perItemLoads,
-      perItemStores,
-      perItemBranches,
-      totalOps,
-      launch.bytesToDevice,
-      launch.bytesFromDevice,
-      f.arithmeticIntensity(bindings),
-      totalOps > 0.0 ? transfer / totalOps : 0.0,
-  };
+  out.push_back(items);
+  out.push_back(static_cast<double>(launch.localSize));
+  out.push_back(perItemOps);
+  out.push_back(c[Count::FloatOps]);
+  out.push_back(c[Count::SpecialOps]);
+  out.push_back(c[Count::GlobalLoads]);
+  out.push_back(c[Count::GlobalStores]);
+  out.push_back(c[Count::Branches]);
+  out.push_back(totalOps);
+  out.push_back(launch.bytesToDevice);
+  out.push_back(launch.bytesFromDevice);
+  out.push_back(c.arithmeticIntensity());
+  out.push_back(totalOps > 0.0 ? transfer / totalOps : 0.0);
+}
+
+}  // namespace
+
+std::vector<double> runtimeFeatureVector(const KernelFeatures& f,
+                                         const LaunchInfo& launch) {
+  std::vector<double> v;
+  v.reserve(kNumRuntimeFeatures);
+  appendRuntimeFeatures(f, launch, v);
+  return v;
 }
 
 std::vector<std::string> combinedFeatureNames() {
@@ -63,9 +64,10 @@ std::vector<std::string> combinedFeatureNames() {
 
 std::vector<double> combinedFeatureVector(const KernelFeatures& f,
                                           const LaunchInfo& launch) {
-  auto v = staticFeatureVector(f);
-  const auto rt = runtimeFeatureVector(f, launch);
-  v.insert(v.end(), rt.begin(), rt.end());
+  std::vector<double> v;
+  v.reserve(kNumStaticFeatures + kNumRuntimeFeatures);
+  v.assign(f.staticVector().begin(), f.staticVector().end());
+  appendRuntimeFeatures(f, launch, v);
   return v;
 }
 

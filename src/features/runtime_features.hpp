@@ -7,7 +7,15 @@
 // values, and the buffer transfer volumes. Binding those into the symbolic
 // static counts yields the input-sensitive half of the model's feature
 // vector.
+//
+// Evaluate once: each vector binds the launch through one
+// KernelFeatures::evaluate call, which resolves every parameter once and
+// sums the kernel's flat polynomials (compiled with the kernel, see
+// static_features.hpp). The static half is copied from the compiled
+// kernel. Every value is bit-identical to evaluating the symbolic
+// WorkExprs under `sizeBindings` plus the get_global_size binding.
 
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -27,6 +35,8 @@ struct LaunchInfo {
 };
 
 std::vector<std::string> runtimeFeatureNames();
+/// Length of runtimeFeatureVector().
+inline constexpr std::size_t kNumRuntimeFeatures = 13;
 
 /// Evaluate the symbolic features under the launch bindings.
 std::vector<double> runtimeFeatureVector(const KernelFeatures& f,

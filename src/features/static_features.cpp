@@ -1,6 +1,7 @@
 #include "features/static_features.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "frontend/builtins.hpp"
@@ -9,11 +10,158 @@ namespace tp::features {
 
 using namespace tp::ir;
 
-double KernelFeatures::arithmeticIntensity(
-    const std::map<std::string, double>& bindings) const {
-  const double bytes = globalBytes().eval(bindings);
-  if (bytes <= 0.0) return 0.0;
-  return arithmeticOps().eval(bindings) / bytes;
+namespace {
+
+/// What WorkExpr::eval substitutes for a parameter without a binding.
+constexpr double kUnboundValue = 16.0;
+
+}  // namespace
+
+struct KernelFeatures::Compiled {
+  /// One term of a flat polynomial: coeff times the values of the slots
+  /// termVars[firstVar, firstVar + numVars), in monomial order.
+  struct Term {
+    double coeff = 0.0;
+    std::uint32_t firstVar = 0;
+    std::uint32_t numVars = 0;
+  };
+
+  KernelCounts counts;
+  /// Sorted names of every parameter the counts mention; a slot is an
+  /// index into it.
+  std::vector<std::string> slots;
+  /// Slot of kGlobalSizeParam; slots.size() when no count mentions it.
+  std::size_t globalSizeSlot = 0;
+  /// The terms of every count back to back: count c owns
+  /// terms[polyBegin[c], polyBegin[c + 1]).
+  std::vector<Term> terms;
+  static_assert(kMaxFeatureSlots <= 256, "slot indices are stored as bytes");
+  std::vector<std::uint8_t> termVars;
+  std::array<std::uint32_t, kNumCounts + 1> polyBegin{};
+  std::array<double, kNumStaticFeatures> staticVector{};
+
+  /// Sums each flat polynomial in WorkExpr::eval's order.
+  LaunchCounts evaluate(const double* slotValues) const {
+    LaunchCounts out;
+    for (std::size_t c = 0; c < kNumCounts; ++c) {
+      double total = 0.0;
+      for (std::uint32_t t = polyBegin[c]; t < polyBegin[c + 1]; ++t) {
+        const Term& term = terms[t];
+        double value = term.coeff;
+        for (std::uint32_t v = 0; v < term.numVars; ++v) {
+          value *= slotValues[termVars[term.firstVar + v]];
+        }
+        total += value;
+      }
+      out.values[c] = total;
+    }
+    return out;
+  }
+};
+
+KernelFeatures::KernelFeatures() {
+  static const KernelFeatures kEmpty{KernelCounts{}};
+  compiled_ = kEmpty.compiled_;
+}
+
+KernelFeatures::KernelFeatures(KernelCounts counts) {
+  auto c = std::make_shared<Compiled>();
+  c->counts = std::move(counts);
+  const KernelCounts& k = c->counts;
+  const WorkExpr arithmeticOps = k.floatOps + k.intOps + k.specialOps;
+  const WorkExpr globalBytes = (k.globalLoads + k.globalStores) * 4.0;
+  // In Count order.
+  const std::array<const WorkExpr*, kNumCounts> polys = {
+      &k.intOps,          &k.floatOps,       &k.specialOps,
+      &k.globalLoads,     &k.globalStores,   &k.localAccesses,
+      &k.privateAccesses, &k.branches,       &k.atomics,
+      &k.barriers,        &arithmeticOps,    &globalBytes,
+  };
+
+  for (const WorkExpr* p : polys) {
+    for (auto& name : p->parameters()) c->slots.push_back(std::move(name));
+  }
+  std::sort(c->slots.begin(), c->slots.end());
+  c->slots.erase(std::unique(c->slots.begin(), c->slots.end()),
+                 c->slots.end());
+  TP_REQUIRE(c->slots.size() <= kMaxFeatureSlots,
+             "kernel features mention " << c->slots.size()
+                                        << " parameters; at most "
+                                        << kMaxFeatureSlots
+                                        << " are supported");
+  auto slotOf = [&](const std::string& name) {
+    return static_cast<std::size_t>(
+        std::find(c->slots.begin(), c->slots.end(), name) - c->slots.begin());
+  };
+  c->globalSizeSlot = slotOf(kGlobalSizeParam);
+
+  for (std::size_t i = 0; i < kNumCounts; ++i) {
+    c->polyBegin[i] = static_cast<std::uint32_t>(c->terms.size());
+    for (const auto& [monomial, coeff] : polys[i]->terms()) {
+      Compiled::Term term;
+      term.coeff = coeff;
+      term.firstVar = static_cast<std::uint32_t>(c->termVars.size());
+      term.numVars = static_cast<std::uint32_t>(monomial.size());
+      for (const auto& var : monomial) {
+        c->termVars.push_back(static_cast<std::uint8_t>(slotOf(var)));
+      }
+      c->terms.push_back(term);
+    }
+  }
+  c->polyBegin[kNumCounts] = static_cast<std::uint32_t>(c->terms.size());
+
+  std::array<double, kMaxFeatureSlots> unbound;
+  unbound.fill(kUnboundValue);
+  const LaunchCounts s = c->evaluate(unbound.data());
+  c->staticVector = {
+      s[Count::IntOps],
+      s[Count::FloatOps],
+      s[Count::SpecialOps],
+      s[Count::GlobalLoads],
+      s[Count::GlobalStores],
+      s[Count::LocalAccesses],
+      s[Count::PrivateAccesses],
+      s[Count::Branches],
+      s[Count::Atomics],
+      s[Count::Barriers],
+      static_cast<double>(k.numLoops),
+      static_cast<double>(k.maxLoopDepth),
+      static_cast<double>(k.numBuffers),
+      k.usesLocalMemory ? 1.0 : 0.0,
+      s.arithmeticIntensity(),
+  };
+  compiled_ = std::move(c);
+}
+
+const KernelCounts& KernelFeatures::counts() const noexcept {
+  return compiled_->counts;
+}
+
+const std::array<double, kNumStaticFeatures>& KernelFeatures::staticVector()
+    const noexcept {
+  return compiled_->staticVector;
+}
+
+LaunchCounts KernelFeatures::evaluate(
+    const std::map<std::string, double>& sizeBindings,
+    std::size_t globalSize) const {
+  const Compiled& c = *compiled_;
+  // Both the slot table and the bindings are sorted by name: one merge
+  // pass resolves every slot.
+  std::array<double, kMaxFeatureSlots> values;
+  auto binding = sizeBindings.begin();
+  for (std::size_t s = 0; s < c.slots.size(); ++s) {
+    while (binding != sizeBindings.end() && binding->first < c.slots[s]) {
+      ++binding;
+    }
+    values[s] = binding != sizeBindings.end() && binding->first == c.slots[s]
+                    ? binding->second
+                    : kUnboundValue;
+  }
+  if (c.globalSizeSlot < c.slots.size()) {
+    values[c.globalSizeSlot] = static_cast<double>(globalSize);
+  }
+  return c.evaluate(values.data());
 }
 
 namespace {
@@ -98,7 +246,7 @@ public:
   explicit Extractor(const KernelDecl& kernel)
       : kernel_(kernel), trips_(kernel) {}
 
-  KernelFeatures run() {
+  KernelCounts run() {
     f_.numParams = static_cast<int>(kernel_.params().size());
     for (const auto& p : kernel_.params()) {
       if (p.type.isPointer() && p.type.addrSpace() == AddrSpace::Global) {
@@ -326,13 +474,13 @@ private:
 
   const KernelDecl& kernel_;
   TripCountAnalyzer trips_;
-  KernelFeatures f_;
+  KernelCounts f_;
 };
 
 }  // namespace
 
 KernelFeatures extractFeatures(const KernelDecl& kernel) {
-  return Extractor(kernel).run();
+  return KernelFeatures(Extractor(kernel).run());
 }
 
 std::vector<std::string> staticFeatureNames() {
@@ -345,27 +493,9 @@ std::vector<std::string> staticFeatureNames() {
   };
 }
 
-std::vector<double> staticFeatureVector(const KernelFeatures& f,
-                                        double structuralDefault) {
-  const std::map<std::string, double> none;
-  auto ev = [&](const ir::WorkExpr& e) { return e.eval(none, structuralDefault); };
-  return {
-      ev(f.intOps),
-      ev(f.floatOps),
-      ev(f.specialOps),
-      ev(f.globalLoads),
-      ev(f.globalStores),
-      ev(f.localAccesses),
-      ev(f.privateAccesses),
-      ev(f.branches),
-      ev(f.atomics),
-      ev(f.barriers),
-      static_cast<double>(f.numLoops),
-      static_cast<double>(f.maxLoopDepth),
-      static_cast<double>(f.numBuffers),
-      f.usesLocalMemory ? 1.0 : 0.0,
-      f.arithmeticIntensity(none),
-  };
+std::vector<double> staticFeatureVector(const KernelFeatures& f) {
+  const auto& v = f.staticVector();
+  return std::vector<double>(v.begin(), v.end());
 }
 
 }  // namespace tp::features

@@ -67,6 +67,9 @@ public:
   /// Human-readable form, e.g. "2*K + 3" (deterministic term order).
   std::string toString() const;
 
+  /// The canonical terms, in the order eval() sums them.
+  const std::map<Monomial, double>& terms() const noexcept { return terms_; }
+
 private:
   void add(const Monomial& m, double coeff);
 

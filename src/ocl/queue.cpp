@@ -4,8 +4,7 @@
 
 namespace tp::vcl {
 
-double CommandQueue::enqueueKernel(const features::KernelFeatures& features,
-                                   const std::map<std::string, double>& bindings,
+double CommandQueue::enqueueKernel(const features::LaunchCounts& counts,
                                    std::size_t groupBegin, std::size_t groupEnd,
                                    const WorkGroupCtx& ctxTemplate,
                                    const NativeKernel& native,
@@ -30,9 +29,8 @@ double CommandQueue::enqueueKernel(const features::KernelFeatures& features,
     }
   }
 
-  const double seconds =
-      model_.kernelTime(features, bindings, items,
-                        static_cast<double>(ctxTemplate.localSize), dramBytes);
+  const double seconds = model_.kernelTime(
+      counts, items, static_cast<double>(ctxTemplate.localSize), dramBytes);
   return items > 0.0 ? seconds : 0.0;
 }
 

@@ -15,8 +15,6 @@
 // still the analytic model's).
 
 #include <cstddef>
-#include <map>
-#include <string>
 
 #include "common/thread_pool.hpp"
 #include "features/static_features.hpp"
@@ -47,12 +45,12 @@ public:
 
   /// Execute work-groups [groupBegin, groupEnd) of a kernel launch and
   /// return the chunk's seconds (0 for an empty chunk).
-  /// `features`/`bindings` drive the analytic cost; `native`/`args` supply
-  /// semantics in Compute mode. `ctxTemplate` carries the original NDRange
-  /// geometry. `dramBytes` is the chunk's unique global-memory footprint
-  /// (see sim::DeviceModel::kernelTime); negative = no-reuse upper bound.
-  double enqueueKernel(const features::KernelFeatures& features,
-                       const std::map<std::string, double>& bindings,
+  /// `counts` (the kernel's counts under this launch) drive the analytic
+  /// cost; `native`/`args` supply semantics in Compute mode. `ctxTemplate`
+  /// carries the original NDRange geometry. `dramBytes` is the chunk's
+  /// unique global-memory footprint (see sim::DeviceModel::kernelTime);
+  /// negative = no-reuse upper bound.
+  double enqueueKernel(const features::LaunchCounts& counts,
                        std::size_t groupBegin, std::size_t groupEnd,
                        const WorkGroupCtx& ctxTemplate,
                        const NativeKernel& native, const LaunchArgs& args,

@@ -133,7 +133,8 @@ Task TaskBuilder::build() {
              "kernel '" << task_.kernelName << "' expects " << params.size()
                         << " arguments, got " << nextParam_);
   // Resolve split block sizes now that all bindings are known.
-  const auto bindings = task_.fullBindings();
+  auto bindings = task_.sizeBindings;
+  bindings[features::kGlobalSizeParam] = static_cast<double>(task_.globalSize);
   std::size_t argIndex = 0;
   for (auto& arg : task_.args) {
     const auto& param = params[argIndex++];

@@ -35,7 +35,9 @@ ExecutionResult Scheduler::execute(const Task& task,
 
   const std::size_t totalGroups = task.numGroups();
   const auto chunks = splitGroups(totalGroups, p);
-  const auto bindings = task.fullBindings();
+  // The kernel's counts under this launch, shared by every device.
+  const features::LaunchCounts counts =
+      task.features.evaluate(task.sizeBindings, task.globalSize);
   const bool compute = context_.mode() == vcl::ExecMode::Compute;
 
   // Private full-size scratch copies for MergeSum buffers, per device.
@@ -175,8 +177,8 @@ ExecutionResult Scheduler::execute(const Task& task,
       }
     }
     exec.kernelSeconds =
-        queue.enqueueKernel(task.features, bindings, gBegin, gEnd, ctxTemplate,
-                            task.native, launchArgs, dramBytes);
+        queue.enqueueKernel(counts, gBegin, gEnd, ctxTemplate, task.native,
+                            launchArgs, dramBytes);
 
     // ---- device → host transfers --------------------------------------
     double bytesOut = 0.0;

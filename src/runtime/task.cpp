@@ -4,12 +4,6 @@
 
 namespace tp::runtime {
 
-std::map<std::string, double> Task::fullBindings() const {
-  auto bindings = sizeBindings;
-  bindings[features::kGlobalSizeParam] = static_cast<double>(globalSize);
-  return bindings;
-}
-
 double Task::totalBytesIn() const {
   double bytes = 0.0;
   for (const auto& arg : args) {

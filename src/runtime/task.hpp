@@ -36,7 +36,7 @@ struct Task {
   std::string programName;   ///< benchmark / application name
   std::string kernelName;
 
-  features::KernelFeatures features;
+  features::KernelFeatures features;  ///< compiled and shared; copies are cheap
   std::vector<TaskArg> args;           ///< in kernel-parameter order
   vcl::NativeKernel native;            ///< work-group semantics (Compute mode)
 
@@ -52,9 +52,6 @@ struct Task {
   double transferScale = 1.0;
 
   std::size_t numGroups() const { return globalSize / localSize; }
-
-  /// Bindings including the get_global_size pseudo-parameter.
-  std::map<std::string, double> fullBindings() const;
 
   /// Host→device / device→host volume of an *unsplit* (single device)
   /// execution; used for the partitioning-independent runtime features.

@@ -21,29 +21,29 @@ double DeviceModel::utilization(double items) const {
   return items / (items + saturationItems);
 }
 
-double DeviceModel::kernelTime(const features::KernelFeatures& f,
-                               const std::map<std::string, double>& bindings,
+double DeviceModel::kernelTime(const features::LaunchCounts& counts,
                                double items, double localSize,
                                double dramBytes) const {
   TP_ASSERT_MSG(items >= 0.0, "negative work size " << items);
   if (items == 0.0) return 0.0;
   TP_ASSERT(localSize >= 1.0);
 
-  auto per = [&](const ir::WorkExpr& e) {
+  using features::Count;
+  auto per = [&](Count c) {
     // Clamp: symbolic counts can evaluate slightly negative for degenerate
     // bindings (e.g. zero-trip loops); they mean "no work".
-    return std::max(0.0, e.eval(bindings));
+    return std::max(0.0, counts[c]);
   };
 
   const double util = utilization(items);
   const double eff = archEfficiency * util;
 
-  const double intTotal = per(f.intOps) * items;
-  const double floatTotal = per(f.floatOps) * items;
-  const double specialTotal = per(f.specialOps) * items;
-  const double branchTotal = per(f.branches) * items;
-  const double atomicTotal = per(f.atomics) * items;
-  const double barrierTotal = per(f.barriers);  // per item; cost per group
+  const double intTotal = per(Count::IntOps) * items;
+  const double floatTotal = per(Count::FloatOps) * items;
+  const double specialTotal = per(Count::SpecialOps) * items;
+  const double branchTotal = per(Count::Branches) * items;
+  const double atomicTotal = per(Count::Atomics) * items;
+  const double barrierTotal = per(Count::Barriers);  // per item; cost per group
 
   // Transcendentals run on dedicated units (VLIW T-lane / SFUs), which
   // scalar code feeds just as well as tuned code — no archEfficiency there.
@@ -53,13 +53,13 @@ double DeviceModel::kernelTime(const features::KernelFeatures& f,
   // Divergent branches behave like extra (weighted) ALU work.
   const double tBranch = branchTotal * branchWeight / (floatRate * eff);
 
-  const double accessBytes = per(f.globalBytes()) * items;
+  const double accessBytes = per(Count::GlobalBytes) * items;
   // Accesses beyond the unique DRAM footprint are cache hits.
   const double uniqueBytes =
       dramBytes < 0.0 ? accessBytes : std::min(dramBytes, accessBytes);
   const double cachedBytes = accessBytes - uniqueBytes;
-  const double localBytes = (per(f.localAccesses) + per(f.privateAccesses)) *
-                            4.0 * items;
+  const double localBytes =
+      (per(Count::LocalAccesses) + per(Count::PrivateAccesses)) * 4.0 * items;
   const double tMemory =
       uniqueBytes / (memBandwidth * memEfficiency * util) +
       (cachedBytes + localBytes) / localBandwidth;

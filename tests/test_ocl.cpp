@@ -212,12 +212,12 @@ TEST(WorkGroupCtx, GlobalIdGeometry) {
   EXPECT_EQ(ctx.globalId(63), 383u);
 }
 
-features::KernelFeatures trivialFeatures() {
-  features::KernelFeatures f;
-  f.floatOps = ir::WorkExpr::constant(10.0);
-  f.globalLoads = ir::WorkExpr::constant(1.0);
-  f.globalStores = ir::WorkExpr::constant(1.0);
-  return f;
+features::LaunchCounts trivialCounts() {
+  features::KernelCounts c;
+  c.floatOps = ir::WorkExpr::constant(10.0);
+  c.globalLoads = ir::WorkExpr::constant(1.0);
+  c.globalStores = ir::WorkExpr::constant(1.0);
+  return features::KernelFeatures(std::move(c)).evaluate({}, 0);
 }
 
 TEST(CommandQueue, EnqueueReturnsThePhaseSecondsAndKeepsNoClock) {
@@ -238,10 +238,10 @@ TEST(CommandQueue, EnqueueReturnsThePhaseSecondsAndKeepsNoClock) {
   ctx.localSize = 64;
   ctx.globalSize = 4096;
   ctx.numGroups = 64;
-  const double k = queue.enqueueKernel(trivialFeatures(), {}, 0, 64, ctx,
+  const double k = queue.enqueueKernel(trivialCounts(), 0, 64, ctx,
                                        nullptr, LaunchArgs{});
   EXPECT_GT(k, 0.0);
-  EXPECT_EQ(queue.enqueueKernel(trivialFeatures(), {}, 0, 64, ctx, nullptr,
+  EXPECT_EQ(queue.enqueueKernel(trivialCounts(), 0, 64, ctx, nullptr,
                                 LaunchArgs{}),
             k);
 }
@@ -253,7 +253,7 @@ TEST(CommandQueue, EmptyChunkCostsNothing) {
   ctx.localSize = 64;
   ctx.globalSize = 1024;
   ctx.numGroups = 16;
-  EXPECT_EQ(queue.enqueueKernel(trivialFeatures(), {}, 4, 4, ctx, nullptr,
+  EXPECT_EQ(queue.enqueueKernel(trivialCounts(), 4, 4, ctx, nullptr,
                                 LaunchArgs{}),
             0.0);
 }
@@ -272,7 +272,7 @@ TEST(CommandQueue, ComputeModeExecutesEachGroupExactlyOnce) {
                                       const LaunchArgs&) {
     hits[wg.groupId]++;
   };
-  queue.enqueueKernel(trivialFeatures(), {}, 3, 11, ctx, kernel,
+  queue.enqueueKernel(trivialCounts(), 3, 11, ctx, kernel,
                       LaunchArgs{});
   for (std::size_t g = 0; g < 16; ++g) {
     EXPECT_EQ(hits[g].load(), (g >= 3 && g < 11) ? 1 : 0) << "group " << g;

@@ -249,6 +249,46 @@ TEST(Scheduler, ConcurrentExecuteOnOneSchedulerMatchesSerial) {
   EXPECT_EQ(mismatches.load(), 0u);
 }
 
+TEST(Scheduler, ConcurrentCopiesOfOneTaskExecuteIdentically) {
+  // Copies of a Task share one compiled feature payload. Eight threads
+  // copy, execute and drop copies of one task at once; every result must
+  // be bit-identical to the serial one.
+  vcl::Context ctx(sim::makeMc1(), vcl::ExecMode::TimeOnly, nullptr);
+  Scheduler scheduler(ctx);
+  const auto space = space3();
+  const Task task = makeScaleTask(1 << 14, 300);
+  std::vector<ExecutionResult> serial;
+  for (std::size_t label = 0; label < space.size(); ++label) {
+    serial.push_back(scheduler.execute(task, space.at(label)));
+  }
+
+  constexpr std::size_t kThreads = 8;
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int round = 0; round < 10; ++round) {
+        for (std::size_t label = 0; label < space.size(); ++label) {
+          const Task copy = task;
+          const ExecutionResult r = scheduler.execute(copy, space.at(label));
+          bool same = r.makespan == serial[label].makespan &&
+                      r.devices.size() == serial[label].devices.size();
+          for (std::size_t d = 0; same && d < r.devices.size(); ++d) {
+            same = r.devices[d].kernelSeconds ==
+                   serial[label].devices[d].kernelSeconds;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
 TEST(Scheduler, RejectsMismatchedPartitioning) {
   vcl::Context ctx(sim::makeMc1(), vcl::ExecMode::TimeOnly, nullptr);
   Scheduler scheduler(ctx);

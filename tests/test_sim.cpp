@@ -16,6 +16,13 @@ features::KernelFeatures featuresOf(const char* src) {
   return features::extractFeatures(*kernel);
 }
 
+/// `d`'s time for `items` work items of `f` under `bind`, in work-groups
+/// of 64 (no kernel here reads get_global_size).
+double kernelTime(const DeviceModel& d, const features::KernelFeatures& f,
+                  const std::map<std::string, double>& bind, double items) {
+  return d.kernelTime(f.evaluate(bind, 0), items, 64.0);
+}
+
 const char* kStreamingKernel = R"(
 __kernel void stream(__global const float* a, __global float* b, int n) {
   int i = get_global_id(0);
@@ -56,7 +63,7 @@ TEST(DeviceModel, KernelTimeMonotonicInItems) {
   const std::map<std::string, double> bind = {{"K", 100.0}};
   double prev = 0.0;
   for (const double items : {64.0, 1024.0, 65536.0, 1048576.0}) {
-    const double t = m.devices[1].kernelTime(f, bind, items, 64.0);
+    const double t = kernelTime(m.devices[1], f, bind, items);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -67,7 +74,7 @@ TEST(DeviceModel, KernelTimeMonotonicInWork) {
   const auto m = makeMc1();
   double prev = 0.0;
   for (const double k : {10.0, 100.0, 1000.0}) {
-    const double t = m.cpu().kernelTime(f, {{"K", k}}, 4096.0, 64.0);
+    const double t = kernelTime(m.cpu(), f, {{"K", k}}, 4096.0);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -76,7 +83,7 @@ TEST(DeviceModel, KernelTimeMonotonicInWork) {
 TEST(DeviceModel, ZeroItemsIsFree) {
   const auto f = featuresOf(kStreamingKernel);
   const auto m = makeMc1();
-  EXPECT_DOUBLE_EQ(m.cpu().kernelTime(f, {}, 0.0, 64.0), 0.0);
+  EXPECT_DOUBLE_EQ(kernelTime(m.cpu(), f, {}, 0.0), 0.0);
 }
 
 TEST(DeviceModel, UtilizationSaturates) {
@@ -125,12 +132,12 @@ TEST(Machines, DefaultStrategyOrderingDiffersAcrossMachines) {
   const double bytes = items * 8.0;  // in + out
 
   const auto mc1 = makeMc1();
-  const double cpu1 = mc1.cpu().kernelTime(f, bind, items, 64.0);
-  const double gpu1 = mc1.devices[1].kernelTime(f, bind, items, 64.0) +
+  const double cpu1 = kernelTime(mc1.cpu(), f, bind, items);
+  const double gpu1 = kernelTime(mc1.devices[1], f, bind, items) +
                       mc1.devices[1].transferTime(bytes);
   const auto mc2 = makeMc2();
-  const double cpu2 = mc2.cpu().kernelTime(f, bind, items, 64.0);
-  const double gpu2 = mc2.devices[1].kernelTime(f, bind, items, 64.0) +
+  const double cpu2 = kernelTime(mc2.cpu(), f, bind, items);
+  const double gpu2 = kernelTime(mc2.devices[1], f, bind, items) +
                       mc2.devices[1].transferTime(bytes);
 
   // mc2's GPU must clearly win on compute-heavy work.
@@ -146,13 +153,13 @@ TEST(Machines, BranchDivergenceHurtsGpusMore) {
   const double items = 1 << 18;
 
   for (const auto& m : evaluationMachines()) {
-    const double cpu = m.cpu().kernelTime(f, bind, items, 64.0);
-    const double gpu = m.devices[1].kernelTime(f, bind, items, 64.0);
+    const double cpu = kernelTime(m.cpu(), f, bind, items);
+    const double gpu = kernelTime(m.devices[1], f, bind, items);
     // Branch-heavy work narrows (or reverses) the GPU's advantage relative
     // to pure compute.
     const auto fc = featuresOf(kComputeKernel);
-    const double cpuC = m.cpu().kernelTime(fc, bind, items, 64.0);
-    const double gpuC = m.devices[1].kernelTime(fc, bind, items, 64.0);
+    const double cpuC = kernelTime(m.cpu(), fc, bind, items);
+    const double gpuC = kernelTime(m.devices[1], fc, bind, items);
     EXPECT_LT(cpu / gpu, cpuC / gpuC)
         << "machine " << m.name
         << ": branchy kernel should favor the CPU more than compute kernel";
@@ -164,9 +171,9 @@ TEST(Machines, SmallProblemsFavorCpu) {
   const auto m = makeMc2();  // even on the GPU-friendly machine
   const double items = 4096;
   const double bytes = items * 8.0;
-  const double cpu = m.cpu().kernelTime(f, {}, items, 64.0) +
+  const double cpu = kernelTime(m.cpu(), f, {}, items) +
                      m.cpu().transferTime(bytes);
-  const double gpu = m.devices[1].kernelTime(f, {}, items, 64.0) +
+  const double gpu = kernelTime(m.devices[1], f, {}, items) +
                      m.devices[1].transferTime(bytes);
   EXPECT_LT(cpu, gpu);
 }
@@ -178,9 +185,9 @@ TEST(Machines, MemoryBoundWorkIncludingTransfersFavorsCpu) {
   for (const auto& m : evaluationMachines()) {
     const double items = 1 << 22;
     const double bytes = items * 8.0;
-    const double cpu = m.cpu().kernelTime(f, {}, items, 64.0) +
+    const double cpu = kernelTime(m.cpu(), f, {}, items) +
                        m.cpu().transferTime(bytes);
-    const double gpu = m.devices[1].kernelTime(f, {}, items, 64.0) +
+    const double gpu = kernelTime(m.devices[1], f, {}, items) +
                        m.devices[1].transferTime(bytes);
     EXPECT_LT(cpu, gpu) << "machine " << m.name;
   }

@@ -10,6 +10,8 @@
 #include <limits>
 #include <thread>
 
+#include "common/hash.hpp"
+#include "features/runtime_features.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "suite/benchmark.hpp"
@@ -246,6 +248,37 @@ TEST(Suite, InputBytesMatchTheEagerStreamAtEveryRung) {
     all *= 1099511628211ull;
   }
   EXPECT_EQ(all, 0xf02dfe34d0c44979ull) << std::hex << "0x" << all;
+}
+
+// Every feature value and simulated time pinned bit for bit: at every rung
+// of every program, on both machines, the 28-element combined feature
+// vector and the makespan under each of the 66 partitionings, folded as
+// raw double bit patterns. The constant was produced by the build that
+// evaluated every symbolic count through WorkExpr::eval (once per device
+// for the makespans), so the compiled flat evaluation must match it
+// exactly.
+TEST(Suite, FeaturesAndMakespansMatchTheSymbolicEvaluation) {
+  std::uint64_t all = common::kFnvOffset;
+  for (const auto& machine : sim::evaluationMachines()) {
+    const vcl::Context context(machine, vcl::ExecMode::TimeOnly, nullptr);
+    const runtime::Scheduler scheduler(context);
+    const runtime::PartitioningSpace space(machine.numDevices(), 10);
+    ASSERT_EQ(space.size(), 66u);
+    for (const auto& b : allBenchmarks()) {
+      for (const std::size_t n : b.sizes) {
+        const auto inst = b.make(n);
+        const auto x = features::combinedFeatureVector(inst.task.features,
+                                                       inst.task.launchInfo());
+        ASSERT_EQ(x.size(), 28u);
+        for (const double v : x) all = common::fnvDouble(all, v);
+        for (std::size_t p = 0; p < space.size(); ++p) {
+          all = common::fnvDouble(
+              all, scheduler.execute(inst.task, space.at(p)).makespan);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(all, 0x1bc75674e60d2e7cull) << std::hex << "0x" << all;
 }
 
 // A NaN on either side of the comparison is a mismatch, a NaN reference
