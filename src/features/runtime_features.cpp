@@ -24,7 +24,10 @@ namespace {
 
 void appendRuntimeFeatures(const KernelFeatures& f, const LaunchInfo& launch,
                            std::vector<double>& out) {
-  const LaunchCounts c = f.evaluate(launch.sizeBindings, launch.globalSize);
+  static const std::map<std::string, double> kNoBindings;
+  const LaunchCounts c = f.evaluate(
+      launch.sizeBindings != nullptr ? *launch.sizeBindings : kNoBindings,
+      launch.globalSize);
   const double perItemOps = c[Count::ArithmeticOps];
   const double items = static_cast<double>(launch.globalSize);
   const double totalOps = perItemOps * items;

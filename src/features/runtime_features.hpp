@@ -26,8 +26,10 @@ namespace tp::features {
 
 /// Everything the runtime knows at launch time.
 struct LaunchInfo {
-  /// Integer kernel arguments by parameter name (e.g. {"K", 512}).
-  std::map<std::string, double> sizeBindings;
+  /// Integer kernel arguments by parameter name (e.g. {"K", 512}), owned
+  /// by the caller: Task::launchInfo() points at the task's own map, so
+  /// building a LaunchInfo copies no map. Null means no bindings.
+  const std::map<std::string, double>* sizeBindings = nullptr;
   std::size_t globalSize = 0;  ///< total work items (dimension 0)
   std::size_t localSize = 0;   ///< work-group size
   double bytesToDevice = 0.0;  ///< host→device transfer volume (all buffers)

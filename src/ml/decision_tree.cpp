@@ -228,6 +228,7 @@ void DecisionTree::load(std::istream& is) {
 void DecisionTree::validate(std::size_t numFeatures) const {
   TP_REQUIRE(!nodes_.empty(), "decision tree: no nodes");
   const std::size_t count = nodes_.size();
+  std::vector<bool> hasParent(count, false);
   for (std::size_t i = 0; i < count; ++i) {
     const Node& n = nodes_[i];
     TP_REQUIRE(n.label >= 0 && n.label < numClasses_,
@@ -251,6 +252,13 @@ void DecisionTree::validate(std::size_t numFeatures) const {
                "decision tree: node " << i << " children " << n.left << '/'
                                       << n.right << " outside (" << i
                                       << ", " << count << ")");
+    const auto left = static_cast<std::size_t>(n.left);
+    const auto right = static_cast<std::size_t>(n.right);
+    TP_REQUIRE(left != right && !hasParent[left] && !hasParent[right],
+               "decision tree: node " << i << " shares a child ("
+                                      << n.left << '/' << n.right << ")");
+    hasParent[left] = true;
+    hasParent[right] = true;
   }
 }
 

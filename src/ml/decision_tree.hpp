@@ -59,8 +59,9 @@ private:
   /// Throws tp::Error unless the nodes form a tree a walk can follow over
   /// `numFeatures` inputs: every split's feature lies in [0, numFeatures)
   /// and its children in (self, nodeCount) (so every walk is acyclic and
-  /// in range), every label in [0, numClasses), and every class fraction
-  /// is finite and non-negative.
+  /// in range), no node is the child of two splits (so the nodes form a
+  /// tree, not a DAG), every label in [0, numClasses), and every class
+  /// fraction is finite and non-negative.
   void validate(std::size_t numFeatures) const;
 
   TreeOptions options_;

@@ -55,9 +55,7 @@ std::vector<double> Normalizer::transform(const std::vector<double>& x) const {
                                                 << " features, got "
                                                 << x.size());
   std::vector<double> out(x.size());
-  for (std::size_t j = 0; j < x.size(); ++j) {
-    out[j] = (compress(x[j]) - mean_[j]) * inverseStd_[j];
-  }
+  for (std::size_t j = 0; j < x.size(); ++j) out[j] = transformOne(j, x[j]);
   return out;
 }
 
@@ -94,6 +92,10 @@ void Normalizer::load(std::istream& is) {
     TP_REQUIRE(static_cast<bool>(is), "truncated normalizer data");
     TP_REQUIRE(std::isfinite(mean) && std::isfinite(inverseStd),
                "normalizer: non-finite parameters for feature " << j);
+    // fit() never produces a negative scale, and one would make the
+    // standardization decreasing (the forest folds it into its splits).
+    TP_REQUIRE(inverseStd >= 0.0,
+               "normalizer: negative scale for feature " << j);
     mean_.push_back(mean);
     inverseStd_.push_back(inverseStd);
   }

@@ -11,6 +11,22 @@
 // small bootstraps are nearly one-hot). compile() is also the model's
 // validator, so a hostile model file fails at load with tp::Error rather
 // than at predict. The trees themselves remain the serialization form.
+//
+// Raw-threshold contract: the compiled form reads raw features, with the
+// normalizer folded into the splits. A tree split sends
+// z = normalizer.transformOne(f, x) left when z <= t. For a column with a
+// positive scale, z is non-decreasing in x, so that test equals x <= T for
+// T, the largest double with z(T) <= t. compile() finds T against the
+// exact normalizer function, by a search over the ordered doubles that
+// starts from an approximate inverse; T is NaN when no double qualifies
+// and +inf when every one does. NaN goes right on both sides. A
+// zero-variance column maps every finite x to ±0 and ±inf to NaN, so its
+// split sends all finite x one way and ±inf right; the compiled form tests
+// |x| <= DBL_MAX on an appended |x| column for it. predict() and scores()
+// therefore equal the normalized per-tree walk bit for bit, for every
+// input. The walk visits the trees in blocks, side by side and branch-free,
+// and predict() tallies votes into per-thread scratch, so a warm predict
+// allocates nothing.
 
 #include <memory>
 
@@ -43,16 +59,20 @@ public:
   /// the per-tree reference that decision-equivalence tests sum.
   const DecisionTree& tree(std::size_t t) const { return *trees_.at(t); }
   const Normalizer& normalizer() const noexcept { return normalizer_; }
+  /// The raw thresholds the compiled splits on input feature `f` compare
+  /// against, in node order (tests probe the doubles next to each).
+  std::vector<double> rawThresholds(int f) const;
 
 private:
-  /// A compiled node. For a split, `left`/`right` are absolute indices
-  /// into nodes_; for a leaf (feature < 0) they are the [begin, end) range
-  /// of its votes in leafVotes_.
+  /// A compiled node. A split sends x to `child` when
+  /// x[feature] <= threshold and to `child + 1` otherwise, on raw features
+  /// (the normalizer is folded into the threshold). A leaf goes right to
+  /// itself (threshold NaN, child = its own index - 1), so a walk of fixed
+  /// length parks on it.
   struct FlatNode {
-    int feature;
     double threshold;
-    int left;
-    int right;
+    int feature;
+    int child;
   };
   /// One nonzero class fraction of a leaf.
   struct LeafVote {
@@ -61,16 +81,26 @@ private:
   };
 
   /// Validate trees_ against the normalizer and class count (tp::Error on
-  /// any violation) and rebuild nodes_, roots_ and leafVotes_ from them.
+  /// any violation) and rebuild the compiled form from them.
   void compile();
+  /// Add every tree's leaf fractions for `x` to `votes` (numClasses_
+  /// entries, zeroed by the caller), tree by tree.
+  void tally(const std::vector<double>& x, double* votes) const;
 
   ForestOptions options_;
   common::Rng rng_;
   Normalizer normalizer_;
   std::vector<std::unique_ptr<DecisionTree>> trees_;
-  std::vector<FlatNode> nodes_;
-  std::vector<int> roots_;  ///< each tree's root in nodes_
+  std::vector<FlatNode> nodes_;  ///< each tree's nodes in breadth-first order
+  std::vector<int> roots_;       ///< each tree's root in nodes_
+  /// Per block of kLanes trees: the walk length, its deepest leaf's depth.
+  std::vector<int> blockDepths_;
+  /// Leaf i's votes are leafVotes_[voteBegin_[i], voteBegin_[i + 1]).
+  std::vector<int> voteBegin_;
   std::vector<LeafVote> leafVotes_;
+  /// Source feature of each |x| column appended after the raw features
+  /// (zero-variance splits only; empty for every trained forest).
+  std::vector<int> absColumns_;
 };
 
 }  // namespace tp::ml

@@ -24,9 +24,9 @@ double Task::totalBytesOut() const {
   return bytes * transferScale;
 }
 
-features::LaunchInfo Task::launchInfo() const {
+features::LaunchInfo Task::launchInfo() const& {
   features::LaunchInfo info;
-  info.sizeBindings = sizeBindings;
+  info.sizeBindings = &sizeBindings;
   info.globalSize = globalSize;
   info.localSize = localSize;
   info.bytesToDevice = totalBytesIn();

@@ -58,8 +58,11 @@ struct Task {
   double totalBytesIn() const;
   double totalBytesOut() const;
 
-  /// The paper's runtime feature view of this launch.
-  features::LaunchInfo launchInfo() const;
+  /// The paper's runtime feature view of this launch. It refers to this
+  /// task's sizeBindings, so it must not outlive the task (and a temporary
+  /// task has none to lend).
+  features::LaunchInfo launchInfo() const&;
+  features::LaunchInfo launchInfo() const&& = delete;
 
   /// Sanity checks (group-aligned NDRange, split sizes match buffers, ...).
   /// Throws tp::Error on violations.

@@ -6,9 +6,43 @@
 
 namespace tp::serve {
 
+namespace {
+
+/// 10^k for k in [0, 14], each exact in a double.
+constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6, 1e7,
+                             1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14};
+
+/// Calls visit(value) for each launch signature value, in signature order:
+/// global/local size, transfer volumes, transfer amortization, then the
+/// bound scalar parameters in name order (std::map iterates sorted, so
+/// the layout is deterministic).
+template <class Visit>
+void forEachSignatureValue(const runtime::Task& task, Visit&& visit) {
+  visit(static_cast<double>(task.globalSize));
+  visit(static_cast<double>(task.localSize));
+  visit(task.totalBytesIn());
+  visit(task.totalBytesOut());
+  visit(task.transferScale);
+  for (const auto& [name, value] : task.sizeBindings) {
+    (void)name;
+    visit(value);
+  }
+}
+
+}  // namespace
+
 double roundSignificant(double v, int digits) {
   if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
     return v == 0.0 ? 0.0 : v;
+  }
+  // An integer with at most `digits` digits is its own rounding: the
+  // formula below scales it by an exact power of ten to an integer under
+  // 10^digits and back, exactly. Most signature values (sizes, byte
+  // counts, bound parameters) take this exit and skip log10 and pow.
+  // Digit counts stop at 14: log10(10^15 - 1) rounds up to 15, and the
+  // formula then maps that integer to 10^15.
+  if (digits <= 14 && std::fabs(v) < kPow10[digits] && v == std::trunc(v)) {
+    return v;
   }
   const double exponent = std::floor(std::log10(std::fabs(v)));
   const double scale =
@@ -25,17 +59,16 @@ double roundSignificant(double v, int digits) {
 std::vector<double> launchSignature(const runtime::Task& task) {
   std::vector<double> sig;
   sig.reserve(5 + task.sizeBindings.size());
-  sig.push_back(static_cast<double>(task.globalSize));
-  sig.push_back(static_cast<double>(task.localSize));
-  sig.push_back(task.totalBytesIn());
-  sig.push_back(task.totalBytesOut());
-  sig.push_back(task.transferScale);
-  // std::map iterates in name order, so the layout is deterministic.
-  for (const auto& [name, value] : task.sizeBindings) {
-    (void)name;
-    sig.push_back(value);
-  }
+  forEachSignatureValue(task, [&](double v) { sig.push_back(v); });
   return sig;
+}
+
+void quantizeSignature(const runtime::Task& task, int roundDigits,
+                       std::vector<double>& out) {
+  out.clear();
+  forEachSignatureValue(task, [&](double v) {
+    out.push_back(roundSignificant(v, roundDigits));
+  });
 }
 
 std::string programKey(const runtime::Task& task) {
@@ -43,28 +76,25 @@ std::string programKey(const runtime::Task& task) {
 }
 
 std::size_t DecisionKeyHash::operator()(const DecisionKey& k) const noexcept {
-  return static_cast<std::size_t>(common::fnvU64(
-      common::hashLaunchKey(k.machine, k.program, k.features),
-      k.modelVersion));
+  return static_cast<std::size_t>(
+      common::hashLaunchKey(k.machine, k.program, k.features));
+}
+
+bool SameIdentity::operator()(const DecisionKey& a,
+                              const DecisionKey& b) const noexcept {
+  return a.machine == b.machine && a.program == b.program &&
+         a.features == b.features;
 }
 
 common::Fingerprint launchFingerprint(std::uint32_t pairId,
                                       const runtime::Task& task,
                                       int roundDigits) noexcept {
-  // Must fold exactly the values launchSignature() materializes, in the
-  // same order and quantization, so the streaming (hit) and vector
-  // (insert/merge) forms agree on every launch.
+  // Folds exactly the values quantizeSignature() writes, in the same
+  // order, so the streaming and vector forms agree on every launch.
   common::FingerprintBuilder fb;
   fb.u64(pairId);
-  fb.f64(roundSignificant(static_cast<double>(task.globalSize), roundDigits));
-  fb.f64(roundSignificant(static_cast<double>(task.localSize), roundDigits));
-  fb.f64(roundSignificant(task.totalBytesIn(), roundDigits));
-  fb.f64(roundSignificant(task.totalBytesOut(), roundDigits));
-  fb.f64(roundSignificant(task.transferScale, roundDigits));
-  for (const auto& [name, value] : task.sizeBindings) {
-    (void)name;
-    fb.f64(roundSignificant(value, roundDigits));
-  }
+  forEachSignatureValue(
+      task, [&](double v) { fb.f64(roundSignificant(v, roundDigits)); });
   return fb.take();
 }
 
@@ -96,13 +126,6 @@ std::uint64_t metaVersion(std::uint64_t meta) {
 }
 std::size_t metaLabel(std::uint64_t meta) {
   return static_cast<std::size_t>(meta & kLabelMask);
-}
-
-/// Collision verification ignores the stamped model version: two
-/// generations of the same launch are the same identity.
-bool sameIdentity(const DecisionKey& a, const DecisionKey& b) {
-  return a.machine == b.machine && a.program == b.program &&
-         a.features == b.features;
 }
 
 }  // namespace
@@ -256,7 +279,7 @@ void DecisionCache::insert(const common::Fingerprint& fp,
     if (fpEqual) {
       // Refresh. Same fingerprint with a different full key is a detected
       // 128-bit collision: count it, newest key wins.
-      if (!sameIdentity(fullKeys_[target], key)) {
+      if (!SameIdentity{}(fullKeys_[target], key)) {
         counters.collisions.fetch_add(1, std::memory_order_relaxed);
         fullKeys_[target] = key;
       }

@@ -61,12 +61,21 @@ namespace tp::serve {
 
 /// Round to `digits` significant decimal digits; `digits <= 0` disables
 /// rounding. Normalizes -0.0 to 0.0 so quantized values hash uniformly.
+/// Integers with at most `digits` digits (up to 14) return unchanged
+/// without the log10/pow formula, which maps them to themselves too.
 double roundSignificant(double v, int digits);
 
 /// The runtime-known launch signature used in cache keys and feedback
 /// deduplication: global/local size, transfer volumes, transfer
 /// amortization and the bound scalar parameters in name order.
 std::vector<double> launchSignature(const runtime::Task& task);
+
+/// launchSignature() quantized at `roundDigits`, written into `out`; its
+/// capacity is reused, so a warm call allocates nothing. The serving path
+/// quantizes once per request and builds the fingerprint, the cache key
+/// and the feedback identity from this one vector.
+void quantizeSignature(const runtime::Task& task, int roundDigits,
+                       std::vector<double>& out);
 
 /// "program/kernel" — the program part of a decision key.
 std::string programKey(const runtime::Task& task);
@@ -83,15 +92,24 @@ struct DecisionKey {
   bool operator==(const DecisionKey& o) const = default;
 };
 
+/// Hashes a key's identity (machine, program, signature) only, so it
+/// serves both operator== and SameIdentity.
 struct DecisionKeyHash {
   std::size_t operator()(const DecisionKey& k) const noexcept;
 };
 
+/// Equality of identity: two generations of the same launch match. Used by
+/// collision verification and feedback deduplication.
+struct SameIdentity {
+  bool operator()(const DecisionKey& a, const DecisionKey& b) const noexcept;
+};
+
 /// 128-bit hot-path identity of a launch: the interned (machine, program)
 /// pair id folded with the quantized signature. The streaming overload
-/// quantizes on the fly in launchSignature() field order — it never
-/// materializes the signature vector, so the warm path allocates nothing.
-/// Both overloads produce identical fingerprints for identical launches.
+/// quantizes on the fly in launchSignature() field order, without a
+/// signature vector; the serving path folds the vector quantizeSignature()
+/// filled. Both overloads produce identical fingerprints for identical
+/// launches.
 common::Fingerprint launchFingerprint(std::uint32_t pairId,
                                       const runtime::Task& task,
                                       int roundDigits) noexcept;

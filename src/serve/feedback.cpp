@@ -14,8 +14,7 @@ DecisionKey FeedbackRecorder::dedupKey(const runtime::Task& task,
   DecisionKey key;
   key.machine = machine;
   key.program = programKey(task);
-  key.features = launchSignature(task);
-  for (double& f : key.features) f = roundSignificant(f, roundDigits_);
+  quantizeSignature(task, roundDigits_, key.features);
   return key;
 }
 
@@ -23,18 +22,27 @@ bool FeedbackRecorder::record(const runtime::Task& task,
                               const sim::MachineConfig& machine,
                               const runtime::PartitioningSpace& space,
                               const std::string& sizeLabel) {
-  const DecisionKey key = dedupKey(task, machine.name);
+  return record(dedupKey(task, machine.name), task, machine, space,
+                sizeLabel);
+}
+
+bool FeedbackRecorder::record(const DecisionKey& identity,
+                              const runtime::Task& task,
+                              const sim::MachineConfig& machine,
+                              const runtime::PartitioningSpace& space,
+                              const std::string& sizeLabel) {
   {
     common::MutexLock lock(mutex_);
-    if (seen_.count(key) != 0) return false;
+    if (seen_.count(identity) != 0) return false;
   }
   // The sweep simulates every partitioning — keep it outside the lock so
   // concurrent recorders of *different* launches don't serialize. A racing
   // duplicate of the same launch just loses the insert below.
-  runtime::LaunchRecord rec =
-      runtime::measureLaunch(task, machine, space, sizeLabel);
+  runtime::LaunchRecord rec = runtime::measureLaunch(
+      task, machine, space,
+      sizeLabel.empty() ? "n=" + std::to_string(task.globalSize) : sizeLabel);
   common::MutexLock lock(mutex_);
-  if (!seen_.insert(key).second) return false;
+  if (!seen_.insert(identity).second) return false;
   db_.add(std::move(rec));
   return true;
 }

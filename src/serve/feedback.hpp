@@ -31,9 +31,18 @@ public:
   explicit FeedbackRecorder(std::size_t numPartitionings,
                             int roundDigits = 6);
 
-  /// Measure and append one launch; returns false when an identical
-  /// (machine, program, signature) launch is already recorded. Safe to
-  /// call concurrently — the sweep runs outside the lock.
+  /// Measure and append one launch; returns false when a launch with the
+  /// same identity (machine, program, quantized signature; the key's model
+  /// version is ignored) is already recorded. `identity` is the key the
+  /// caller already built for the launch. An empty `sizeLabel` labels the
+  /// record "n=<globalSize>", built only when the launch is measured. Safe
+  /// to call concurrently — the sweep runs outside the lock.
+  bool record(const DecisionKey& identity, const runtime::Task& task,
+              const sim::MachineConfig& machine,
+              const runtime::PartitioningSpace& space,
+              const std::string& sizeLabel);
+  /// As above, quantizing the identity from `task` at this recorder's
+  /// digits.
   bool record(const runtime::Task& task, const sim::MachineConfig& machine,
               const runtime::PartitioningSpace& space,
               const std::string& sizeLabel);
@@ -50,7 +59,8 @@ private:
   int roundDigits_;
   mutable common::Mutex mutex_;
   runtime::FeatureDatabase db_ TP_GUARDED_BY(mutex_);
-  std::unordered_set<DecisionKey, DecisionKeyHash> seen_ TP_GUARDED_BY(mutex_);
+  std::unordered_set<DecisionKey, DecisionKeyHash, SameIdentity> seen_
+      TP_GUARDED_BY(mutex_);
 };
 
 }  // namespace tp::serve

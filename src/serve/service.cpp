@@ -291,17 +291,14 @@ PartitionService::MachineState& PartitionService::state(
   return *it->second;
 }
 
-DecisionKey PartitionService::fullKeyAt(const MachineState& ms,
-                                        const runtime::Task& task,
-                                        std::uint64_t version) const {
+DecisionKey PartitionService::fullKeyAt(
+    const MachineState& ms, const runtime::Task& task,
+    const std::vector<double>& signature, std::uint64_t version) const {
   DecisionKey key;
   key.machine = ms.machine.name;
   key.program = programKey(task);
   key.modelVersion = version;
-  key.features = launchSignature(task);
-  for (double& f : key.features) {
-    f = roundSignificant(f, kCacheRoundDigits);
-  }
+  key.features = signature;
   return key;
 }
 
@@ -387,20 +384,26 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
                                  task.kernelName);
     }
     const bool fingerprinted = pairId != common::PairInterner::kInvalid;
+    // Quantized once per request, into storage reused by this thread: the
+    // fingerprint, the full key and the feedback identity all read it.
+    thread_local std::vector<double> signature;
+    quantizeSignature(task, kCacheRoundDigits, signature);
     common::Fingerprint fp;
-    if (fingerprinted) {
-      fp = launchFingerprint(pairId, task, kCacheRoundDigits);
-    }
+    if (fingerprinted) fp = launchFingerprint(pairId, signature);
     const std::uint64_t version = cache_->version();
     const std::optional<std::size_t> hit =
         fingerprinted ? cache_->lookup(fp, version) : std::nullopt;
     response.modelVersion = version;
     response.cacheHit = hit.has_value();
 
-    // Default-constructed (no allocation); materialized only on a miss,
-    // shared by the cache insert (which copies) and the RefineKey (which
-    // moves out of it).
+    // The full key: built at most once, on first use, and never on a
+    // plain hit (a default-constructed key allocates nothing; a built
+    // one's program is never empty, it holds "program/kernel").
     DecisionKey full;
+    const auto fullKey = [&]() -> DecisionKey& {
+      if (full.program.empty()) full = fullKeyAt(ms, task, signature, version);
+      return full;
+    };
     if (hit.has_value()) {
       response.label = *hit;
     } else {
@@ -408,10 +411,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
         TP_TRACE_SPAN("serve.model_inference");
         response.label = predictWithModel(ms, task);
       }
-      if (fingerprinted) {
-        full = fullKeyAt(ms, task, version);
-        cache_->insert(fp, full, response.label);
-      }
+      if (fingerprinted) cache_->insert(fp, fullKey(), response.label);
     }
 
     if (refiner_ != nullptr && fingerprinted) {
@@ -419,16 +419,23 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
       // hands it the full key, so absent entries are created; a hit
       // passes nullptr (its entry was created when it missed) and serves
       // unrefined if the entry is gone, rather than re-materializing key
-      // strings on the warm path.
+      // strings on the warm path. The refiner copies what it keeps, so a
+      // miss lends it the full key's parts and takes them back.
       adapt::RefineKey refineKey;
       if (!hit.has_value()) {
-        refineKey.machine = std::move(full.machine);
-        refineKey.program = std::move(full.program);
-        refineKey.signature = std::move(full.features);
+        DecisionKey& key = fullKey();
+        refineKey.machine = std::move(key.machine);
+        refineKey.program = std::move(key.program);
+        refineKey.signature = std::move(key.features);
       }
       const adapt::RefineDecision rd =
           refiner_->decide(fp, hit.has_value() ? nullptr : &refineKey,
                            version, response.label, ms.space);
+      if (!hit.has_value()) {
+        full.machine = std::move(refineKey.machine);
+        full.program = std::move(refineKey.program);
+        full.features = std::move(refineKey.signature);
+      }
       response.explored = rd.explore;
       response.refined = rd.refined;
       if (rd.label != response.label || rd.explore) {
@@ -437,7 +444,26 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
       }
     }
 
-    finishDecided(ms, task, response, fingerprinted ? &fp : nullptr);
+    // Execute the decided label on the machine's shared scheduler.
+    response.partitioning = ms.space.at(response.label);
+    response.execution = ms.scheduler.execute(task, response.partitioning);
+    if (refiner_ != nullptr && fingerprinted) {
+      const adapt::Observation obs =
+          refiner_->observe(fp, response.modelVersion, response.label,
+                            response.execution.makespan, ms.space);
+      const bool reinstallIncumbent = obs.tracked && response.refined &&
+                                      !response.explored && !response.cacheHit;
+      if (obs.improved || reinstallIncumbent) {
+        // Measured win: future lookups of this signature serve the
+        // refined label (a stale-version key is dropped harmlessly). The
+        // reinstall case covers exploiting a previously adopted win whose
+        // cache entry was evicted: reinstall the *current* incumbent —
+        // not this request's own label, which a concurrent probe's win
+        // may have superseded.
+        cache_->insert(fp, fullKey(), obs.bestLabel);
+      }
+    }
+    ms.load.record(response.execution.makespan, response.execution.devices);
 
     if (config_.recordFeedback &&
         (!hit.has_value() ||
@@ -448,10 +474,8 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
       // Exception: once remote wins were merged into the cache, hits may
       // be launches that never missed locally (see feedbackBackfill_).
       // admit() froze the map, so the audited accessor is the right read.
-      feedbackPostFreeze()->record(
-          task, ms.machine, ms.space,
-          request.sizeLabel.empty() ? "n=" + std::to_string(task.globalSize)
-                                    : request.sizeLabel);
+      feedbackPostFreeze()->record(fullKey(), task, ms.machine, ms.space,
+                                   request.sizeLabel);
     }
     recordLatency(ms, secondsSince(admitted));
     completed_.add();
@@ -463,35 +487,6 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
   }
   requestDone();
   return response;
-}
-
-void PartitionService::finishDecided(MachineState& ms,
-                                     const runtime::Task& task,
-                                     LaunchResponse& response,
-                                     const common::Fingerprint* fp) {
-  response.partitioning = ms.space.at(response.label);
-  response.execution = ms.scheduler.execute(task, response.partitioning);
-
-  if (refiner_ != nullptr && fp != nullptr) {
-    const adapt::Observation obs =
-        refiner_->observe(*fp, response.modelVersion, response.label,
-                          response.execution.makespan, ms.space);
-    const bool reinstallIncumbent = obs.tracked && response.refined &&
-                                    !response.explored && !response.cacheHit;
-    if (obs.improved || reinstallIncumbent) {
-      // Measured win: future lookups of this signature serve the refined
-      // label (a stale-version key is dropped harmlessly). The reinstall
-      // case covers exploiting a previously adopted win whose cache entry
-      // was evicted: reinstall the *current* incumbent — not this
-      // request's own label, which a concurrent probe's win may have
-      // superseded. The full key is materialized here (win write-backs
-      // are rare), stamped with the version the decision was made under.
-      cache_->insert(*fp, fullKeyAt(ms, task, response.modelVersion),
-                     obs.bestLabel);
-    }
-  }
-
-  ms.load.record(response.execution.makespan, response.execution.devices);
 }
 
 std::future<LaunchResponse> PartitionService::submit(LaunchRequest request) {

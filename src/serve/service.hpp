@@ -11,9 +11,11 @@
 //
 //   1. admit: resolve the machine, count the request and consult the
 //      admission breaker (an open breaker answers `shed` right here);
-//   2. intern the (machine, program) pair (common::PairInterner) and fold
-//      it with the quantized launch signature into a 128-bit fingerprint,
-//      so no key string or signature vector is built before a miss;
+//   2. intern the (machine, program) pair (common::PairInterner),
+//      quantize the launch signature once into per-thread storage, and
+//      fold both into a 128-bit fingerprint; no key string is built
+//      before a miss, and a miss builds its full key at most once (the
+//      cache insert, the refiner and the feedback recorder share it);
 //   3. probe the lock-free fingerprinted decision cache (serve/cache.hpp);
 //   4. on a miss, extract features, ask the machine's model and insert
 //      the decision into the cache;
@@ -307,10 +309,11 @@ private:
           "PartitionService.ConcurrentClientsGetConsistentDecisions") {
     return feedback_.get();
   }
-  /// The full decision key of a launch at an explicit generation — the
-  /// one place the (machine, program, quantized signature) layout is
-  /// materialized on serving paths.
+  /// The full decision key of a launch with quantized `signature` at an
+  /// explicit generation — the one place the (machine, program, quantized
+  /// signature) layout is materialized on serving paths.
   DecisionKey fullKeyAt(const MachineState& ms, const runtime::Task& task,
+                        const std::vector<double>& signature,
                         std::uint64_t version) const;
   /// Hook this service's counters/summaries into config_.metrics under
   /// config_.metricsPrefix (constructor-only; callbacks capture `this`).
@@ -330,13 +333,6 @@ private:
   /// accounting; every path ends the request's in-flight count.
   LaunchResponse serveAdmitted(MachineState& ms, const LaunchRequest& request,
                                obs::Clock::time_point admitted);
-  /// Pipeline step 6: execute the decided `response.label` on the
-  /// machine's shared scheduler, let the refiner observe the makespan
-  /// (writing a measured win back into the cache), and account the
-  /// machine load. `fp` is null for launches the intern table could not
-  /// hold.
-  void finishDecided(MachineState& ms, const runtime::Task& task,
-                     LaunchResponse& response, const common::Fingerprint* fp);
   /// Amortized breaker evaluation on the admission path: bumps the
   /// machine's admission tick and runs evaluateBreaker() on every
   /// breaker.evalEvery-th admission.

@@ -5,6 +5,7 @@
 //
 //   - building a LaunchRequest (a Task copy),
 //   - the model's feature vector (features::combinedFeatureVector),
+//   - a forest predict on that vector,
 //   - a cache hit,
 //   - a steady-state miss (a one-slot cache, feedback already recorded).
 //
@@ -86,12 +87,16 @@ namespace tp::serve {
 namespace {
 
 // Budgets: the most allocations one served launch takes on each path.
-// Means over the 138 launches when these were set: request build 2.78,
-// feature vector 2.78, hit 7.80, miss 15.28.
+// Means over the 138 launches, before → after the last budget change
+// (LaunchInfo refers to the task's bindings, forest votes go into reused
+// scratch, the signature is quantized once per request): request build
+// 2.78 → 2.78, feature vector 2.78 → 1.00, predict 2.00 → 0.00, hit
+// 7.80 → 7.80, miss 15.28 → 10.14.
 constexpr std::uint64_t kRequestBuildBudget = 4;
-constexpr std::uint64_t kFeatureVectorBudget = 4;
+constexpr std::uint64_t kFeatureVectorBudget = 1;
+constexpr std::uint64_t kPredictBudget = 0;
 constexpr std::uint64_t kHitBudget = 9;
-constexpr std::uint64_t kMissBudget = 19;
+constexpr std::uint64_t kMissBudget = 12;
 
 /// Counts the calling thread's allocations over its lifetime.
 class AllocationScope {
@@ -220,6 +225,33 @@ TEST(AllocationBudget, FeatureVector) {
   std::printf("feature vector: max %llu, mean %.2f allocations\n",
               static_cast<unsigned long long>(c.max), c.mean);
   EXPECT_LE(c.max, kFeatureVectorBudget);
+}
+
+TEST(AllocationBudget, ForestPredict) {
+  const auto& fx = fixture();
+  std::vector<std::vector<double>> xs;
+  for (const auto& task : fx.tasks) {
+    xs.push_back(
+        features::combinedFeatureVector(task.features, task.launchInfo()));
+  }
+  // The first call sizes this thread's reused vote scratch.
+  (void)fx.models[0]->predict(xs[0]);
+  std::vector<std::uint64_t> counts;
+  for (std::size_t l = 0; l < fx.numLaunches(); ++l) {
+    const auto& model = *fx.models[l % fx.machines.size()];
+    const auto& x = xs[l / fx.machines.size()];
+    std::uint64_t n = 0;
+    {
+      const AllocationScope scope;
+      (void)model.predict(x);
+      n = scope.count();
+    }
+    counts.push_back(n);
+  }
+  const auto c = summarize(counts);
+  std::printf("predict: max %llu, mean %.2f allocations\n",
+              static_cast<unsigned long long>(c.max), c.mean);
+  EXPECT_LE(c.max, kPredictBudget);
 }
 
 TEST(AllocationBudget, CacheHit) {

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -192,8 +193,9 @@ __kernel void scale(__global const float* a, __global float* b, int K) {
   b[i] = acc;
 }
 )");
+  const std::map<std::string, double> bindings = {{"K", 32.0}};
   LaunchInfo launch;
-  launch.sizeBindings = {{"K", 32.0}};
+  launch.sizeBindings = &bindings;
   launch.globalSize = 1024;
   launch.localSize = 64;
   launch.bytesToDevice = 4096.0;
@@ -206,8 +208,9 @@ __kernel void scale(__global const float* a, __global float* b, int K) {
   // r_global_size
   EXPECT_DOUBLE_EQ(v[0], 1024.0);
   // Per-item flops scale linearly with K.
+  const std::map<std::string, double> biggerBindings = {{"K", 64.0}};
   LaunchInfo bigger = launch;
-  bigger.sizeBindings["K"] = 64.0;
+  bigger.sizeBindings = &biggerBindings;
   const auto v2 = runtimeFeatureVector(f, bigger);
   const std::size_t flopsIdx = 3;  // r_per_item_flops
   EXPECT_EQ(names[flopsIdx], "r_per_item_flops");

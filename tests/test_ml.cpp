@@ -6,7 +6,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -292,6 +294,60 @@ void expectMatchesPerTreeSum(const RandomForest& forest,
   }
 }
 
+/// Doubles at the edges of the format: signed zeros, infinities, NaN,
+/// subnormals, the smallest normals and the largest finite values.
+const std::vector<double>& specialValues() {
+  static const std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::min(),
+      -std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max()};
+  return values;
+}
+
+/// Probes around every folded threshold: for each raw threshold T on each
+/// feature, a few seeded base rows with that feature set to the doubles
+/// just below T, T itself and just above T. Plus every special value in
+/// every feature of a few base rows, and rows made only of one special
+/// value.
+std::vector<std::vector<double>> edgeProbes(
+    const RandomForest& forest, const std::vector<std::vector<double>>& rows,
+    std::uint64_t seed) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  common::Rng rng(seed);
+  std::vector<std::vector<double>> probes;
+  const std::size_t width = rows.front().size();
+  for (std::size_t f = 0; f < width; ++f) {
+    for (const double t : forest.rawThresholds(static_cast<int>(f))) {
+      for (int k = 0; k < 2; ++k) {
+        std::vector<double> x = rows[rng.below(rows.size())];
+        for (const double v :
+             {std::nextafter(t, -kInf), t, std::nextafter(t, kInf)}) {
+          x[f] = v;
+          probes.push_back(x);
+        }
+      }
+    }
+    for (const double v : specialValues()) {
+      std::vector<double> x = rows[rng.below(rows.size())];
+      x[f] = v;
+      probes.push_back(x);
+    }
+  }
+  for (const double v : specialValues()) {
+    probes.emplace_back(width, v);
+  }
+  return probes;
+}
+
 TEST(RandomForest, CompiledScoresEqualThePerTreeSumBitForBit) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     for (const Dataset& train : {blobs(40, 1.5, seed), skewedBlobs(seed)}) {
@@ -303,6 +359,8 @@ TEST(RandomForest, CompiledScoresEqualThePerTreeSumBitForBit) {
           train.numClasses == 3 ? blobs(20, 3.0, seed + 100)
                                 : skewedBlobs(seed + 100);
       probes.insert(probes.end(), unseen.X.begin(), unseen.X.end());
+      const auto edges = edgeProbes(forest, train.X, seed);
+      probes.insert(probes.end(), edges.begin(), edges.end());
       expectMatchesPerTreeSum(forest, probes);
 
       // load() compiles too: the reloaded forest matches its own trees and
@@ -349,6 +407,105 @@ std::unique_ptr<Classifier> loadText(const std::string& text) {
   return loadClassifier(is);
 }
 
+/// A two-feature, one-tree forest: the root splits feature `feature` at
+/// normalized threshold `threshold` into a class-0 and a class-1 leaf.
+/// Feature 0 has mean 0.3 and scale 2.5; feature 1 is a zero-variance
+/// column (mean 5, scale `zeroScale`, 0 or -0).
+std::string oneSplitForest(int feature, const std::string& threshold,
+                           const std::string& zeroScale = "0") {
+  return "forest 2 1\nnormalizer 2\n0.3 2.5\n5 " + zeroScale +
+         "\ntree 2 3 0\n" + std::to_string(feature) + " " + threshold +
+         " 1 2 0 0.5 0.5\n-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n";
+}
+
+TEST(RandomForest, FoldedThresholdIsTheLastRawDoubleSentLeft) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Model files carry finite thresholds (the text loader rejects inf and
+  // NaN), from tiny to the largest double.
+  for (const char* t : {"0.5", "-0.5", "0", "-0", "1e-300", "-3.75", "250",
+                        "1e300", "-1e300", "1.7976931348623157e308",
+                        "-1.7976931348623157e308"}) {
+    const auto model = loadText(oneSplitForest(0, t));
+    const auto& forest = dynamic_cast<const RandomForest&>(*model);
+    const double threshold = std::stod(t);
+    const auto raw = forest.rawThresholds(0);
+    ASSERT_EQ(raw.size(), 1u) << t;
+    const double fold = raw[0];
+    const auto left = [&](double x) {
+      return forest.normalizer().transformOne(0, x) <= threshold;
+    };
+    if (std::isnan(fold)) {
+      EXPECT_FALSE(left(-kInf)) << t;  // nothing goes left
+    } else {
+      EXPECT_TRUE(left(fold)) << t;
+      if (fold != kInf) {
+        EXPECT_FALSE(left(std::nextafter(fold, kInf))) << t;
+      }
+    }
+    std::vector<std::vector<double>> probes;
+    for (const double v : specialValues()) probes.push_back({v, 1.0});
+    if (std::isfinite(fold)) {
+      for (const double v : {std::nextafter(fold, -kInf), fold,
+                             std::nextafter(fold, kInf)}) {
+        probes.push_back({v, 1.0});
+      }
+    }
+    expectMatchesPerTreeSum(forest, probes);
+  }
+}
+
+TEST(RandomForest, PredictIsTheFirstMaximumOfTheDividedScores) {
+  // Two single-leaf trees. Exact ties go to the first label; so do votes
+  // that differ but divide to the same score: a subnormal vote halves to
+  // 0, the score of the empty label before it.
+  const std::string leaf = "tree 2 1 0\n-1 0 -1 -1 0 ";
+  for (const auto& [a, b, expected] :
+       std::vector<std::tuple<std::string, std::string, int>>{
+           {"0.5 0.5", "0.5 0.5", 0},
+           {"0.25 0.75", "0.5 0.5", 1},
+           {"0 4.9406564584124654e-324", "0 0", 0},
+           {"0 1e-310", "0 0", 1}}) {
+    const auto model = loadText("forest 2 2\nnormalizer 1\n0 1\n" + leaf +
+                                a + "\n" + leaf + b + "\n");
+    const auto& forest = dynamic_cast<const RandomForest&>(*model);
+    expectMatchesPerTreeSum(forest, {{0.0}, {-1.0}});
+    EXPECT_EQ(forest.predict({0.0}), expected) << a << " + " << b;
+  }
+}
+
+TEST(RandomForest, ZeroVarianceSplitsSendInfinitiesRight) {
+  // A zero-variance column standardizes every finite input to ±0 and ±inf
+  // to NaN: a split at t >= 0 sends finite inputs left and ±inf right, a
+  // split at t < 0 sends everything right.
+  for (const char* scale : {"0", "-0"}) {
+    for (const char* t : {"0.5", "0", "-0", "-0.5", "1e300"}) {
+      const auto model = loadText(oneSplitForest(1, t, scale));
+      const auto& forest = dynamic_cast<const RandomForest&>(*model);
+      std::vector<std::vector<double>> probes;
+      for (const double v : specialValues()) {
+        probes.push_back({0.0, v});
+        probes.push_back({v, v});
+      }
+      probes.push_back({0.0, 5.0});
+      probes.push_back({0.0, -7.0});
+      expectMatchesPerTreeSum(forest, probes);
+      const bool finiteLeft = std::stod(t) >= 0.0;
+      EXPECT_EQ(forest.predict({0.0, 1e300}), finiteLeft ? 0 : 1) << t;
+      EXPECT_EQ(forest.predict({0.0, -1e300}), finiteLeft ? 0 : 1) << t;
+      EXPECT_EQ(forest.predict(
+                    {0.0, -std::numeric_limits<double>::infinity()}),
+                1)
+          << t;
+      // The compiled form round-trips through the unchanged file format.
+      std::ostringstream saved;
+      forest.save(saved);
+      const auto back = loadText(saved.str());
+      expectMatchesPerTreeSum(dynamic_cast<const RandomForest&>(*back),
+                              probes);
+    }
+  }
+}
+
 TEST(ModelLoad, ValidHandWrittenForestLoadsAndPredicts) {
   const auto model = loadText(oneTreeForest(kValidTree));
   EXPECT_EQ(model->predict({0.0}), 0);
@@ -374,12 +531,24 @@ TEST(ModelLoad, StructurallyInvalidTreesAreRejected) {
       {"label out of range", "tree 2 3 0\n0 0.5 1 2 0 0.5 0.5\n"
                              "-1 0 -1 -1 5 1 0\n-1 0 -1 -1 1 0 1\n"},
       {"empty tree", "tree 2 0 0\n"},
+      // Both children are node 1: a DAG, not a tree.
+      {"shared child", "tree 2 3 0\n0 0.5 1 1 0 0.5 0.5\n"
+                       "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"},
+      // Nodes 0 and 1 both claim node 2.
+      {"two parents", "tree 2 4 0\n0 0.5 1 2 0 0.5 0.5\n"
+                      "0 0.7 2 3 0 0.5 0.5\n-1 0 -1 -1 0 1 0\n"
+                      "-1 0 -1 -1 1 0 1\n"},
   };
   for (const auto& [what, tree] : hostile) {
     EXPECT_THROW(loadText(oneTreeForest(tree)), Error) << what;
   }
   EXPECT_THROW(loadText("forest 2 0\nnormalizer 1\n0 1\n"), Error)
       << "no trees";
+  // A negative scale would make the standardization decreasing.
+  EXPECT_THROW(loadText("forest 2 1\nnormalizer 1\n0 -1\n" +
+                        std::string(kValidTree)),
+               Error)
+      << "negative scale";
   // A standalone tree is held to the same structure.
   EXPECT_THROW(loadText("tree 2 3 1\n0 0.5 0 2 0 0.5 0.5\n"
                         "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"

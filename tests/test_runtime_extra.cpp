@@ -130,7 +130,8 @@ TEST(Task, LaunchInfoMatchesBuffers) {
   EXPECT_EQ(info.localSize, 64u);
   EXPECT_DOUBLE_EQ(info.bytesToDevice, (1 << 12) * 4.0);    // in only
   EXPECT_DOUBLE_EQ(info.bytesFromDevice, (1 << 12) * 4.0);  // out only
-  EXPECT_DOUBLE_EQ(info.sizeBindings.at("n"), 4096.0);
+  EXPECT_EQ(info.sizeBindings, &task.sizeBindings);  // refers, no copy
+  EXPECT_DOUBLE_EQ(info.sizeBindings->at("n"), 4096.0);
 }
 
 // --- failure injection ------------------------------------------------------

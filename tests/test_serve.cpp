@@ -14,13 +14,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 
 #include "common/intern.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/health.hpp"
@@ -83,6 +86,60 @@ TEST(RoundSignificant, SurvivesExtremeMagnitudes) {
   EXPECT_EQ(again.fp, tiny.fp);
   cache.insert(again.fp, again.key, 3);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+/// roundSignificant() without its integer fast path: the log10/pow
+/// formula alone.
+double roundByFormula(double v, int digits) {
+  if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
+    return v == 0.0 ? 0.0 : v;
+  }
+  const double exponent = std::floor(std::log10(std::fabs(v)));
+  const double scale =
+      std::pow(10.0, static_cast<double>(digits - 1) - exponent);
+  if (!std::isfinite(scale) || scale == 0.0) return v;
+  const double rounded = std::round(v * scale) / scale;
+  if (!std::isfinite(rounded)) return v;
+  return rounded == 0.0 ? 0.0 : rounded;
+}
+
+TEST(RoundSignificant, IntegerFastPathMatchesTheFormula) {
+  std::size_t mismatches = 0;
+  const auto check = [&](double v, int digits) {
+    const double fast = roundSignificant(v, digits);
+    const double formula = roundByFormula(v, digits);
+    if (std::memcmp(&fast, &formula, sizeof fast) != 0 &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << v << " at " << digits << " digits: " << fast
+                    << " vs " << formula;
+    }
+  };
+  // Every integer in [-10^6, 10^6] at each digit count whose fast-path
+  // bound 10^digits falls inside that range or at its end (1-7; above 7
+  // every one of them takes the fast path, as at 7).
+  for (int digits = 1; digits <= 7; ++digits) {
+    for (int v = -1000000; v <= 1000000; ++v) check(v, digits);
+  }
+  std::vector<double> values;
+  // Every decade's edges, past the fast path's reach.
+  double decade = 1.0;
+  for (int k = 0; k <= 17; ++k, decade *= 10.0) {
+    for (const double d : {-2.0, -1.0, 0.0, 1.0, 2.0}) {
+      values.push_back(decade + d);
+      values.push_back(-(decade + d));
+    }
+  }
+  // Random integers of every bit length up to 53.
+  common::Rng rng(97);
+  for (int i = 0; i < 100000; ++i) {
+    const auto bits = static_cast<int>(rng.below(53)) + 1;
+    const auto magnitude = static_cast<double>(rng() >> (64 - bits));
+    values.push_back(rng.below(2) == 0 ? magnitude : -magnitude);
+  }
+  for (int digits = 1; digits <= 15; ++digits) {
+    for (const double v : values) check(v, digits);
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(RoundSignificant, CollapsesJitterAndNormalizesZero) {
@@ -986,6 +1043,99 @@ TEST(PartitionService, FeedbackRecorderDeduplicates) {
   ASSERT_EQ(db.size(), 2u);
   EXPECT_EQ(db.records()[0].machine, machine.name);
   EXPECT_EQ(db.records()[0].times.size(), space.size());
+}
+
+TEST(PartitionService, FeedbackRecorderTakesTheCallersIdentity) {
+  const auto machine = sim::makeMc2();
+  const runtime::PartitioningSpace space(machine.numDevices(), 10);
+  FeedbackRecorder recorder(space.size());
+  const runtime::Task task = makeScaleTask(1 << 12, 10);
+  DecisionKey identity;
+  identity.machine = machine.name;
+  identity.program = programKey(task);
+  quantizeSignature(task, 6, identity.features);
+
+  // An empty size label becomes "n=<globalSize>" on the measured record.
+  EXPECT_TRUE(recorder.record(identity, task, machine, space, ""));
+  EXPECT_EQ(recorder.snapshot().records()[0].sizeLabel, "n=4096");
+  // Another generation of the same launch is the same identity, and the
+  // quantizing overload agrees with the caller's key.
+  identity.modelVersion = 5;
+  EXPECT_FALSE(recorder.record(identity, task, machine, space, ""));
+  EXPECT_FALSE(recorder.record(task, machine, space, "n=4096"));
+  EXPECT_EQ(recorder.size(), 1u);
+}
+
+TEST(QuantizeOnce, StreamingAndVectorFormsAgreeOnEverySuiteLaunch) {
+  std::size_t launches = 0;
+  for (const auto& bench : suite::allBenchmarks()) {
+    for (const std::size_t size : bench.sizes) {
+      const auto instance = bench.make(size);
+      const runtime::Task& task = instance.task;
+      std::vector<double> expected = launchSignature(task);
+      for (double& v : expected) v = roundSignificant(v, kCacheRoundDigits);
+      std::vector<double> quantized{-1.0};  // stale contents are replaced
+      quantizeSignature(task, kCacheRoundDigits, quantized);
+      EXPECT_EQ(quantized, expected) << bench.name << " at " << size;
+      for (const std::uint32_t pairId : {0u, 7u}) {
+        EXPECT_EQ(launchFingerprint(pairId, task, kCacheRoundDigits),
+                  launchFingerprint(pairId, quantized))
+            << bench.name << " at " << size;
+      }
+      ++launches;
+    }
+  }
+  EXPECT_EQ(launches, 23u * 6u);
+}
+
+TEST(QuantizeOnce, SuiteReplayRecordsEachDistinctLaunchOnce) {
+  // Every suite program at every rung on both evaluation machines, served
+  // twice through a one-slot cache so every request misses and reaches
+  // the feedback recorder. The record count is the number of distinct
+  // (machine, program, quantized signature) launches: 276, the same as
+  // before the signature was quantized once per request.
+  const auto machines = sim::evaluationMachines();
+  const runtime::PartitioningSpace space(machines[0].numDevices(),
+                                         kDivisions);
+  std::vector<runtime::Task> tasks;
+  for (const auto& bench : suite::allBenchmarks()) {
+    for (const std::size_t size : bench.sizes) {
+      tasks.push_back(bench.make(size).task);
+    }
+  }
+  auto db = runtime::FeatureDatabase::withDefaultSchema(space.size());
+  for (const auto& machine : machines) {
+    db.add(runtime::measureLaunch(tasks[0], machine, space, "n=0"));
+  }
+  ServiceConfig config;
+  config.cacheCapacity = 1;
+  config.recordFeedback = true;
+  PartitionService service(config);
+  for (const auto& machine : machines) {
+    service.addMachine(machine,
+                       std::shared_ptr<const ml::Classifier>(
+                           runtime::trainDeploymentModel(db, machine.name,
+                                                         "mostfreq")));
+  }
+  std::set<std::tuple<std::string, std::string, std::vector<double>>>
+      distinct;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& task : tasks) {
+      for (const auto& machine : machines) {
+        LaunchRequest request;
+        request.machine = machine.name;
+        request.task = task;
+        (void)service.call(std::move(request));
+        std::vector<double> sig = launchSignature(task);
+        for (double& v : sig) v = roundSignificant(v, kCacheRoundDigits);
+        distinct.emplace(machine.name, programKey(task), std::move(sig));
+      }
+    }
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.feedbackRecords, distinct.size());
+  EXPECT_EQ(stats.feedbackRecords, 276u);
 }
 
 // ---- admission breaker (load shedding) -------------------------------------
