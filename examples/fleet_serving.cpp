@@ -200,8 +200,7 @@ int main() {
              "gossip counters reconcile on " + replica.id());
       const auto version = replica.service().modelVersion();
       for (const auto& win : wins) {
-        const auto inc =
-            replica.service().refiner()->incumbent(win.key, version);
+        const auto inc = replica.service().refinedIncumbent(win.key, version);
         expect(inc.tracked && inc.label == win.incumbentLabel,
                "adopted incumbent label matches A's");
         expect(inc.tracked && inc.meanSeconds == win.incumbentMean,

@@ -12,20 +12,6 @@
 
 namespace tp::adapt {
 
-std::size_t RefineKeyHash::operator()(const RefineKey& k) const noexcept {
-  return static_cast<std::size_t>(
-      common::hashLaunchKey(k.machine, k.program, k.signature));
-}
-
-common::Fingerprint refineFingerprint(const RefineKey& key) noexcept {
-  common::FingerprintBuilder fb;
-  fb.str(key.machine);
-  fb.str(key.program);
-  fb.u64(key.signature.size());
-  for (const double v : key.signature) fb.f64(v);
-  return fb.take();
-}
-
 struct Refiner::Shard {
   mutable common::Mutex mutex;
   std::unordered_map<common::Fingerprint, Entry, common::FingerprintHash>
@@ -34,13 +20,7 @@ struct Refiner::Shard {
   RefinerCounters counters TP_GUARDED_BY(mutex);
 };
 
-Refiner::Refiner(RefinerConfig config, Fingerprinter fingerprinter)
-    : config_(config), fingerprinter_(std::move(fingerprinter)) {
-  if (!fingerprinter_) {
-    fingerprinter_ = [](const RefineKey& key) {
-      return std::optional<common::Fingerprint>(refineFingerprint(key));
-    };
-  }
+Refiner::Refiner(RefinerConfig config) : config_(config) {
   TP_REQUIRE(config_.exploreFraction >= 0.0 && config_.exploreFraction <= 1.0,
              "Refiner: exploreFraction must be in [0, 1], got "
                  << config_.exploreFraction);
@@ -136,23 +116,8 @@ void Refiner::sweepSuperseded(Shard& shard, std::uint64_t version)
   }
 }
 
-RefineDecision Refiner::decide(const RefineKey& key,
-                               std::uint64_t modelVersion,
-                               std::size_t baseLabel,
-                               const runtime::PartitioningSpace& space) {
-  const auto fp = fingerprinter_(key);
-  if (!fp.has_value()) {
-    Shard& shard = shardFor(common::Fingerprint{});
-    common::MutexLock lock(shard.mutex);
-    ++shard.counters.decisions;
-    ++shard.counters.untracked;
-    return RefineDecision{baseLabel, false, false};
-  }
-  return decide(*fp, &key, modelVersion, baseLabel, space);
-}
-
 RefineDecision Refiner::decide(const common::Fingerprint& fp,
-                               const RefineKey* key,
+                               const runtime::LaunchKey* key,
                                std::uint64_t modelVersion,
                                std::size_t baseLabel,
                                const runtime::PartitioningSpace& space) {
@@ -248,19 +213,6 @@ RefineDecision Refiner::decide(const common::Fingerprint& fp,
   return decision;
 }
 
-Observation Refiner::observe(const RefineKey& key, std::uint64_t modelVersion,
-                             std::size_t label, double seconds,
-                             const runtime::PartitioningSpace& space) {
-  const auto fp = fingerprinter_(key);
-  if (!fp.has_value()) {
-    Shard& shard = shardFor(common::Fingerprint{});
-    common::MutexLock lock(shard.mutex);
-    ++shard.counters.staleObservations;
-    return Observation{};
-  }
-  return observe(*fp, modelVersion, label, seconds, space);
-}
-
 Observation Refiner::observe(const common::Fingerprint& fp,
                              std::uint64_t modelVersion, std::size_t label,
                              double seconds,
@@ -331,10 +283,16 @@ std::vector<WinRecord> Refiner::exportWins(bool refinedOnly) const {
 }
 
 MergeResult Refiner::mergeWins(const std::vector<WinRecord>& wins,
+                               const std::vector<common::Fingerprint>& fps,
                                std::uint64_t currentVersion) {
   TP_TRACE_SPAN_ARG("adapt.merge_wins", wins.size());
+  TP_REQUIRE(fps.size() == wins.size(),
+             "Refiner::mergeWins: " << fps.size() << " fingerprints for "
+                                    << wins.size() << " records");
   MergeResult result;
-  for (const WinRecord& rec : wins) {
+  for (std::size_t i = 0; i < wins.size(); ++i) {
+    const WinRecord& rec = wins[i];
+    const common::Fingerprint& fp = fps[i];
     if (rec.modelVersion != currentVersion) {
       // Learned against a model this fleet has already replaced (or not
       // yet installed): its measurements say nothing about the current
@@ -342,14 +300,9 @@ MergeResult Refiner::mergeWins(const std::vector<WinRecord>& wins,
       ++result.stale;
       continue;
     }
-    const auto fp = fingerprinter_(rec.key);
-    if (!fp.has_value()) {
-      ++result.dropped;
-      continue;
-    }
-    Shard& shard = shardFor(*fp);
+    Shard& shard = shardFor(fp);
     common::MutexLock lock(shard.mutex);
-    auto it = shard.entries.find(*fp);
+    auto it = shard.entries.find(fp);
     if (it == shard.entries.end()) {
       if (shard.entries.size() >= maxKeysPerShard_) {
         sweepSuperseded(shard, currentVersion);
@@ -358,7 +311,7 @@ MergeResult Refiner::mergeWins(const std::vector<WinRecord>& wins,
         ++result.dropped;
         continue;
       }
-      it = shard.entries.emplace(*fp, Entry{}).first;
+      it = shard.entries.emplace(fp, Entry{}).first;
       Entry& entry = it->second;
       entry.key = rec.key;
       entry.modelVersion = rec.modelVersion;
@@ -434,13 +387,6 @@ MergeResult Refiner::mergeWins(const std::vector<WinRecord>& wins,
     }
   }
   return result;
-}
-
-Refiner::Incumbent Refiner::incumbent(const RefineKey& key,
-                                      std::uint64_t modelVersion) const {
-  const auto fp = fingerprinter_(key);
-  if (!fp.has_value()) return Incumbent{};
-  return incumbent(*fp, modelVersion);
 }
 
 Refiner::Incumbent Refiner::incumbent(const common::Fingerprint& fp,

@@ -20,54 +20,24 @@
 // prediction (the new model already learned from the recorded traffic,
 // including every explored win).
 //
-// Keys are addressed by a 128-bit common::Fingerprint (the serving fast
-// path computes one per request anyway; the refiner reuses it instead of
-// rehashing the key's strings). Every fingerprint fed to one Refiner
-// instance must come from a single consistent scheme: either the
-// instance's fingerprinter (the convenience overloads and mergeWins use
-// it) or a caller that precomputes with the same scheme (the hot-path
-// overloads). Mixing schemes would split one key into two entries.
+// Keys are runtime::LaunchKeys, addressed by the caller's 128-bit
+// common::Fingerprint: the refiner computes no fingerprints. The serving
+// layer passes the one it computed for the request (and for each merged
+// win record), so a launch's cache entry and refiner entry share one
+// address; a standalone caller supplies any scheme that is consistent
+// across its calls.
 //
 // Thread-safe: state is sharded, each shard independently mutex-guarded,
 // exploration draws from a per-shard deterministic Rng.
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "common/hash.hpp"
 #include "runtime/partitioning.hpp"
+#include "runtime/task.hpp"
 
 namespace tp::adapt {
-
-/// Identity of a refinable decision: everything the cache key carries
-/// except the model version (history must survive until the version
-/// change is *seen*, so the decay is observable and countable).
-struct RefineKey {
-  std::string machine;
-  std::string program;
-  std::vector<double> signature;  ///< quantized launch signature
-
-  bool operator==(const RefineKey& o) const = default;
-};
-
-struct RefineKeyHash {
-  std::size_t operator()(const RefineKey& k) const noexcept;
-};
-
-/// The default (string-hashing) fingerprint scheme: standalone users and
-/// tests address refiner keys with this. The serving layer instead
-/// injects a fingerprinter built on its interned pair ids, so the
-/// fingerprint computed once on the request fast path is reused verbatim.
-common::Fingerprint refineFingerprint(const RefineKey& key) noexcept;
-
-/// Maps a key to its fingerprint under the owning instance's scheme;
-/// nullopt means the key cannot be fingerprinted right now (e.g. the
-/// serving layer's intern table is full) and the record is dropped.
-using Fingerprinter =
-    std::function<std::optional<common::Fingerprint>(const RefineKey&)>;
 
 struct RefinerConfig {
   /// Fraction of decisions (per key, after the baseline is measured) spent
@@ -121,7 +91,7 @@ struct WinArm {
 /// learned against. This is what gossip rounds and snapshots carry
 /// between replicas.
 struct WinRecord {
-  RefineKey key;
+  runtime::LaunchKey key;
   std::uint64_t modelVersion = 0;
   std::size_t baseLabel = 0;       ///< model prediction the key was seeded with
   std::size_t incumbentLabel = 0;  ///< adopted best label
@@ -135,7 +105,9 @@ struct MergeResult {
   std::size_t adopted = 0;  ///< merge moved the key's incumbent
   std::size_t updated = 0;  ///< evidence merged, incumbent unchanged
   std::size_t stale = 0;    ///< model-version mismatch: rejected
-  std::size_t dropped = 0;  ///< key-capacity (or no-refiner) drop
+  /// Key-capacity drop; the service adds records it cannot accept (no
+  /// refiner, a label outside the space, a pair it cannot intern).
+  std::size_t dropped = 0;
 
   std::size_t merged() const noexcept { return adopted + updated; }
 };
@@ -157,11 +129,7 @@ struct RefinerCounters {
 
 class Refiner {
 public:
-  /// `fingerprinter` addresses every key of this instance; the default is
-  /// refineFingerprint (string hashing). Callers of the hot-path
-  /// overloads must precompute fingerprints with the same scheme.
-  explicit Refiner(RefinerConfig config = {},
-                   Fingerprinter fingerprinter = {});
+  explicit Refiner(RefinerConfig config = {});
   ~Refiner();  ///< out-of-line: Shard is incomplete here
 
   Refiner(const Refiner&) = delete;
@@ -171,19 +139,15 @@ public:
   /// serving would use without refinement (cached decision or a fresh
   /// model prediction); `modelVersion` is the generation that produced
   /// it. The first decision for a key always exploits the baseline so the
-  /// incumbent is measured before any probe. `key` is only consulted when
-  /// the fingerprint is untracked and an entry must be created; the
-  /// serving hit path passes nullptr (don't create — a cache hit whose
-  /// refiner entry was capacity-evicted serves unrefined until the next
-  /// miss or version change recreates it) so warm traffic never
-  /// materializes key strings.
-  RefineDecision decide(const common::Fingerprint& fp, const RefineKey* key,
+  /// incumbent is measured before any probe. `key` (the launch behind
+  /// `fp`) is only consulted when the fingerprint is untracked and an
+  /// entry must be created; the serving hit path passes nullptr (don't
+  /// create — a cache hit whose refiner entry was capacity-evicted serves
+  /// unrefined until the next miss or version change recreates it) so
+  /// warm traffic never materializes key strings.
+  RefineDecision decide(const common::Fingerprint& fp,
+                        const runtime::LaunchKey* key,
                         std::uint64_t modelVersion, std::size_t baseLabel,
-                        const runtime::PartitioningSpace& space);
-  /// Convenience: fingerprint via the instance's fingerprinter, creation
-  /// allowed.
-  RefineDecision decide(const RefineKey& key, std::uint64_t modelVersion,
-                        std::size_t baseLabel,
                         const runtime::PartitioningSpace& space);
 
   /// Feed back the measured execution time of a served decision. Returns
@@ -194,9 +158,6 @@ public:
   Observation observe(const common::Fingerprint& fp,
                       std::uint64_t modelVersion, std::size_t label,
                       double seconds, const runtime::PartitioningSpace& space);
-  Observation observe(const RefineKey& key, std::uint64_t modelVersion,
-                      std::size_t label, double seconds,
-                      const runtime::PartitioningSpace& space);
 
   /// Current incumbent for a key, if tracked at this version.
   /// (Test/introspection surface.)
@@ -208,7 +169,6 @@ public:
   };
   Incumbent incumbent(const common::Fingerprint& fp,
                       std::uint64_t modelVersion) const;
-  Incumbent incumbent(const RefineKey& key, std::uint64_t modelVersion) const;
 
   /// Export transferable per-key state. With `refinedOnly` (the gossip
   /// path) only keys whose incumbent differs from the model prediction —
@@ -218,9 +178,9 @@ public:
   /// iteration order within a shard.
   std::vector<WinRecord> exportWins(bool refinedOnly = true) const;
 
-  /// Merge remote win records (fingerprinted via the instance's
-  /// fingerprinter; records it cannot fingerprint count as dropped).
-  /// Records whose model version differs from
+  /// Merge remote win records; `fps[i]` is the caller's fingerprint of
+  /// `wins[i].key` (the two vectors are parallel). Records whose model
+  /// version differs from
   /// `currentVersion` (or from a newer version a tracked key has already
   /// moved to) are rejected as stale. Per arm the better-measured side
   /// wins — higher count, ties broken by lower measured mean — which
@@ -232,6 +192,7 @@ public:
   /// frontier stays with the replica whose own observation won (its
   /// recenter opened the frontier), and everyone else rides along.
   MergeResult mergeWins(const std::vector<WinRecord>& wins,
+                        const std::vector<common::Fingerprint>& fps,
                         std::uint64_t currentVersion);
 
   std::size_t trackedKeys() const;
@@ -245,7 +206,7 @@ private:
     double meanSeconds = 0.0;
   };
   struct Entry {
-    RefineKey key;               ///< full key, for exportWins()
+    runtime::LaunchKey key;      ///< full key, for exportWins()
     std::uint64_t modelVersion = 0;
     std::size_t baseLabel = 0;   ///< the model-side label at this version
     std::size_t incumbent = 0;   ///< arms index of the current best
@@ -266,7 +227,6 @@ private:
   static void sweepSuperseded(Shard& shard, std::uint64_t version);
 
   RefinerConfig config_;
-  Fingerprinter fingerprinter_;
   std::size_t maxKeysPerShard_ = 0;
   mutable std::vector<Shard> shards_;
 };

@@ -1,8 +1,8 @@
 #pragma once
 
-// FNV-1a hashing primitives, shared by the key hashers (serve's decision
-// cache, adapt's refine keys, fleet's gossip digests) so hash constants,
-// byte-folding logic and the launch-key layout live in exactly one place.
+// FNV-1a hashing primitives, shared by the key hashers (runtime's launch
+// key, fleet's gossip digests) so hash constants, byte-folding logic and
+// the launch-key layout live in exactly one place.
 
 #include <bit>
 #include <cstddef>
@@ -47,9 +47,8 @@ inline std::uint64_t fnvDoubles(std::uint64_t h,
   return h;
 }
 
-/// Hash of the shared (machine, program, quantized launch signature)
-/// layout used by serve::DecisionKey and adapt::RefineKey. Callers fold
-/// in any extra fields (e.g. the model version) on top.
+/// Hash of the (machine, program, quantized launch signature) layout of
+/// runtime::LaunchKey. Callers fold in any extra fields on top.
 inline std::uint64_t hashLaunchKey(std::string_view machine,
                                    std::string_view program,
                                    const std::vector<double>& signature) {

@@ -11,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "features/access_analysis.hpp"
 #include "features/runtime_features.hpp"
 #include "features/static_features.hpp"
@@ -67,6 +68,25 @@ struct Task {
   /// Sanity checks (group-aligned NDRange, split sizes match buffers, ...).
   /// Throws tp::Error on violations.
   void validate() const;
+};
+
+/// Identity of one launch decision: this kernel at this problem size on
+/// this machine. The decision cache, the feedback recorder, the online
+/// refiner and the fleet's win records all key on it; the model version
+/// is not part of it.
+struct LaunchKey {
+  std::string machine;
+  std::string program;            ///< "program/kernel"
+  std::vector<double> signature;  ///< quantized launch signature
+
+  bool operator==(const LaunchKey&) const = default;
+};
+
+struct LaunchKeyHash {
+  std::size_t operator()(const LaunchKey& k) const noexcept {
+    return static_cast<std::size_t>(
+        common::hashLaunchKey(k.machine, k.program, k.signature));
+  }
 };
 
 }  // namespace tp::runtime

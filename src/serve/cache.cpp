@@ -75,17 +75,6 @@ std::string programKey(const runtime::Task& task) {
   return task.programName + "/" + task.kernelName;
 }
 
-std::size_t DecisionKeyHash::operator()(const DecisionKey& k) const noexcept {
-  return static_cast<std::size_t>(
-      common::hashLaunchKey(k.machine, k.program, k.features));
-}
-
-bool SameIdentity::operator()(const DecisionKey& a,
-                              const DecisionKey& b) const noexcept {
-  return a.machine == b.machine && a.program == b.program &&
-         a.features == b.features;
-}
-
 common::Fingerprint launchFingerprint(std::uint32_t pairId,
                                       const runtime::Task& task,
                                       int roundDigits) noexcept {
@@ -139,24 +128,21 @@ DecisionCache::DecisionCache(std::size_t capacity, int roundDigits)
   mask_ = n - 1;
   window_ = n < 16 ? n : 16;
   slots_ = std::vector<Slot>(numSlots_);
-  fullKeys_ = std::make_unique<DecisionKey[]>(numSlots_);
+  fullKeys_ = std::make_unique<runtime::LaunchKey[]>(numSlots_);
   counterStripes_ = std::vector<CounterStripe>(common::defaultStripes());
 }
 
 DecisionKey DecisionCache::makeKey(std::string machine, std::string program,
-                                   std::vector<double> features) const
+                                   std::vector<double> signature) const
     TP_LOCK_FREE_AUDITED(
         "acquire-load of the version word pairs with the acq_rel bump in "
         "bumpVersion/advanceVersion, so a key stamped with generation v "
         "observes generation v's models; TSan: test_serve_cache "
         "DecisionCacheDifferential.ConcurrentStreamWithVersionBumps") {
-  DecisionKey key;
-  key.machine = std::move(machine);
-  key.program = std::move(program);
-  key.modelVersion = version_.load(std::memory_order_acquire);
-  key.features = std::move(features);
-  for (double& f : key.features) f = roundSignificant(f, roundDigits_);
-  return key;
+  for (double& v : signature) v = roundSignificant(v, roundDigits_);
+  return DecisionKey{
+      {std::move(machine), std::move(program), std::move(signature)},
+      version_.load(std::memory_order_acquire)};
 }
 
 std::optional<std::size_t> DecisionCache::lookup(
@@ -279,17 +265,17 @@ void DecisionCache::insert(const common::Fingerprint& fp,
     if (fpEqual) {
       // Refresh. Same fingerprint with a different full key is a detected
       // 128-bit collision: count it, newest key wins.
-      if (!SameIdentity{}(fullKeys_[target], key)) {
+      if (fullKeys_[target] != key.launch) {
         counters.collisions.fetch_add(1, std::memory_order_relaxed);
-        fullKeys_[target] = key;
+        fullKeys_[target] = key.launch;
       }
     } else if (occupied) {
       counters.evictions.fetch_add(1, std::memory_order_relaxed);
       counters.insertions.fetch_add(1, std::memory_order_relaxed);
-      fullKeys_[target] = key;
+      fullKeys_[target] = key.launch;
     } else {
       counters.insertions.fetch_add(1, std::memory_order_relaxed);
-      fullKeys_[target] = key;
+      fullKeys_[target] = key.launch;
     }
     // Release stores, not relaxed: nothing orders a relaxed field store
     // after the seq-odd claim in other threads' view (on ARM a plain
@@ -369,7 +355,7 @@ void DecisionCache::sweep(bool staleOnly)
       slot.fpHi.store(0, std::memory_order_release);
       slot.fpLo.store(0, std::memory_order_release);
       slot.ref.store(0, std::memory_order_relaxed);
-      fullKeys_[i] = DecisionKey{};  // release the key's heap storage
+      fullKeys_[i] = runtime::LaunchKey{};  // release the key's heap storage
       counters.invalidations.fetch_add(1, std::memory_order_relaxed);
     }
     common::seqRelease(slot.seq, s);

@@ -37,9 +37,9 @@
 //     version that lands mid-sweep survives it — the PR-3 forward-only
 //     invalidation semantics are preserved.
 //
-// Readers compare fingerprints only. The full key is stored beside the
+// Readers compare fingerprints only. The launch key is stored beside the
 // table and verified on insert: an insert that lands on a matching
-// fingerprint with a different full key is a detected 128-bit collision
+// fingerprint with a different launch key is a detected 128-bit collision
 // (counted, and the newer key wins). A collision that is never
 // re-inserted could in principle serve a wrong label to a reader; with
 // two independently-seeded avalanche-finalized 64-bit streams the odds
@@ -80,28 +80,14 @@ void quantizeSignature(const runtime::Task& task, int roundDigits,
 /// "program/kernel" — the program part of a decision key.
 std::string programKey(const runtime::Task& task);
 
-/// Full decision key: retained on the insert path for fingerprint-
-/// collision verification, and used by feedback deduplication. Never
-/// touched by cache hits.
+/// Full decision key: the launch identity plus the model generation that
+/// decided it. Built on the miss path only; the cache keeps the identity
+/// for fingerprint-collision verification. Never touched by cache hits.
 struct DecisionKey {
-  std::string machine;
-  std::string program;
+  runtime::LaunchKey launch;
   std::uint64_t modelVersion = 0;
-  std::vector<double> features;  ///< quantized launch signature
 
-  bool operator==(const DecisionKey& o) const = default;
-};
-
-/// Hashes a key's identity (machine, program, signature) only, so it
-/// serves both operator== and SameIdentity.
-struct DecisionKeyHash {
-  std::size_t operator()(const DecisionKey& k) const noexcept;
-};
-
-/// Equality of identity: two generations of the same launch match. Used by
-/// collision verification and feedback deduplication.
-struct SameIdentity {
-  bool operator()(const DecisionKey& a, const DecisionKey& b) const noexcept;
+  bool operator==(const DecisionKey&) const = default;
 };
 
 /// 128-bit hot-path identity of a launch: the interned (machine, program)
@@ -142,10 +128,10 @@ public:
   std::size_t capacity() const noexcept { return numSlots_; }
   int roundDigits() const noexcept { return roundDigits_; }
 
-  /// Quantize `features` and stamp the current model version (miss path —
-  /// allocates; the hit path needs only the fingerprint).
+  /// Quantize `signature` and stamp the current model version (miss path
+  /// — allocates; the hit path needs only the fingerprint).
   DecisionKey makeKey(std::string machine, std::string program,
-                      std::vector<double> features) const;
+                      std::vector<double> signature) const;
 
   /// Label cached for `fp` at exactly model generation `version`, or
   /// nullopt. Lock-free and allocation-free; sets the entry's CLOCK
@@ -226,7 +212,8 @@ private:
   int roundDigits_;
   std::atomic<std::uint64_t> version_{0};
   std::vector<Slot> slots_;
-  std::unique_ptr<DecisionKey[]> fullKeys_;  ///< slot-parallel; writers only
+  /// Slot-parallel launch identities; writers only.
+  std::unique_ptr<runtime::LaunchKey[]> fullKeys_;
   mutable std::vector<CounterStripe> counterStripes_;
 };
 

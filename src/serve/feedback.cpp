@@ -1,6 +1,7 @@
 #include "serve/feedback.hpp"
 
 #include "runtime/evaluation.hpp"
+#include "serve/cache.hpp"
 
 namespace tp::serve {
 
@@ -9,12 +10,10 @@ FeedbackRecorder::FeedbackRecorder(std::size_t numPartitionings,
     : roundDigits_(roundDigits),
       db_(runtime::FeatureDatabase::withDefaultSchema(numPartitionings)) {}
 
-DecisionKey FeedbackRecorder::dedupKey(const runtime::Task& task,
-                                       const std::string& machine) const {
-  DecisionKey key;
-  key.machine = machine;
-  key.program = programKey(task);
-  quantizeSignature(task, roundDigits_, key.features);
+runtime::LaunchKey FeedbackRecorder::dedupKey(
+    const runtime::Task& task, const std::string& machine) const {
+  runtime::LaunchKey key{machine, programKey(task), {}};
+  quantizeSignature(task, roundDigits_, key.signature);
   return key;
 }
 
@@ -26,7 +25,7 @@ bool FeedbackRecorder::record(const runtime::Task& task,
                 sizeLabel);
 }
 
-bool FeedbackRecorder::record(const DecisionKey& identity,
+bool FeedbackRecorder::record(const runtime::LaunchKey& identity,
                               const runtime::Task& task,
                               const sim::MachineConfig& machine,
                               const runtime::PartitioningSpace& space,

@@ -19,7 +19,6 @@
 #include "runtime/database.hpp"
 #include "runtime/partitioning.hpp"
 #include "runtime/task.hpp"
-#include "serve/cache.hpp"
 #include "sim/machine.hpp"
 
 namespace tp::serve {
@@ -32,12 +31,11 @@ public:
                             int roundDigits = 6);
 
   /// Measure and append one launch; returns false when a launch with the
-  /// same identity (machine, program, quantized signature; the key's model
-  /// version is ignored) is already recorded. `identity` is the key the
-  /// caller already built for the launch. An empty `sizeLabel` labels the
-  /// record "n=<globalSize>", built only when the launch is measured. Safe
-  /// to call concurrently — the sweep runs outside the lock.
-  bool record(const DecisionKey& identity, const runtime::Task& task,
+  /// same identity is already recorded. `identity` is the key the caller
+  /// already built for the launch. An empty `sizeLabel` labels the record
+  /// "n=<globalSize>", built only when the launch is measured. Safe to call
+  /// concurrently — the sweep runs outside the lock.
+  bool record(const runtime::LaunchKey& identity, const runtime::Task& task,
               const sim::MachineConfig& machine,
               const runtime::PartitioningSpace& space,
               const std::string& sizeLabel);
@@ -53,13 +51,13 @@ public:
   runtime::FeatureDatabase snapshot() const;
 
 private:
-  DecisionKey dedupKey(const runtime::Task& task,
-                       const std::string& machine) const;
+  runtime::LaunchKey dedupKey(const runtime::Task& task,
+                              const std::string& machine) const;
 
   int roundDigits_;
   mutable common::Mutex mutex_;
   runtime::FeatureDatabase db_ TP_GUARDED_BY(mutex_);
-  std::unordered_set<DecisionKey, DecisionKeyHash, SameIdentity> seen_
+  std::unordered_set<runtime::LaunchKey, runtime::LaunchKeyHash> seen_
       TP_GUARDED_BY(mutex_);
 };
 

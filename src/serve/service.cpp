@@ -95,19 +95,7 @@ PartitionService::PartitionService(ServiceConfig config)
              "PartitionService: the admission breaker needs an enabled SLO "
              "(a p99 or p99.9 target over a positive window)");
   if (config_.refine) {
-    // The refiner reuses the serving fingerprint scheme: keys map through
-    // the same intern table + launchFingerprint as the decision cache, so
-    // the warm path's fingerprint addresses both structures. Pairs the
-    // intern table cannot hold serve unrefined.
-    refiner_ = std::make_unique<adapt::Refiner>(
-        config_.refiner,
-        [this](const adapt::RefineKey& key)
-            -> std::optional<common::Fingerprint> {
-          const std::uint32_t pairId =
-              interner_->intern(key.machine, key.program);
-          if (pairId == common::PairInterner::kInvalid) return std::nullopt;
-          return launchFingerprint(pairId, key.signature);
-        });
+    refiner_ = std::make_unique<adapt::Refiner>(config_.refiner);
   }
   if (config_.metrics != nullptr) registerMetrics();
 }
@@ -291,17 +279,6 @@ PartitionService::MachineState& PartitionService::state(
   return *it->second;
 }
 
-DecisionKey PartitionService::fullKeyAt(
-    const MachineState& ms, const runtime::Task& task,
-    const std::vector<double>& signature, std::uint64_t version) const {
-  DecisionKey key;
-  key.machine = ms.machine.name;
-  key.program = programKey(task);
-  key.modelVersion = version;
-  key.features = signature;
-  return key;
-}
-
 // seq_cst (deliberate, A1-explicit): the in-flight latch and the
 // accepting_ gate form a Dekker-style pair with drain()/shutdown() —
 // weaker orders would let a final decrement and the drain's load pass
@@ -385,7 +362,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
     }
     const bool fingerprinted = pairId != common::PairInterner::kInvalid;
     // Quantized once per request, into storage reused by this thread: the
-    // fingerprint, the full key and the feedback identity all read it.
+    // fingerprint and the full key both read it.
     thread_local std::vector<double> signature;
     quantizeSignature(task, kCacheRoundDigits, signature);
     common::Fingerprint fp;
@@ -398,10 +375,14 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
 
     // The full key: built at most once, on first use, and never on a
     // plain hit (a default-constructed key allocates nothing; a built
-    // one's program is never empty, it holds "program/kernel").
+    // one's program is never empty, it holds "program/kernel"). The cache
+    // insert, the refiner and the feedback recorder all share it.
     DecisionKey full;
     const auto fullKey = [&]() -> DecisionKey& {
-      if (full.program.empty()) full = fullKeyAt(ms, task, signature, version);
+      if (full.launch.program.empty()) {
+        full = DecisionKey{{ms.machine.name, programKey(task), signature},
+                           version};
+      }
       return full;
     };
     if (hit.has_value()) {
@@ -416,26 +397,13 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
 
     if (refiner_ != nullptr && fingerprinted) {
       // The refiner may override the cached or predicted baseline. A miss
-      // hands it the full key, so absent entries are created; a hit
+      // hands it the launch key, so absent entries are created; a hit
       // passes nullptr (its entry was created when it missed) and serves
       // unrefined if the entry is gone, rather than re-materializing key
-      // strings on the warm path. The refiner copies what it keeps, so a
-      // miss lends it the full key's parts and takes them back.
-      adapt::RefineKey refineKey;
-      if (!hit.has_value()) {
-        DecisionKey& key = fullKey();
-        refineKey.machine = std::move(key.machine);
-        refineKey.program = std::move(key.program);
-        refineKey.signature = std::move(key.features);
-      }
-      const adapt::RefineDecision rd =
-          refiner_->decide(fp, hit.has_value() ? nullptr : &refineKey,
-                           version, response.label, ms.space);
-      if (!hit.has_value()) {
-        full.machine = std::move(refineKey.machine);
-        full.program = std::move(refineKey.program);
-        full.features = std::move(refineKey.signature);
-      }
+      // strings on the warm path.
+      const adapt::RefineDecision rd = refiner_->decide(
+          fp, hit.has_value() ? nullptr : &fullKey().launch, version,
+          response.label, ms.space);
       response.explored = rd.explore;
       response.refined = rd.refined;
       if (rd.label != response.label || rd.explore) {
@@ -474,8 +442,8 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
       // Exception: once remote wins were merged into the cache, hits may
       // be launches that never missed locally (see feedbackBackfill_).
       // admit() froze the map, so the audited accessor is the right read.
-      feedbackPostFreeze()->record(fullKey(), task, ms.machine, ms.space,
-                                   request.sizeLabel);
+      feedbackPostFreeze()->record(fullKey().launch, task, ms.machine,
+                                   ms.space, request.sizeLabel);
     }
     recordLatency(ms, secondsSince(admitted));
     completed_.add();
@@ -620,9 +588,16 @@ adapt::MergeResult PartitionService::mergeRemoteWins(
   }
   // Remote state is wire-decoded and not ours to trust: a label outside
   // the partitioning space would be elected, cached, and then throw on
-  // every warm request for its key. Drop such records at the edge.
-  std::vector<adapt::WinRecord> valid;
-  valid.reserve(wins.size());
+  // every warm request for its key. Drop such records at the edge, and
+  // count stale ones before their pair is interned. The rest are
+  // fingerprinted once, through the intern table and launchFingerprint
+  // the request path uses, so a merged key lands exactly where live
+  // traffic for the same launch does.
+  const std::uint64_t version = cache_->version();
+  std::vector<adapt::WinRecord> accepted;
+  std::vector<common::Fingerprint> fps;
+  accepted.reserve(wins.size());
+  fps.reserve(wins.size());
   for (const adapt::WinRecord& rec : wins) {
     const bool labelsOk =
         rec.baseLabel < spaceSize && rec.incumbentLabel < spaceSize &&
@@ -630,53 +605,54 @@ adapt::MergeResult PartitionService::mergeRemoteWins(
                     [&](const adapt::WinArm& arm) {
                       return arm.label < spaceSize;
                     });
-    if (labelsOk) {
-      valid.push_back(rec);
-    } else {
+    if (!labelsOk) {
       ++result.dropped;
+      continue;
     }
+    if (rec.modelVersion != version) {
+      ++result.stale;
+      continue;
+    }
+    const std::uint32_t pairId =
+        interner_->intern(rec.key.machine, rec.key.program);
+    if (pairId == common::PairInterner::kInvalid) {
+      ++result.dropped;
+      continue;
+    }
+    accepted.push_back(rec);
+    fps.push_back(launchFingerprint(pairId, rec.key.signature));
   }
-  const std::uint64_t version = cache_->version();
   // From here on, warm hits may serve launches this service never
   // measured; make the hit paths backfill feedback (see the member).
-  if (!valid.empty()) {
+  if (!accepted.empty()) {
     feedbackBackfill_.store(true, std::memory_order_relaxed);
   }
-  // The refiner addresses records through the service fingerprinter (its
-  // constructor injection), so merged keys land exactly where live
-  // traffic for the same launches does.
-  const adapt::MergeResult merged = refiner_->mergeWins(valid, version);
+  const adapt::MergeResult merged = refiner_->mergeWins(accepted, fps, version);
   result.adopted = merged.adopted;
   result.updated = merged.updated;
-  result.stale = merged.stale;
+  result.stale += merged.stale;
   result.dropped += merged.dropped;
   // Write adopted incumbents through into the decision cache, so warm
   // lookups serve the merged win immediately. The incumbent is re-read
   // from the refiner (not taken from the record): a concurrent local
   // observation or a better peer record may have superseded it.
-  for (const adapt::WinRecord& rec : valid) {
-    if (rec.modelVersion != version) continue;
-    const std::uint32_t pairId =
-        interner_->intern(rec.key.machine, rec.key.program);
-    if (pairId == common::PairInterner::kInvalid) continue;
-    const common::Fingerprint fp =
-        launchFingerprint(pairId, rec.key.signature);
-    const auto inc = refiner_->incumbent(fp, version);
+  for (std::size_t i = 0; i < accepted.size(); ++i) {
+    const auto inc = refiner_->incumbent(fps[i], version);
     if (!inc.tracked) continue;
-    DecisionKey key;
-    key.machine = rec.key.machine;
-    key.program = rec.key.program;
-    key.modelVersion = version;
-    key.features = rec.key.signature;  // already quantized by the sender
-    cache_->insert(fp, key, inc.label);
+    // The sender already quantized the signature.
+    cache_->insert(fps[i], DecisionKey{accepted[i].key, version}, inc.label);
   }
   return result;
 }
 
 adapt::Refiner::Incumbent PartitionService::refinedIncumbent(
-    const adapt::RefineKey& key, std::uint64_t version) const {
+    const runtime::LaunchKey& key, std::uint64_t version) const {
   if (refiner_ == nullptr) return {};
-  return refiner_->incumbent(key, version);
+  // find(), not intern(): a query must not use up an intern slot.
+  const std::uint32_t pairId = interner_->find(key.machine, key.program);
+  if (pairId == common::PairInterner::kInvalid) return {};
+  return refiner_->incumbent(launchFingerprint(pairId, key.signature),
+                             version);
 }
 
 void PartitionService::installModels(const std::vector<ModelUpdate>& updates,

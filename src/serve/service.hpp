@@ -13,8 +13,9 @@
 //      admission breaker (an open breaker answers `shed` right here);
 //   2. intern the (machine, program) pair (common::PairInterner),
 //      quantize the launch signature once into per-thread storage, and
-//      fold both into a 128-bit fingerprint; no key string is built
-//      before a miss, and a miss builds its full key at most once (the
+//      fold both into a 128-bit fingerprint, the one address of the
+//      launch in the cache and the refiner; no key string is built before
+//      a miss, and a miss builds its runtime::LaunchKey at most once (the
 //      cache insert, the refiner and the feedback recorder share it);
 //   3. probe the lock-free fingerprinted decision cache (serve/cache.hpp);
 //   4. on a miss, extract features, ask the machine's model and insert
@@ -226,10 +227,12 @@ public:
   /// records count as dropped.
   adapt::MergeResult mergeRemoteWins(const std::vector<adapt::WinRecord>& wins);
 
-  /// The refiner's incumbent for a key at a model generation, addressed
-  /// under the service's fingerprint scheme (test/introspection surface;
-  /// untracked when refinement is off).
-  adapt::Refiner::Incumbent refinedIncumbent(const adapt::RefineKey& key,
+  /// The refiner's incumbent for a launch at a model generation, addressed
+  /// the way the request path addresses it (test/introspection surface).
+  /// Read-only: a pair the intern table has never seen is reported
+  /// untracked without being interned, as is everything when refinement
+  /// is off.
+  adapt::Refiner::Incumbent refinedIncumbent(const runtime::LaunchKey& key,
                                              std::uint64_t version) const;
 
   struct ModelUpdate {
@@ -309,12 +312,6 @@ private:
           "PartitionService.ConcurrentClientsGetConsistentDecisions") {
     return feedback_.get();
   }
-  /// The full decision key of a launch with quantized `signature` at an
-  /// explicit generation — the one place the (machine, program, quantized
-  /// signature) layout is materialized on serving paths.
-  DecisionKey fullKeyAt(const MachineState& ms, const runtime::Task& task,
-                        const std::vector<double>& signature,
-                        std::uint64_t version) const;
   /// Hook this service's counters/summaries into config_.metrics under
   /// config_.metricsPrefix (constructor-only; callbacks capture `this`).
   void registerMetrics();

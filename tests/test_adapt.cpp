@@ -2,6 +2,8 @@
 // probing, exploit-the-measured-best), win adoption with the improvement
 // margin, neighborhood re-centering, version decay after retrain, key
 // capacity bounds, and counter consistency under ThreadPool contention.
+// The refiner computes no fingerprints: these tests address keys the way
+// the serving layer does (interned pair id folded with the signature).
 
 #include <gtest/gtest.h>
 
@@ -10,18 +12,28 @@
 
 #include "adapt/refiner.hpp"
 #include "common/error.hpp"
+#include "common/intern.hpp"
 #include "common/thread_pool.hpp"
 #include "runtime/partitioning.hpp"
+#include "serve/cache.hpp"
 
 namespace tp::adapt {
 namespace {
 
-RefineKey key(const std::string& program, double size = 1024.0) {
-  RefineKey k;
-  k.machine = "mc2";
-  k.program = program;
-  k.signature = {size, 64.0};
-  return k;
+runtime::LaunchKey key(const std::string& program, double size = 1024.0) {
+  return runtime::LaunchKey{"mc2", program, {size, 64.0}};
+}
+
+common::Fingerprint fp(const runtime::LaunchKey& k) {
+  static common::PairInterner interner(256);
+  return serve::launchFingerprint(interner.intern(k.machine, k.program),
+                                  k.signature);
+}
+
+std::vector<common::Fingerprint> fps(const std::vector<WinRecord>& wins) {
+  std::vector<common::Fingerprint> out;
+  for (const WinRecord& rec : wins) out.push_back(fp(rec.key));
+  return out;
 }
 
 /// A 2-device ladder: label i is the partitioning {i, 10-i}, so the
@@ -38,7 +50,8 @@ TEST(Refiner, FirstDecisionServesTheBaseline) {
   Refiner refiner(config);
   // Until the baseline is measured there is nothing to compare a probe
   // against, so the first decision must exploit it — even at epsilon 1.
-  const auto d = refiner.decide(key("p"), 0, 5, ladder());
+  const auto k = key("p");
+  const auto d = refiner.decide(fp(k), &k, 0, 5, ladder());
   EXPECT_EQ(d.label, 5u);
   EXPECT_FALSE(d.explore);
   EXPECT_FALSE(d.refined);
@@ -50,23 +63,23 @@ TEST(Refiner, ProbesLeastMeasuredNeighborThenAdoptsWins) {
   Refiner refiner(config);
   const auto k = key("p");
 
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
 
   // With epsilon 1 every decision now probes; arms are {5, 4, 6} and the
   // probe cursor targets the least-measured arms (ties break randomly),
   // so the two unmeasured neighbors are each probed exactly once.
-  const auto p1 = refiner.decide(k, 0, 5, ladder());
+  const auto p1 = refiner.decide(fp(k), &k, 0, 5, ladder());
   ASSERT_TRUE(p1.explore);
   EXPECT_TRUE(p1.label == 4u || p1.label == 6u);
-  const auto o1 = refiner.observe(k, 0, p1.label, 1.2, ladder());
+  const auto o1 = refiner.observe(fp(k), 0, p1.label, 1.2, ladder());
   EXPECT_FALSE(o1.improved);  // worse than the baseline
 
-  const auto p2 = refiner.decide(k, 0, 5, ladder());
+  const auto p2 = refiner.decide(fp(k), &k, 0, 5, ladder());
   ASSERT_TRUE(p2.explore);
   EXPECT_TRUE(p2.label == 4u || p2.label == 6u);
   EXPECT_NE(p2.label, p1.label);  // least-measured: never the probed one
-  const auto o2 = refiner.observe(k, 0, p2.label, 0.5, ladder());
+  const auto o2 = refiner.observe(fp(k), 0, p2.label, 0.5, ladder());
   EXPECT_TRUE(o2.improved);  // measured win -> new incumbent
   EXPECT_EQ(o2.bestLabel, p2.label);
   EXPECT_DOUBLE_EQ(o2.bestSeconds, 0.5);
@@ -84,16 +97,16 @@ TEST(Refiner, ExploitServesTheIncumbentAfterAWin) {
   config.exploreFraction = 0.0;  // pure exploitation
   Refiner refiner(config);
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
   // Feed a win for a neighbor as if an earlier probe measured it.
-  (void)refiner.observe(k, 0, 6, 0.4, ladder());
+  (void)refiner.observe(fp(k), 0, 6, 0.4, ladder());
 
-  const auto d = refiner.decide(k, 0, 5, ladder());
+  const auto d = refiner.decide(fp(k), &k, 0, 5, ladder());
   EXPECT_EQ(d.label, 6u);
   EXPECT_FALSE(d.explore);
   EXPECT_TRUE(d.refined);
-  const auto inc = refiner.incumbent(k, 0);
+  const auto inc = refiner.incumbent(fp(k), 0);
   EXPECT_TRUE(inc.tracked);
   EXPECT_EQ(inc.label, 6u);
   EXPECT_EQ(inc.armsMeasured, 2u);
@@ -105,14 +118,14 @@ TEST(Refiner, ImprovementMarginRejectsNoiseWins) {
   config.minImprovement = 1e-2;
   Refiner refiner(config);
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
   // 0.5% better: inside the noise margin, must not unseat the baseline.
-  const auto o = refiner.observe(k, 0, 6, 0.995, ladder());
+  const auto o = refiner.observe(fp(k), 0, 6, 0.995, ladder());
   EXPECT_FALSE(o.improved);
-  EXPECT_EQ(refiner.decide(k, 0, 5, ladder()).label, 5u);
+  EXPECT_EQ(refiner.decide(fp(k), &k, 0, 5, ladder()).label, 5u);
   // 5% better: a real win.
-  EXPECT_TRUE(refiner.observe(k, 0, 4, 0.95, ladder()).improved);
+  EXPECT_TRUE(refiner.observe(fp(k), 0, 4, 0.95, ladder()).improved);
 }
 
 TEST(Refiner, RecentersTheNeighborhoodOnTheIncumbent) {
@@ -120,17 +133,17 @@ TEST(Refiner, RecentersTheNeighborhoodOnTheIncumbent) {
   config.exploreFraction = 1.0;
   Refiner refiner(config);
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
   // Adopt 6: the arm set {5,4,6} re-centers and gains 7.
-  (void)refiner.observe(k, 0, 6, 0.5, ladder());
+  (void)refiner.observe(fp(k), 0, 6, 0.5, ladder());
 
   // Probe until label 7 (two steps from the original baseline) shows up.
   bool probed7 = false;
   for (int i = 0; i < 16 && !probed7; ++i) {
-    const auto d = refiner.decide(k, 0, 5, ladder());
+    const auto d = refiner.decide(fp(k), &k, 0, 5, ladder());
     probed7 = d.label == 7;
-    (void)refiner.observe(k, 0, d.label, 2.0, ladder());
+    (void)refiner.observe(fp(k), 0, d.label, 2.0, ladder());
   }
   EXPECT_TRUE(probed7);
 }
@@ -148,10 +161,10 @@ TEST(Refiner, HillClimbsToTheOptimumOfAMeasuredValley) {
     return 1.0 + std::fabs(static_cast<double>(label) - 8.0);
   };
   for (int i = 0; i < 300; ++i) {
-    const auto d = refiner.decide(k, 0, 2, ladder());
-    (void)refiner.observe(k, 0, d.label, cost(d.label), ladder());
+    const auto d = refiner.decide(fp(k), &k, 0, 2, ladder());
+    (void)refiner.observe(fp(k), 0, d.label, cost(d.label), ladder());
   }
-  const auto inc = refiner.incumbent(k, 0);
+  const auto inc = refiner.incumbent(fp(k), 0);
   ASSERT_TRUE(inc.tracked);
   EXPECT_EQ(inc.label, 8u);
   EXPECT_DOUBLE_EQ(inc.meanSeconds, cost(8));
@@ -171,24 +184,24 @@ TEST(Refiner, VersionBumpDecaysBackToTheModelPrediction) {
   config.exploreFraction = 0.0;
   Refiner refiner(config);
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
-  (void)refiner.observe(k, 0, 6, 0.4, ladder());
-  EXPECT_EQ(refiner.decide(k, 0, 5, ladder()).label, 6u);
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
+  (void)refiner.observe(fp(k), 0, 6, 0.4, ladder());
+  EXPECT_EQ(refiner.decide(fp(k), &k, 0, 5, ladder()).label, 6u);
 
   // Retrain bumped the version: the new model's prediction (3) rules and
   // the learned history is gone.
-  const auto d = refiner.decide(k, 1, 3, ladder());
+  const auto d = refiner.decide(fp(k), &k, 1, 3, ladder());
   EXPECT_EQ(d.label, 3u);
   EXPECT_FALSE(d.refined);
   EXPECT_EQ(refiner.counters().resets, 1u);
-  EXPECT_FALSE(refiner.incumbent(k, 0).tracked);
+  EXPECT_FALSE(refiner.incumbent(fp(k), 0).tracked);
 
   // A measurement still stamped with the old version is dropped.
-  const auto o = refiner.observe(k, 0, 6, 0.1, ladder());
+  const auto o = refiner.observe(fp(k), 0, 6, 0.1, ladder());
   EXPECT_FALSE(o.improved);
   EXPECT_GE(refiner.counters().staleObservations, 1u);
-  EXPECT_EQ(refiner.decide(k, 1, 3, ladder()).label, 3u);
+  EXPECT_EQ(refiner.decide(fp(k), &k, 1, 3, ladder()).label, 3u);
 }
 
 TEST(Refiner, LaggingOldVersionDecisionDoesNotResetNewerHistory) {
@@ -197,20 +210,20 @@ TEST(Refiner, LaggingOldVersionDecisionDoesNotResetNewerHistory) {
   Refiner refiner(config);
   const auto k = key("p");
   // Post-retrain (v1) history with an adopted win.
-  (void)refiner.decide(k, 1, 5, ladder());
-  (void)refiner.observe(k, 1, 5, 1.0, ladder());
-  (void)refiner.observe(k, 1, 6, 0.4, ladder());
+  (void)refiner.decide(fp(k), &k, 1, 5, ladder());
+  (void)refiner.observe(fp(k), 1, 5, 1.0, ladder());
+  (void)refiner.observe(fp(k), 1, 6, 0.4, ladder());
 
   // A request stamped before the retrain (v0) arrives late: it must be
   // served its own baseline unrefined, NOT reset the entry backward.
-  const auto lagging = refiner.decide(k, 0, 2, ladder());
+  const auto lagging = refiner.decide(fp(k), &k, 0, 2, ladder());
   EXPECT_EQ(lagging.label, 2u);
   EXPECT_FALSE(lagging.explore);
   EXPECT_FALSE(lagging.refined);
   EXPECT_EQ(refiner.counters().resets, 0u);
   EXPECT_GE(refiner.counters().untracked, 1u);
   // The v1 incumbent survived.
-  EXPECT_EQ(refiner.decide(k, 1, 5, ladder()).label, 6u);
+  EXPECT_EQ(refiner.decide(fp(k), &k, 1, 5, ladder()).label, 6u);
 }
 
 TEST(Refiner, KeyCapacityBoundServesUntrackedBaseline) {
@@ -218,9 +231,10 @@ TEST(Refiner, KeyCapacityBoundServesUntrackedBaseline) {
   config.maxKeys = 2;
   config.numShards = 1;
   Refiner refiner(config);
-  (void)refiner.decide(key("a"), 0, 1, ladder());
-  (void)refiner.decide(key("b"), 0, 2, ladder());
-  const auto d = refiner.decide(key("c"), 0, 3, ladder());
+  const auto a = key("a"), b = key("b"), c = key("c");
+  (void)refiner.decide(fp(a), &a, 0, 1, ladder());
+  (void)refiner.decide(fp(b), &b, 0, 2, ladder());
+  const auto d = refiner.decide(fp(c), &c, 0, 3, ladder());
   EXPECT_EQ(d.label, 3u);
   EXPECT_FALSE(d.explore);
   EXPECT_FALSE(d.refined);
@@ -235,30 +249,31 @@ TEST(Refiner, CapacityReclaimsStaleGenerationKeys) {
   config.maxKeys = 2;
   config.numShards = 1;
   Refiner refiner(config);
-  (void)refiner.decide(key("a"), 0, 1, ladder());
-  (void)refiner.decide(key("b"), 0, 2, ladder());
+  const auto a = key("a"), b = key("b"), c = key("c");
+  (void)refiner.decide(fp(a), &a, 0, 1, ladder());
+  (void)refiner.decide(fp(b), &b, 0, 2, ladder());
   EXPECT_EQ(refiner.trackedKeys(), 2u);
 
   // Version 1 traffic for a brand-new signature: the v0 entries are dead
   // weight and get swept, and the new key is tracked.
-  const auto d = refiner.decide(key("c"), 1, 3, ladder());
+  const auto d = refiner.decide(fp(c), &c, 1, 3, ladder());
   EXPECT_EQ(d.label, 3u);
   EXPECT_EQ(refiner.counters().untracked, 0u);
   EXPECT_EQ(refiner.trackedKeys(), 1u);
-  EXPECT_TRUE(refiner.incumbent(key("c"), 1).tracked);
-  EXPECT_FALSE(refiner.incumbent(key("a"), 0).tracked);
+  EXPECT_TRUE(refiner.incumbent(fp(c), 1).tracked);
+  EXPECT_FALSE(refiner.incumbent(fp(a), 0).tracked);
 }
 
 TEST(Refiner, ObservationForUnknownLabelIsIgnored) {
   Refiner refiner;
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
   // Label 0 is far outside the tracked neighborhood of 5.
-  const auto o = refiner.observe(k, 0, 0, 0.001, ladder());
+  const auto o = refiner.observe(fp(k), 0, 0, 0.001, ladder());
   EXPECT_FALSE(o.improved);
   EXPECT_GE(refiner.counters().staleObservations, 1u);
   // And an observation for a key never decided is dropped too.
-  EXPECT_FALSE(refiner.observe(key("q"), 0, 5, 1.0, ladder()).improved);
+  EXPECT_FALSE(refiner.observe(fp(key("q")), 0, 5, 1.0, ladder()).improved);
 }
 
 TEST(Refiner, CountersConsistentUnderContention) {
@@ -274,11 +289,11 @@ TEST(Refiner, CountersConsistentUnderContention) {
   pool.parallelFor(0, kOps, [&](std::size_t i) {
     const auto k = key("p" + std::to_string(i % kKeys));
     const std::size_t base = 2 + (i % kKeys) % 7;
-    const auto d = refiner.decide(k, 0, base, ladder());
+    const auto d = refiner.decide(fp(k), &k, 0, base, ladder());
     if (d.label >= ladder().size()) badLabels.fetch_add(1);
     const double cost =
         1.0 + std::fabs(static_cast<double>(d.label) - 8.0) * 0.1;
-    (void)refiner.observe(k, 0, d.label, cost, ladder());
+    (void)refiner.observe(fp(k), 0, d.label, cost, ladder());
   });
   pool.waitIdle();
 
@@ -298,11 +313,11 @@ TEST(Refiner, CountersConsistentUnderContention) {
 /// neighborhood carries evidence — the search is finished).
 void refineKey(Refiner& refiner, double winSeconds) {
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
-  (void)refiner.observe(k, 0, 4, 1.2, ladder());
-  (void)refiner.observe(k, 0, 6, winSeconds, ladder());
-  (void)refiner.observe(k, 0, 7, 2.0, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
+  (void)refiner.observe(fp(k), 0, 4, 1.2, ladder());
+  (void)refiner.observe(fp(k), 0, 6, winSeconds, ladder());
+  (void)refiner.observe(fp(k), 0, 7, 2.0, ladder());
 }
 
 TEST(Refiner, ExportsAdoptedWinsWithEvidence) {
@@ -322,8 +337,9 @@ TEST(Refiner, ExportsAdoptedWinsWithEvidence) {
 
   // An unrefined key (incumbent == baseline) is not gossiped...
   Refiner unrefined;
-  (void)unrefined.decide(key("q"), 0, 5, ladder());
-  (void)unrefined.observe(key("q"), 0, 5, 1.0, ladder());
+  const auto q = key("q");
+  (void)unrefined.decide(fp(q), &q, 0, 5, ladder());
+  (void)unrefined.observe(fp(q), 0, 5, 1.0, ladder());
   EXPECT_TRUE(unrefined.exportWins(true).empty());
   // ...but is part of a full (snapshot) export.
   EXPECT_EQ(unrefined.exportWins(false).size(), 1u);
@@ -338,11 +354,12 @@ TEST(Refiner, MergeAdoptsRemoteWinWithoutReopeningSearch) {
   config.exploreFraction = 1.0;  // would probe on every warm decision...
   config.probeSamples = 1;       // ...but merged evidence fills the budget
   Refiner target(config);
-  const auto result = target.mergeWins(wins, 0);
+  const auto result = target.mergeWins(wins, fps(wins), 0);
   EXPECT_EQ(result.adopted, 1u);
   EXPECT_EQ(result.merged(), 1u);
 
-  const auto inc = target.incumbent(key("p"), 0);
+  const auto p = key("p");
+  const auto inc = target.incumbent(fp(p), 0);
   ASSERT_TRUE(inc.tracked);
   EXPECT_EQ(inc.label, 6u);
   EXPECT_DOUBLE_EQ(inc.meanSeconds, 0.5);
@@ -350,7 +367,7 @@ TEST(Refiner, MergeAdoptsRemoteWinWithoutReopeningSearch) {
   // Decisions serve the merged incumbent and never probe: the remote
   // replica already measured this neighborhood.
   for (int i = 0; i < 32; ++i) {
-    const auto d = target.decide(key("p"), 0, 5, ladder());
+    const auto d = target.decide(fp(p), &p, 0, 5, ladder());
     EXPECT_FALSE(d.explore);
     EXPECT_TRUE(d.refined);
     EXPECT_EQ(d.label, 6u);
@@ -364,11 +381,11 @@ TEST(Refiner, MergeIsIdempotentUnderAntiEntropy) {
   refineKey(source, 0.5);
   const auto wins = source.exportWins();
   Refiner target;
-  EXPECT_EQ(target.mergeWins(wins, 0).adopted, 1u);
+  EXPECT_EQ(target.mergeWins(wins, fps(wins), 0).adopted, 1u);
   // Re-offering the same state (anti-entropy rounds do) must not inflate
   // counts, shift means, or re-adopt.
   for (int round = 0; round < 5; ++round) {
-    const auto result = target.mergeWins(wins, 0);
+    const auto result = target.mergeWins(wins, fps(wins), 0);
     EXPECT_EQ(result.adopted, 0u);
     EXPECT_EQ(result.updated, 1u);
   }
@@ -388,16 +405,18 @@ TEST(Refiner, MergeTiesBreakToTheLowerMeasuredMean) {
   Refiner local, remote;
   refineKey(local, 0.6);
   refineKey(remote, 0.5);
-  const auto result = local.mergeWins(remote.exportWins(), 0);
+  const auto remoteWins = remote.exportWins();
+  const auto result = local.mergeWins(remoteWins, fps(remoteWins), 0);
   EXPECT_EQ(result.merged(), 1u);
-  EXPECT_DOUBLE_EQ(local.incumbent(key("p"), 0).meanSeconds, 0.5);
+  EXPECT_DOUBLE_EQ(local.incumbent(fp(key("p")), 0).meanSeconds, 0.5);
 
   // And the reverse direction keeps the better local mean.
   Refiner better, worse;
   refineKey(better, 0.4);
   refineKey(worse, 0.5);
-  (void)better.mergeWins(worse.exportWins(), 0);
-  EXPECT_DOUBLE_EQ(better.incumbent(key("p"), 0).meanSeconds, 0.4);
+  const auto worseWins = worse.exportWins();
+  (void)better.mergeWins(worseWins, fps(worseWins), 0);
+  EXPECT_DOUBLE_EQ(better.incumbent(fp(key("p")), 0).meanSeconds, 0.4);
 }
 
 TEST(Refiner, MergeRejectsStaleVersions) {
@@ -407,7 +426,7 @@ TEST(Refiner, MergeRejectsStaleVersions) {
   Refiner target;
   // Fleet is already on generation 2: version-0 wins say nothing about
   // the current model's predictions.
-  const auto result = target.mergeWins(wins, 2);
+  const auto result = target.mergeWins(wins, fps(wins), 2);
   EXPECT_EQ(result.stale, 1u);
   EXPECT_EQ(result.merged(), 0u);
   EXPECT_EQ(target.trackedKeys(), 0u);
@@ -415,8 +434,9 @@ TEST(Refiner, MergeRejectsStaleVersions) {
   // A key that locally moved to a newer generation rejects older records
   // even when the caller's version matches the record.
   Refiner moved;
-  (void)moved.decide(key("p"), 1, 5, ladder());
-  EXPECT_EQ(moved.mergeWins(wins, 0).stale, 1u);
+  const auto p = key("p");
+  (void)moved.decide(fp(p), &p, 1, 5, ladder());
+  EXPECT_EQ(moved.mergeWins(wins, fps(wins), 0).stale, 1u);
 }
 
 TEST(Refiner, MergeRespectsKeyCapacity) {
@@ -434,7 +454,7 @@ TEST(Refiner, MergeRespectsKeyCapacity) {
   third.key.program = "p3";
   wins.push_back(second);
   wins.push_back(third);
-  const auto result = target.mergeWins(wins, 0);
+  const auto result = target.mergeWins(wins, fps(wins), 0);
   EXPECT_EQ(result.merged(), 2u);
   EXPECT_EQ(result.dropped, 1u);
   EXPECT_EQ(target.trackedKeys(), 2u);
@@ -446,22 +466,22 @@ TEST(Refiner, ProbeBudgetStopsExplorationOnceConverged) {
   config.probeSamples = 2;
   Refiner refiner(config);
   const auto k = key("p");
-  (void)refiner.decide(k, 0, 5, ladder());
-  (void)refiner.observe(k, 0, 5, 1.0, ladder());
+  (void)refiner.decide(fp(k), &k, 0, 5, ladder());
+  (void)refiner.observe(fp(k), 0, 5, 1.0, ladder());
   // Arms {5, 4, 6}: with epsilon 1 every decision probes until each arm
   // holds probeSamples measurements (no win: 5 stays incumbent).
   std::size_t probes = 0;
   for (int i = 0; i < 64; ++i) {
-    const auto d = refiner.decide(k, 0, 5, ladder());
+    const auto d = refiner.decide(fp(k), &k, 0, 5, ladder());
     if (!d.explore) break;
     ++probes;
-    (void)refiner.observe(k, 0, d.label, d.label == 5 ? 1.0 : 2.0, ladder());
+    (void)refiner.observe(fp(k), 0, d.label, d.label == 5 ? 1.0 : 2.0, ladder());
   }
   // 5 needs one more sample, 4 and 6 need two each.
   EXPECT_EQ(probes, 5u);
   // Converged: pure exploitation from here on.
   for (int i = 0; i < 32; ++i) {
-    EXPECT_FALSE(refiner.decide(k, 0, 5, ladder()).explore);
+    EXPECT_FALSE(refiner.decide(fp(k), &k, 0, 5, ladder()).explore);
   }
 }
 

@@ -742,8 +742,7 @@ TEST(Fleet, GossipedWinIsAdoptedWithoutProbing) {
     // The adopted incumbents match the discovering replica's exactly.
     const auto version = replica.service().modelVersion();
     for (const auto& win : wins) {
-      const auto inc =
-          replica.service().refiner()->incumbent(win.key, version);
+      const auto inc = replica.service().refinedIncumbent(win.key, version);
       ASSERT_TRUE(inc.tracked);
       EXPECT_EQ(inc.label, win.incumbentLabel);
       EXPECT_DOUBLE_EQ(inc.meanSeconds, win.incumbentMean);
@@ -946,7 +945,7 @@ TEST(Fleet, SnapshotRoundTripReproducesDecisionsAndIncumbents) {
 
   // Identical incumbent (label AND mean) for every tracked key...
   for (const auto& win : exported) {
-    const auto inc = replica.service().refiner()->incumbent(win.key, version);
+    const auto inc = replica.service().refinedIncumbent(win.key, version);
     ASSERT_TRUE(inc.tracked);
     EXPECT_EQ(inc.label, win.incumbentLabel);
     EXPECT_DOUBLE_EQ(inc.meanSeconds, win.incumbentMean);

@@ -56,7 +56,7 @@ TestKey key(DecisionCache& cache, const std::string& program,
   TestKey k;
   k.key = cache.makeKey(machine, program, std::move(features));
   const std::uint32_t pairId = testInterner().intern(machine, program);
-  k.fp = launchFingerprint(pairId, k.key.features);
+  k.fp = launchFingerprint(pairId, k.key.launch.signature);
   return k;
 }
 
@@ -961,6 +961,92 @@ TEST(PartitionService, RefinementNeverWorseThanTheModelBaseline) {
   EXPECT_EQ(after.machines[0].modelVersion, result.modelVersion);
 }
 
+/// The launch identity the service keys `task` on for `machine`.
+runtime::LaunchKey launchKeyOf(const std::string& machine,
+                               const runtime::Task& task) {
+  runtime::LaunchKey key{machine, programKey(task), {}};
+  quantizeSignature(task, kCacheRoundDigits, key.signature);
+  return key;
+}
+
+/// A deployed model that predicts one fixed label for every launch.
+class ConstantClassifier final : public ml::Classifier {
+public:
+  explicit ConstantClassifier(int label) : label_(label) {}
+  void train(const ml::Dataset&) override {}
+  int predict(const std::vector<double>&) const override { return label_; }
+  std::string name() const override { return "constant"; }
+  void save(std::ostream&) const override {}
+  void load(std::istream&) override {}
+
+private:
+  int label_;
+};
+
+TEST(PartitionService, MergedWinLandsOnTheServedLaunchsRefinerEntry) {
+  // A peer's win for a launch this service already serves must update
+  // that launch's refiner entry, not open a second one beside it: the
+  // merge and the request path address the launch by one fingerprint.
+  // Both services deploy a constant model, so refinement has wins to find.
+  const ServiceFixture fx;
+  const auto model = std::make_shared<ConstantClassifier>(0);
+  ServiceConfig localConfig;
+  localConfig.refine = true;
+  localConfig.refiner.exploreFraction = 0.0;  // every decision exploits
+  PartitionService local(localConfig);
+  local.addMachine(fx.machine, model);
+  ServiceConfig peerConfig = localConfig;
+  peerConfig.refiner.exploreFraction = 0.5;
+  PartitionService peer(peerConfig);
+  peer.addMachine(fx.machine, model);
+
+  std::vector<adapt::WinRecord> wins;
+  for (std::size_t round = 0; round < 40 && wins.empty(); ++round) {
+    for (std::size_t t = 0; t < fx.tasks.size(); ++t) {
+      (void)peer.call(fx.request(t));
+    }
+    wins = peer.exportRefinedWins();
+  }
+  ASSERT_FALSE(wins.empty()) << "the peer never adopted a win";
+  const adapt::WinRecord win = wins.front();
+  std::size_t t = 0;
+  while (t < fx.tasks.size() &&
+         launchKeyOf(fx.machine.name, fx.tasks[t]) != win.key) {
+    ++t;
+  }
+  ASSERT_LT(t, fx.tasks.size());
+
+  (void)local.call(fx.request(t));  // miss: creates the launch's entry
+  ASSERT_EQ(local.refiner()->trackedKeys(), 1u);
+  const auto result = local.mergeRemoteWins({win});
+  EXPECT_EQ(result.merged(), 1u);
+  EXPECT_EQ(result.stale + result.dropped, 0u);
+  EXPECT_EQ(local.refiner()->trackedKeys(), 1u);
+
+  const auto r = local.call(fx.request(t));
+  EXPECT_TRUE(r.cacheHit);
+  EXPECT_FALSE(r.explored);
+  EXPECT_NE(r.label, 0u);
+  EXPECT_EQ(r.label, win.incumbentLabel);
+}
+
+TEST(PartitionService, IncumbentQueryForAnUnseenPairInternsNothing) {
+  ServiceConfig config;
+  config.refine = true;
+  ServiceFixture fx(config);
+  (void)fx.service->call(fx.request(0));
+  const std::uint64_t version = fx.service->modelVersion();
+  EXPECT_TRUE(fx.service
+                  ->refinedIncumbent(
+                      launchKeyOf(fx.machine.name, fx.tasks[0]), version)
+                  .tracked);
+
+  const std::size_t interned = fx.service->stats().internedPairs;
+  const runtime::LaunchKey unseen{fx.machine.name, "never/served", {1.0}};
+  EXPECT_FALSE(fx.service->refinedIncumbent(unseen, version).tracked);
+  EXPECT_EQ(fx.service->stats().internedPairs, interned);
+}
+
 /// A deployed model that always predicts a label outside every
 /// partitioning space: each request that reaches the model faults.
 class OutOfSpaceClassifier final : public ml::Classifier {
@@ -1050,18 +1136,16 @@ TEST(PartitionService, FeedbackRecorderTakesTheCallersIdentity) {
   const runtime::PartitioningSpace space(machine.numDevices(), 10);
   FeedbackRecorder recorder(space.size());
   const runtime::Task task = makeScaleTask(1 << 12, 10);
-  DecisionKey identity;
-  identity.machine = machine.name;
-  identity.program = programKey(task);
-  quantizeSignature(task, 6, identity.features);
+  runtime::LaunchKey identity{machine.name, programKey(task), {}};
+  quantizeSignature(task, 6, identity.signature);
 
   // An empty size label becomes "n=<globalSize>" on the measured record.
   EXPECT_TRUE(recorder.record(identity, task, machine, space, ""));
   EXPECT_EQ(recorder.snapshot().records()[0].sizeLabel, "n=4096");
-  // Another generation of the same launch is the same identity, and the
+  // Another generation's decision key carries the same identity, and the
   // quantizing overload agrees with the caller's key.
-  identity.modelVersion = 5;
-  EXPECT_FALSE(recorder.record(identity, task, machine, space, ""));
+  const DecisionKey later{identity, 5};
+  EXPECT_FALSE(recorder.record(later.launch, task, machine, space, ""));
   EXPECT_FALSE(recorder.record(task, machine, space, "n=4096"));
   EXPECT_EQ(recorder.size(), 1u);
 }

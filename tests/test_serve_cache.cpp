@@ -6,20 +6,25 @@
 // correct behavior across model-version bumps. The concurrent phases run
 // under ThreadSanitizer in CI (this suite matches the tsan preset
 // filter), exercising the hit path under contention: hits perform no
-// heap allocation and acquire no lock, so TSan sees only atomics.
+// heap allocation and acquire no lock, so TSan sees only atomics. A last
+// test checks that every launch-signature field separates cache keys.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/intern.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/cache.hpp"
+#include "suite/benchmark.hpp"
 
 namespace tp::serve {
 namespace {
@@ -47,13 +52,19 @@ struct KeyUniverse {
     return cache.makeKey(machineOf(i), programOf(i), signatureOf(i));
   }
   common::Fingerprint fingerprint(const DecisionKey& key) {
-    const std::uint32_t pairId = interner.intern(key.machine, key.program);
-    return launchFingerprint(pairId, key.features);
+    const std::uint32_t pairId =
+        interner.intern(key.launch.machine, key.launch.program);
+    return launchFingerprint(pairId, key.launch.signature);
   }
 };
 
+struct ReferenceKeyHash {
+  std::size_t operator()(const DecisionKey& k) const noexcept {
+    return runtime::LaunchKeyHash{}(k.launch) ^ k.modelVersion;
+  }
+};
 using ReferenceModel =
-    std::unordered_map<DecisionKey, std::size_t, DecisionKeyHash>;
+    std::unordered_map<DecisionKey, std::size_t, ReferenceKeyHash>;
 
 TEST(DecisionCacheDifferential, SingleThreadedOperationStream) {
   // 20k random ops over 160 keys against a 64-slot cache: lookups,
@@ -197,7 +208,7 @@ TEST(DecisionCacheDifferential, ConcurrentStreamWithVersionBumps) {
     signatures.push_back(u.signatureOf(i));
     const std::uint32_t pairId = u.interner.intern(machines[i], programs[i]);
     DecisionKey probe = cache.makeKey(machines[i], programs[i], signatures[i]);
-    fps.push_back(launchFingerprint(pairId, probe.features));
+    fps.push_back(launchFingerprint(pairId, probe.launch.signature));
   }
 
   common::ThreadPool pool(8);
@@ -241,6 +252,91 @@ TEST(DecisionCacheDifferential, ConcurrentStreamWithVersionBumps) {
   // two slots transiently (both carry the same label, so hits stay
   // correct); resident counts distinct fingerprints.
   EXPECT_GE(cache.size(), resident);
+}
+
+/// The read (or written) buffer argument with the most bytes, or nullptr.
+runtime::BufferArg* largestBuffer(runtime::Task& task, bool written) {
+  runtime::BufferArg* best = nullptr;
+  for (auto& arg : task.args) {
+    auto* b = std::get_if<runtime::BufferArg>(&arg);
+    if (b == nullptr || (written ? !b->isWritten : !b->isRead)) continue;
+    if (best == nullptr || b->buffer->bytes() > best->buffer->bytes()) best = b;
+  }
+  return best;
+}
+
+TEST(LaunchIdentity, EverySignatureFieldSeparatesKeys) {
+  // Launches that differ in one signature field only are different
+  // decisions: the field must land at its own signature position, and
+  // both fingerprint forms and the cache key must tell the launches apart.
+  runtime::Task base;
+  bool found = false;
+  for (const auto& bench : suite::allBenchmarks()) {
+    base = bench.make(bench.sizes.front()).task;
+    found = !base.sizeBindings.empty() &&
+            largestBuffer(base, false) != nullptr &&
+            largestBuffer(base, true) != nullptr;
+    if (found) break;
+  }
+  ASSERT_TRUE(found) << "no suite task with bindings and in/out buffers";
+
+  constexpr int kDigits = 6;
+  const std::string machine = "mc2";
+  const std::string program = programKey(base);
+  common::PairInterner interner(8);
+  const std::uint32_t pair = interner.intern(machine, program);
+  DecisionCache cache(8, kDigits);
+  std::vector<double> baseSig;
+  quantizeSignature(base, kDigits, baseSig);
+  // global, local, bytes in, bytes out, transfer scale, then the bindings.
+  ASSERT_EQ(baseSig.size(), 5 + base.sizeBindings.size());
+  const common::Fingerprint baseFp = launchFingerprint(pair, base, kDigits);
+  const DecisionKey baseKey =
+      cache.makeKey(machine, program, launchSignature(base));
+
+  struct Perturbation {
+    std::string field;
+    std::set<std::size_t> moved;  ///< signature positions that must change
+    std::function<void(runtime::Task&)> apply;
+  };
+  // Each perturbation moves its value far past the 6-digit rounding. The
+  // transfer volumes carry the transfer scale, so it moves three values.
+  std::vector<Perturbation> perturbations = {
+      {"globalSize", {0}, [](runtime::Task& t) { t.globalSize *= 2; }},
+      {"localSize", {1}, [](runtime::Task& t) { t.localSize *= 2; }},
+      {"bytesIn", {2},
+       [](runtime::Task& t) { largestBuffer(t, false)->isRead = false; }},
+      {"bytesOut", {3},
+       [](runtime::Task& t) { largestBuffer(t, true)->isWritten = false; }},
+      {"transferScale", {2, 3, 4},
+       [](runtime::Task& t) { t.transferScale *= 0.5; }},
+  };
+  std::size_t position = 5;
+  for (const auto& [name, value] : base.sizeBindings) {
+    (void)value;
+    perturbations.push_back(
+        {"binding " + name, {position++}, [name = name](runtime::Task& t) {
+           t.sizeBindings[name] = t.sizeBindings[name] * 2.0 + 1.0;
+         }});
+  }
+
+  for (const Perturbation& p : perturbations) {
+    SCOPED_TRACE(p.field);
+    runtime::Task task = base;
+    p.apply(task);
+    std::vector<double> sig;
+    quantizeSignature(task, kDigits, sig);
+    ASSERT_EQ(sig.size(), baseSig.size());
+    EXPECT_NE(sig, baseSig);
+    for (std::size_t i = 0; i < sig.size(); ++i) {
+      EXPECT_EQ(sig[i] != baseSig[i], p.moved.count(i) == 1)
+          << "signature position " << i;
+    }
+    const common::Fingerprint streamed = launchFingerprint(pair, task, kDigits);
+    EXPECT_EQ(streamed, launchFingerprint(pair, sig));
+    EXPECT_NE(streamed, baseFp);
+    EXPECT_NE(cache.makeKey(machine, program, launchSignature(task)), baseKey);
+  }
 }
 
 }  // namespace
