@@ -282,109 +282,100 @@ std::vector<WinRecord> Refiner::exportWins(bool refinedOnly) const {
   return out;
 }
 
-MergeResult Refiner::mergeWins(const std::vector<WinRecord>& wins,
-                               const std::vector<common::Fingerprint>& fps,
-                               std::uint64_t currentVersion) {
-  TP_TRACE_SPAN_ARG("adapt.merge_wins", wins.size());
-  TP_REQUIRE(fps.size() == wins.size(),
-             "Refiner::mergeWins: " << fps.size() << " fingerprints for "
-                                    << wins.size() << " records");
+MergeResult Refiner::mergeWin(const WinRecord& rec,
+                              const common::Fingerprint& fp,
+                              std::uint64_t currentVersion) {
   MergeResult result;
-  for (std::size_t i = 0; i < wins.size(); ++i) {
-    const WinRecord& rec = wins[i];
-    const common::Fingerprint& fp = fps[i];
-    if (rec.modelVersion != currentVersion) {
-      // Learned against a model this fleet has already replaced (or not
-      // yet installed): its measurements say nothing about the current
-      // prediction's neighborhood.
-      ++result.stale;
-      continue;
+  if (rec.modelVersion != currentVersion) {
+    // Learned against a model this fleet has already replaced (or not
+    // yet installed): its measurements say nothing about the current
+    // prediction's neighborhood.
+    ++result.stale;
+    return result;
+  }
+  Shard& shard = shardFor(fp);
+  common::MutexLock lock(shard.mutex);
+  auto it = shard.entries.find(fp);
+  if (it == shard.entries.end()) {
+    if (shard.entries.size() >= maxKeysPerShard_) {
+      sweepSuperseded(shard, currentVersion);
     }
-    Shard& shard = shardFor(fp);
-    common::MutexLock lock(shard.mutex);
-    auto it = shard.entries.find(fp);
-    if (it == shard.entries.end()) {
-      if (shard.entries.size() >= maxKeysPerShard_) {
-        sweepSuperseded(shard, currentVersion);
-      }
-      if (shard.entries.size() >= maxKeysPerShard_) {
-        ++result.dropped;
-        continue;
-      }
-      it = shard.entries.emplace(fp, Entry{}).first;
-      Entry& entry = it->second;
-      entry.key = rec.key;
-      entry.modelVersion = rec.modelVersion;
-      entry.baseLabel = rec.baseLabel;
-      entry.incumbent = 0;
-      // Seed with the baseline arm only; the remote evidence below is
-      // the neighborhood. (resetEntry's unmeasured neighbor spawn would
-      // make this replica re-probe arms the sender already measured.)
-      entry.arms.push_back(Arm{rec.baseLabel, 0, 0.0});
-    } else if (it->second.modelVersion > rec.modelVersion) {
-      ++result.stale;
-      continue;
-    } else if (it->second.modelVersion < rec.modelVersion) {
-      // This key has not served traffic since the version moved on: the
-      // merge carries the same decay decide() would apply on next sight.
-      Entry& entry = it->second;
-      entry.modelVersion = rec.modelVersion;
-      entry.baseLabel = rec.baseLabel;
-      entry.incumbent = 0;
-      entry.arms.clear();
-      entry.arms.push_back(Arm{rec.baseLabel, 0, 0.0});
-      ++shard.counters.resets;
+    if (shard.entries.size() >= maxKeysPerShard_) {
+      ++result.dropped;
+      return result;
     }
+    it = shard.entries.emplace(fp, Entry{}).first;
     Entry& entry = it->second;
-    for (const WinArm& ra : rec.arms) {
-      const auto arm =
-          std::find_if(entry.arms.begin(), entry.arms.end(),
-                       [&](const Arm& a) { return a.label == ra.label; });
-      if (arm == entry.arms.end()) {
-        if (entry.arms.size() >= config_.maxArms) continue;
-        entry.arms.push_back(Arm{ra.label, ra.count, ra.meanSeconds});
-      } else if (ra.count > arm->count ||
-                 (ra.count == arm->count &&
-                  ra.meanSeconds < arm->meanSeconds)) {
-        // The better-measured side wins; equal counts break to the lower
-        // measured mean. Replacing (never summing) keeps repeated
-        // anti-entropy exchange of the same state idempotent.
-        arm->count = ra.count;
-        arm->meanSeconds = ra.meanSeconds;
-      }
+    entry.key = rec.key;
+    entry.modelVersion = rec.modelVersion;
+    entry.baseLabel = rec.baseLabel;
+    entry.incumbent = 0;
+    // Seed with the baseline arm only; the remote evidence below is
+    // the neighborhood. (resetEntry's unmeasured neighbor spawn would
+    // make this replica re-probe arms the sender already measured.)
+    entry.arms.push_back(Arm{rec.baseLabel, 0, 0.0});
+  } else if (it->second.modelVersion > rec.modelVersion) {
+    ++result.stale;
+    return result;
+  } else if (it->second.modelVersion < rec.modelVersion) {
+    // This key has not served traffic since the version moved on: the
+    // merge carries the same decay decide() would apply on next sight.
+    Entry& entry = it->second;
+    entry.modelVersion = rec.modelVersion;
+    entry.baseLabel = rec.baseLabel;
+    entry.incumbent = 0;
+    entry.arms.clear();
+    entry.arms.push_back(Arm{rec.baseLabel, 0, 0.0});
+    ++shard.counters.resets;
+  }
+  Entry& entry = it->second;
+  for (const WinArm& ra : rec.arms) {
+    const auto arm =
+        std::find_if(entry.arms.begin(), entry.arms.end(),
+                     [&](const Arm& a) { return a.label == ra.label; });
+    if (arm == entry.arms.end()) {
+      if (entry.arms.size() >= config_.maxArms) continue;
+      entry.arms.push_back(Arm{ra.label, ra.count, ra.meanSeconds});
+    } else if (ra.count > arm->count ||
+               (ra.count == arm->count &&
+                ra.meanSeconds < arm->meanSeconds)) {
+      // The better-measured side wins; equal counts break to the lower
+      // measured mean. Replacing (never summing) keeps repeated
+      // anti-entropy exchange of the same state idempotent.
+      arm->count = ra.count;
+      arm->meanSeconds = ra.meanSeconds;
     }
-    // Anchor on the record's incumbent before re-electing: the
-    // minImprovement hysteresis makes elections path-dependent when two
-    // arms sit within the margin of each other, and replicas must still
-    // converge on ONE winner (and a snapshot restore must reproduce the
-    // saved incumbent exactly). The record's incumbent takes over when
-    // it is measured and strictly below the local incumbent's mean —
-    // merge ties break to the lower measured mean — and a local arm
-    // that is strictly better past the margin still wins the
-    // re-election below.
-    const std::size_t before = entry.incumbent;
-    const auto anchor =
-        std::find_if(entry.arms.begin(), entry.arms.end(), [&](const Arm& a) {
-          return a.label == rec.incumbentLabel;
-        });
-    if (anchor != entry.arms.end() && anchor->count > 0) {
-      const Arm& current = entry.arms[entry.incumbent];
-      if (current.count == 0 || anchor->meanSeconds < current.meanSeconds) {
-        entry.incumbent =
-            static_cast<std::size_t>(anchor - entry.arms.begin());
-      }
+  }
+  // Anchor on the record's incumbent before re-electing: the
+  // minImprovement hysteresis makes elections path-dependent when two
+  // arms sit within the margin of each other, and replicas must still
+  // converge on ONE winner (and a snapshot restore must reproduce the
+  // saved incumbent exactly). The record's incumbent takes over when
+  // it is measured and strictly below the local incumbent's mean —
+  // merge ties break to the lower measured mean — and a local arm
+  // that is strictly better past the margin still wins the
+  // re-election below.
+  const std::size_t before = entry.incumbent;
+  const auto anchor =
+      std::find_if(entry.arms.begin(), entry.arms.end(), [&](const Arm& a) {
+        return a.label == rec.incumbentLabel;
+      });
+  if (anchor != entry.arms.end() && anchor->count > 0) {
+    const Arm& current = entry.arms[entry.incumbent];
+    if (current.count == 0 || anchor->meanSeconds < current.meanSeconds) {
+      entry.incumbent = static_cast<std::size_t>(anchor - entry.arms.begin());
     }
-    const bool elected = electIncumbent(entry);
-    if (elected || entry.incumbent != before) {
-      ++shard.counters.mergedWins;
-      ++result.adopted;
-      // No recenter here, deliberately: spawning unmeasured local arms
-      // around a merged incumbent would make every replica re-open the
-      // search the sender is already running. The sender's own recenter
-      // keeps the frontier alive — at exactly one replica.
-    } else {
-      ++result.updated;
-    }
+  }
+  const bool elected = electIncumbent(entry);
+  if (elected || entry.incumbent != before) {
+    ++shard.counters.mergedWins;
+    ++result.adopted;
+    // No recenter here, deliberately: spawning unmeasured local arms
+    // around a merged incumbent would make every replica re-open the
+    // search the sender is already running. The sender's own recenter
+    // keeps the frontier alive — at exactly one replica.
+  } else {
+    ++result.updated;
   }
   return result;
 }

@@ -99,8 +99,8 @@ struct WinRecord {
   std::vector<WinArm> arms;        ///< every measured arm (count > 0)
 };
 
-/// Per-record outcomes of mergeWins(); received == adopted + updated +
-/// stale + dropped.
+/// Per-record outcomes of mergeWin(), summed over a batch with +=;
+/// received == adopted + updated + stale + dropped.
 struct MergeResult {
   std::size_t adopted = 0;  ///< merge moved the key's incumbent
   std::size_t updated = 0;  ///< evidence merged, incumbent unchanged
@@ -110,6 +110,13 @@ struct MergeResult {
   std::size_t dropped = 0;
 
   std::size_t merged() const noexcept { return adopted + updated; }
+  MergeResult& operator+=(const MergeResult& o) noexcept {
+    adopted += o.adopted;
+    updated += o.updated;
+    stale += o.stale;
+    dropped += o.dropped;
+    return *this;
+  }
 };
 
 /// Monotonic event counters, aggregated across shards by counters().
@@ -178,22 +185,21 @@ public:
   /// iteration order within a shard.
   std::vector<WinRecord> exportWins(bool refinedOnly = true) const;
 
-  /// Merge remote win records; `fps[i]` is the caller's fingerprint of
-  /// `wins[i].key` (the two vectors are parallel). Records whose model
-  /// version differs from
-  /// `currentVersion` (or from a newer version a tracked key has already
-  /// moved to) are rejected as stale. Per arm the better-measured side
-  /// wins — higher count, ties broken by lower measured mean — which
-  /// makes the merge idempotent and convergent under repeated
-  /// anti-entropy exchange. The incumbent is then re-elected under the
-  /// usual minSamples/minImprovement rules. Merged keys do NOT re-center:
-  /// remote evidence is served, not used to seed a second local search,
-  /// so a replica adopting a win issues no probes for it — the search
-  /// frontier stays with the replica whose own observation won (its
-  /// recenter opened the frontier), and everyone else rides along.
-  MergeResult mergeWins(const std::vector<WinRecord>& wins,
-                        const std::vector<common::Fingerprint>& fps,
-                        std::uint64_t currentVersion);
+  /// Merge one remote win record; `fp` is the caller's fingerprint of
+  /// `rec.key`. The result counts the record once. A record whose model
+  /// version differs from `currentVersion` (or from a newer version a
+  /// tracked key has already moved to) is rejected as stale. Per arm the
+  /// better-measured side wins — higher count, ties broken by lower
+  /// measured mean — which makes the merge idempotent and convergent
+  /// under repeated anti-entropy exchange. The incumbent is then
+  /// re-elected under the usual minSamples/minImprovement rules. Merged
+  /// keys do NOT re-center: remote evidence is served, not used to seed
+  /// a second local search, so a replica adopting a win issues no probes
+  /// for it — the search frontier stays with the replica whose own
+  /// observation won (its recenter opened the frontier), and everyone
+  /// else rides along.
+  MergeResult mergeWin(const WinRecord& rec, const common::Fingerprint& fp,
+                       std::uint64_t currentVersion);
 
   std::size_t trackedKeys() const;
   RefinerCounters counters() const;

@@ -161,4 +161,66 @@ private:
   std::vector<CachePadded<std::atomic<std::uint64_t>>> stripes_;
 };
 
+/// In-flight latch, striped per thread: enter() counts a unit of work on
+/// the caller's stripe and returns that stripe, leave() uncounts it on the
+/// same stripe, and wait() blocks until every stripe reads 0. Entering
+/// and leaving touch only the caller's cache line, so concurrent clients
+/// never write a line another client writes unless they share a stripe.
+///
+/// Every operation is seq_cst (deliberate, A1-explicit), so a gate flag
+/// checked after enter() and set before wait() forms a Dekker pair per
+/// stripe: in the single total order either the enter precedes wait()'s
+/// load of that stripe (wait() sees it and waits for its leave), or the
+/// gate store precedes the check (the enterer sees the closed gate and
+/// leaves). wait() returns once every unit that entered before it was
+/// called has left; with the gate closed first, no unit is left inside.
+class StripedLatch {
+public:
+  explicit StripedLatch(std::size_t stripes = 0)
+      : stripes_(stripes == 0 ? defaultStripes() : stripes) {}
+
+  std::size_t enter() noexcept
+      TP_LOCK_FREE_AUDITED(
+          "seq_cst increment of the caller's stripe, the enter half of the "
+          "per-stripe Dekker pair with wait(); TSan: test_serve "
+          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest, "
+          "test_common StripedLatchTest.SharedStripesDrainToZero") {
+    const std::size_t stripe = threadStripe(stripes_.size());
+    stripes_[stripe].value.fetch_add(1, std::memory_order_seq_cst);
+    return stripe;
+  }
+
+  /// Uncount a unit on the stripe its enter() returned.
+  void leave(std::size_t stripe) noexcept
+      TP_LOCK_FREE_AUDITED(
+          "seq_cst decrement; the one that empties a stripe notifies "
+          "wait()'s atomic wait on it; TSan: test_serve "
+          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest, "
+          "test_common StripedLatchTest.SharedStripesDrainToZero") {
+    auto& count = stripes_[stripe].value;
+    if (count.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+      count.notify_all();
+    }
+  }
+
+  /// Block until every stripe reads 0, stripe by stripe.
+  void wait() const noexcept
+      TP_LOCK_FREE_AUDITED(
+          "seq_cst wait loop per stripe, the wait half of the Dekker pair; "
+          "woken by leave()'s notify; TSan: test_serve "
+          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest, "
+          "test_common StripedLatchTest.SharedStripesDrainToZero") {
+    for (const auto& s : stripes_) {
+      for (;;) {
+        const std::uint64_t v = s.value.load(std::memory_order_seq_cst);
+        if (v == 0) break;
+        s.value.wait(v, std::memory_order_seq_cst);
+      }
+    }
+  }
+
+private:
+  std::vector<CachePadded<std::atomic<std::uint64_t>>> stripes_;
+};
+
 }  // namespace tp::common

@@ -63,6 +63,7 @@ ExecutionResult Scheduler::execute(const Task& task,
   }
 
   ExecutionResult result;
+  result.devices.reserve(static_cast<std::size_t>(p.activeDevices()));
   double mergeBytes = 0.0;
   int mergeWriters = 0;
 

@@ -279,29 +279,15 @@ PartitionService::MachineState& PartitionService::state(
   return *it->second;
 }
 
-// seq_cst (deliberate, A1-explicit): the in-flight latch and the
-// accepting_ gate form a Dekker-style pair with drain()/shutdown() —
-// weaker orders would let a final decrement and the drain's load pass
-// each other and strand the waiter.
-void PartitionService::requestDone() noexcept
-    TP_LOCK_FREE_AUDITED(
-        "seq_cst completion latch: final decrement notifies drain()'s "
-        "seq_cst wait loop; TSan: test_serve "
-        "PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
-  if (inFlight_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
-    inFlight_.notify_all();
-  }
-}
-
-PartitionService::MachineState& PartitionService::admit(
+PartitionService::Admission PartitionService::admit(
     const std::string& machine)
     TP_LOCK_FREE_AUDITED(
-        "seq_cst (deliberate, A1-explicit) increment-then-check against the "
-        "accepting_ gate: pairs with shutdown()'s store-then-drain so no "
-        "request slips past a closing service uncounted; the first "
-        "admission publishes frozen_ (release, under machinesMutex_); "
-        "TSan: test_serve "
-        "PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
+        "seq_cst (deliberate, A1-explicit) stripe increment-then-check "
+        "against the accepting_ gate: pairs with shutdown()'s "
+        "store-then-drain so no request slips past a closing service "
+        "uncounted; the first admission publishes frozen_ (release, under "
+        "machinesMutex_); TSan: test_serve "
+        "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest") {
   // Resolve + lifecycle-check before counting the request: unknown
   // machines and post-shutdown submissions throw and are never counted
   // as submitted.
@@ -312,16 +298,16 @@ PartitionService::MachineState& PartitionService::admit(
     common::MutexLock lock(machinesMutex_);
     frozen_.store(true, std::memory_order_release);
   }
-  inFlight_.fetch_add(1, std::memory_order_seq_cst);
+  const std::size_t stripe = inFlight_.enter();
   if (!accepting_.load(std::memory_order_seq_cst)) {
-    requestDone();
+    inFlight_.leave(stripe);
     throw Error("PartitionService: submit after shutdown");
   }
   submitted_.add();
-  return ms;
+  return {ms, stripe};
 }
 
-LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
+LaunchResponse PartitionService::serveAdmitted(Admission admission,
                                                const LaunchRequest& request,
                                                Clock::time_point admitted)
     TP_LOCK_FREE_AUDITED(
@@ -329,6 +315,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
         "flag; a stale value only shifts one request's shed/backfill "
         "choice, the recorder dedups; TSan: test_serve "
         "PartitionService.ConcurrentClientsGetConsistentDecisions") {
+  MachineState& ms = admission.state;
   LaunchResponse response;
   if (config_.breaker.enabled) {
     maybeEvaluateBreaker(ms);
@@ -341,7 +328,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
       completed_.add();
       response.shed = true;
       response.modelVersion = cache_->version();
-      requestDone();
+      inFlight_.leave(admission.stripe);
       return response;
     }
   }
@@ -438,7 +425,7 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
          feedbackBackfill_.load(std::memory_order_relaxed))) {
       // Cache hits skip the recorder entirely: it deduplicates on the
       // launch signature, and a hit's signature was recorded when it
-      // first missed — so the warm path never takes the feedback lock.
+      // first missed — so the warm path never builds the key to probe it.
       // Exception: once remote wins were merged into the cache, hits may
       // be launches that never missed locally (see feedbackBackfill_).
       // admit() froze the map, so the audited accessor is the right read.
@@ -450,19 +437,19 @@ LaunchResponse PartitionService::serveAdmitted(MachineState& ms,
     if (hit.has_value() && !response.explored) inlineHits_.add();
   } catch (...) {
     failed_.add();
-    requestDone();
+    inFlight_.leave(admission.stripe);
     throw;
   }
-  requestDone();
+  inFlight_.leave(admission.stripe);
   return response;
 }
 
 std::future<LaunchResponse> PartitionService::submit(LaunchRequest request) {
   const auto admitted = Clock::now();
-  MachineState& ms = admit(request.machine);  // validation throws here
+  const Admission admission = admit(request.machine);  // throws here
   std::promise<LaunchResponse> promise;
   try {
-    promise.set_value(serveAdmitted(ms, request, admitted));
+    promise.set_value(serveAdmitted(admission, request, admitted));
   } catch (...) {
     promise.set_exception(std::current_exception());
   }
@@ -592,12 +579,8 @@ adapt::MergeResult PartitionService::mergeRemoteWins(
   // count stale ones before their pair is interned. The rest are
   // fingerprinted once, through the intern table and launchFingerprint
   // the request path uses, so a merged key lands exactly where live
-  // traffic for the same launch does.
+  // traffic for the same launch does, and merge in place.
   const std::uint64_t version = cache_->version();
-  std::vector<adapt::WinRecord> accepted;
-  std::vector<common::Fingerprint> fps;
-  accepted.reserve(wins.size());
-  fps.reserve(wins.size());
   for (const adapt::WinRecord& rec : wins) {
     const bool labelsOk =
         rec.baseLabel < spaceSize && rec.incumbentLabel < spaceSize &&
@@ -619,28 +602,20 @@ adapt::MergeResult PartitionService::mergeRemoteWins(
       ++result.dropped;
       continue;
     }
-    accepted.push_back(rec);
-    fps.push_back(launchFingerprint(pairId, rec.key.signature));
-  }
-  // From here on, warm hits may serve launches this service never
-  // measured; make the hit paths backfill feedback (see the member).
-  if (!accepted.empty()) {
+    // From here on, warm hits may serve launches this service never
+    // measured; make the hit paths backfill feedback (see the member).
     feedbackBackfill_.store(true, std::memory_order_relaxed);
-  }
-  const adapt::MergeResult merged = refiner_->mergeWins(accepted, fps, version);
-  result.adopted = merged.adopted;
-  result.updated = merged.updated;
-  result.stale += merged.stale;
-  result.dropped += merged.dropped;
-  // Write adopted incumbents through into the decision cache, so warm
-  // lookups serve the merged win immediately. The incumbent is re-read
-  // from the refiner (not taken from the record): a concurrent local
-  // observation or a better peer record may have superseded it.
-  for (std::size_t i = 0; i < accepted.size(); ++i) {
-    const auto inc = refiner_->incumbent(fps[i], version);
+    const common::Fingerprint fp =
+        launchFingerprint(pairId, rec.key.signature);
+    result += refiner_->mergeWin(rec, fp, version);
+    // Write the incumbent through into the decision cache, so warm
+    // lookups serve the merged win immediately. It is re-read from the
+    // refiner (not taken from the record): a concurrent local observation
+    // or a better peer record may have superseded it.
+    const auto inc = refiner_->incumbent(fp, version);
     if (!inc.tracked) continue;
     // The sender already quantized the signature.
-    cache_->insert(fps[i], DecisionKey{accepted[i].key, version}, inc.label);
+    cache_->insert(fp, DecisionKey{rec.key, version}, inc.label);
   }
   return result;
 }
@@ -712,23 +687,14 @@ runtime::FeatureDatabase PartitionService::trafficSnapshot() const {
   return feedback->snapshot();
 }
 
-void PartitionService::drain()
-    TP_LOCK_FREE_AUDITED(
-        "seq_cst (deliberate, A1-explicit) wait loop on the in-flight "
-        "latch, pairing with requestDone()'s decrement+notify; TSan: "
-        "test_serve PartitionService.RetrainUnderLiveTrafficDoesNotDeadlock") {
-  for (;;) {
-    const std::uint64_t v = inFlight_.load(std::memory_order_seq_cst);
-    if (v == 0) return;
-    inFlight_.wait(v, std::memory_order_seq_cst);
-  }
-}
+void PartitionService::drain() { inFlight_.wait(); }
 
 void PartitionService::shutdown()
     TP_LOCK_FREE_AUDITED(
         "seq_cst (deliberate, A1-explicit) store-then-drain of the "
-        "accepting_ gate, pairing with admit()'s increment-then-check; "
-        "TSan: test_serve PartitionService.ShutdownDrainsAndRejectsNewWork") {
+        "accepting_ gate, pairing with admit()'s stripe increment-then-"
+        "check; TSan: test_serve "
+        "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest") {
   accepting_.store(false, std::memory_order_seq_cst);
   drain();
 }

@@ -9,8 +9,10 @@
 // refiner probe — runs one pipeline on the caller's thread. There is no
 // request queue and no worker thread:
 //
-//   1. admit: resolve the machine, count the request and consult the
-//      admission breaker (an open breaker answers `shed` right here);
+//   1. admit: resolve the machine, count the request in flight on the
+//      caller's stripe of a striped latch (common::StripedLatch), and
+//      consult the admission breaker (an open breaker answers `shed`
+//      right here);
 //   2. intern the (machine, program) pair (common::PairInterner),
 //      quantize the launch signature once into per-thread storage, and
 //      fold both into a 128-bit fingerprint, the one address of the
@@ -27,13 +29,21 @@
 //      runtime::Scheduler. Scheduler::execute keeps the simulated
 //      timeline on its own stack frame, so concurrent requests share
 //      both without a lock and never see each other's clocks;
-//   7. record feedback, latency and stats.
+//   7. record feedback (a miss only: a lock-free dedup probe of the
+//      recorder's published table), latency and stats, then leave the
+//      in-flight stripe step 1 entered.
 //
-// The decision fast path of a hit that is not a probe (fingerprint, cache
-// probe, execute, stats) takes no lock and allocates nothing; the
-// response payload (partitioning copy, per-device execution report)
-// still allocates, as does submit()'s future (call() avoids it). With
-// refinement on, steps 5 and 6 take the refiner's shard mutex.
+// Contention: a hit that is not a probe takes no lock, and every counter
+// it writes (the in-flight latch, request and load counters, latency and
+// SLO records) is striped per thread, so clients on different stripes
+// write no common cache line. A miss adds the model's reader lock
+// (predict) and the feedback probe, which locks only on a first
+// sighting. With refinement on, steps 5 and 6 take the refiner's shard
+// mutex. Allocation: a hit allocates at most 7 times and a steady-state
+// miss at most 10 (test_alloc_budget pins both) — the response payload
+// (partitioning copy, per-device execution report), Scheduler::execute's
+// working vectors and, on a miss, the key and feature vector; submit()'s
+// future adds one (call() avoids it).
 //
 // Feedback: an online recorder (serve/feedback.hpp) measures each
 // distinct launch the model decided into a FeatureDatabase. Cache hits
@@ -55,8 +65,9 @@
 // execution faults travel through that future, while an unknown machine
 // or a post-shutdown submission throws tp::Error from submit() itself.
 // Machine registration freezes at the first admitted request: after that
-// the machine map is read without locking. drain() waits until every
-// admitted request has been answered.
+// the machine map is read without locking. drain() waits, stripe by
+// stripe, until every request admitted before it was called has been
+// answered; shutdown() closes admission first, so none is left.
 
 #include <atomic>
 #include <cstdint>
@@ -254,7 +265,8 @@ public:
   /// before the first addMachine() (no schema yet).
   runtime::FeatureDatabase trafficSnapshot() const;
 
-  /// Block until every admitted request has been answered.
+  /// Block until every request admitted before the call has been
+  /// answered.
   void drain();
   /// Stop admitting, then drain. Idempotent.
   void shutdown();
@@ -320,15 +332,22 @@ private:
   void recordLatency(MachineState& ms, double seconds) noexcept;
   std::size_t predictWithModel(const MachineState& ms,
                                const runtime::Task& task) const;
+  /// An admitted request: its machine and the in-flight stripe it was
+  /// counted on (the request leaves that same stripe).
+  struct Admission {
+    MachineState& state;
+    std::size_t stripe;
+  };
   /// Pipeline step 1 without the breaker: resolve the machine, freeze the
   /// machine map at the first admission, and run the lifecycle accounting
   /// (inFlight/accepting/submitted). Unknown machines and post-shutdown
   /// submissions throw with nothing counted.
-  MachineState& admit(const std::string& machine);
+  Admission admit(const std::string& machine);
   /// The rest of the pipeline for an admitted request whose latency clock
   /// started at `admitted`. Execution faults rethrow after the failed_
   /// accounting; every path ends the request's in-flight count.
-  LaunchResponse serveAdmitted(MachineState& ms, const LaunchRequest& request,
+  LaunchResponse serveAdmitted(Admission admission,
+                               const LaunchRequest& request,
                                obs::Clock::time_point admitted);
   /// Amortized breaker evaluation on the admission path: bumps the
   /// machine's admission tick and runs evaluateBreaker() on every
@@ -339,7 +358,6 @@ private:
   void evaluateBreaker(MachineState& ms);
   /// Machines whose admission breaker is open (shedding).
   std::size_t openBreakers() const TP_EXCLUDES(machinesMutex_);
-  void requestDone() noexcept;
 
   ServiceConfig config_;
   std::unique_ptr<common::PairInterner> interner_;
@@ -358,14 +376,16 @@ private:
   std::atomic<bool> frozen_{false};
 
   std::atomic<bool> accepting_{true};
-  std::atomic<std::uint64_t> inFlight_{0};  ///< atomic-wait on 0 in drain()
+  /// Admitted, unanswered requests, one padded counter per thread stripe:
+  /// a request writes only its own stripe's line; drain() waits on each.
+  common::StripedLatch inFlight_;
   /// Set once mergeRemoteWins() has written remote incumbents through
   /// into the cache: such keys can be served warm without ever having
   /// missed locally, so from then on cache hits also run the feedback
-  /// recorder's dedup (one mutex probe) instead of skipping it — the
-  /// local traffic database keeps capturing every launch this service
-  /// serves. Never set outside fleet/snapshot use: the plain warm path
-  /// stays recorder-free.
+  /// recorder's dedup (a lock-free probe, after building the launch
+  /// key) instead of skipping it — the local traffic database keeps
+  /// capturing every launch this service serves. Never set outside
+  /// fleet/snapshot use: the plain warm path stays recorder-free.
   std::atomic<bool> feedbackBackfill_{false};
 
   common::StripedCounter submitted_;

@@ -30,10 +30,14 @@ common::Fingerprint fp(const runtime::LaunchKey& k) {
                                   k.signature);
 }
 
-std::vector<common::Fingerprint> fps(const std::vector<WinRecord>& wins) {
-  std::vector<common::Fingerprint> out;
-  for (const WinRecord& rec : wins) out.push_back(fp(rec.key));
-  return out;
+/// Merge a batch record by record, the way PartitionService does.
+MergeResult mergeAll(Refiner& target, const std::vector<WinRecord>& wins,
+                     std::uint64_t version) {
+  MergeResult result;
+  for (const WinRecord& rec : wins) {
+    result += target.mergeWin(rec, fp(rec.key), version);
+  }
+  return result;
 }
 
 /// A 2-device ladder: label i is the partitioning {i, 10-i}, so the
@@ -354,7 +358,7 @@ TEST(Refiner, MergeAdoptsRemoteWinWithoutReopeningSearch) {
   config.exploreFraction = 1.0;  // would probe on every warm decision...
   config.probeSamples = 1;       // ...but merged evidence fills the budget
   Refiner target(config);
-  const auto result = target.mergeWins(wins, fps(wins), 0);
+  const auto result = mergeAll(target, wins, 0);
   EXPECT_EQ(result.adopted, 1u);
   EXPECT_EQ(result.merged(), 1u);
 
@@ -381,11 +385,11 @@ TEST(Refiner, MergeIsIdempotentUnderAntiEntropy) {
   refineKey(source, 0.5);
   const auto wins = source.exportWins();
   Refiner target;
-  EXPECT_EQ(target.mergeWins(wins, fps(wins), 0).adopted, 1u);
+  EXPECT_EQ(mergeAll(target, wins, 0).adopted, 1u);
   // Re-offering the same state (anti-entropy rounds do) must not inflate
   // counts, shift means, or re-adopt.
   for (int round = 0; round < 5; ++round) {
-    const auto result = target.mergeWins(wins, fps(wins), 0);
+    const auto result = mergeAll(target, wins, 0);
     EXPECT_EQ(result.adopted, 0u);
     EXPECT_EQ(result.updated, 1u);
   }
@@ -406,7 +410,7 @@ TEST(Refiner, MergeTiesBreakToTheLowerMeasuredMean) {
   refineKey(local, 0.6);
   refineKey(remote, 0.5);
   const auto remoteWins = remote.exportWins();
-  const auto result = local.mergeWins(remoteWins, fps(remoteWins), 0);
+  const auto result = mergeAll(local, remoteWins, 0);
   EXPECT_EQ(result.merged(), 1u);
   EXPECT_DOUBLE_EQ(local.incumbent(fp(key("p")), 0).meanSeconds, 0.5);
 
@@ -415,7 +419,7 @@ TEST(Refiner, MergeTiesBreakToTheLowerMeasuredMean) {
   refineKey(better, 0.4);
   refineKey(worse, 0.5);
   const auto worseWins = worse.exportWins();
-  (void)better.mergeWins(worseWins, fps(worseWins), 0);
+  (void)mergeAll(better, worseWins, 0);
   EXPECT_DOUBLE_EQ(better.incumbent(fp(key("p")), 0).meanSeconds, 0.4);
 }
 
@@ -426,7 +430,7 @@ TEST(Refiner, MergeRejectsStaleVersions) {
   Refiner target;
   // Fleet is already on generation 2: version-0 wins say nothing about
   // the current model's predictions.
-  const auto result = target.mergeWins(wins, fps(wins), 2);
+  const auto result = mergeAll(target, wins, 2);
   EXPECT_EQ(result.stale, 1u);
   EXPECT_EQ(result.merged(), 0u);
   EXPECT_EQ(target.trackedKeys(), 0u);
@@ -436,7 +440,7 @@ TEST(Refiner, MergeRejectsStaleVersions) {
   Refiner moved;
   const auto p = key("p");
   (void)moved.decide(fp(p), &p, 1, 5, ladder());
-  EXPECT_EQ(moved.mergeWins(wins, fps(wins), 0).stale, 1u);
+  EXPECT_EQ(mergeAll(moved, wins, 0).stale, 1u);
 }
 
 TEST(Refiner, MergeRespectsKeyCapacity) {
@@ -454,7 +458,7 @@ TEST(Refiner, MergeRespectsKeyCapacity) {
   third.key.program = "p3";
   wins.push_back(second);
   wins.push_back(third);
-  const auto result = target.mergeWins(wins, fps(wins), 0);
+  const auto result = mergeAll(target, wins, 0);
   EXPECT_EQ(result.merged(), 2u);
   EXPECT_EQ(result.dropped, 1u);
   EXPECT_EQ(target.trackedKeys(), 2u);

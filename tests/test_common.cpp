@@ -1,6 +1,7 @@
 // Unit tests for tp_common: RNG determinism and distributions, statistics,
 // CSV round-trips, string utilities, thread pool behaviour, the shared
-// FNV key-hash helpers (collision sanity), and wire serialization.
+// FNV key-hash helpers (collision sanity), wire serialization, the pair
+// interner and the striped in-flight latch.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "common/serial.hpp"
 #include "common/stats.hpp"
 #include "common/str.hpp"
+#include "common/striped.hpp"
 #include "common/thread_pool.hpp"
 
 namespace tp::common {
@@ -723,6 +725,48 @@ TEST(InternerTest, ConcurrentReadersAtCapacity) {
   EXPECT_EQ(interner.size(), kCapacity);
   EXPECT_EQ(interner.fullRejections(),
             static_cast<std::uint64_t>(2 * kAttemptsPerWriter));
+}
+
+TEST(StripedLatchTest, SharedStripesDrainToZero) {
+  // Four threads on two stripes, so each stripe is shared. A gate checked
+  // after enter() and closed before wait() leaves no unit inside once
+  // wait() returns: the per-stripe Dekker pair the service's shutdown()
+  // relies on.
+  StripedLatch latch(2);
+  std::atomic<bool> open{true};
+  std::atomic<int> inside{0};
+  std::atomic<std::uint64_t> entered{0};
+  std::atomic<int> strayStripes{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      const std::size_t first = latch.enter();
+      latch.leave(first);
+      for (;;) {
+        const std::size_t stripe = latch.enter();
+        // A thread keeps its stripe.
+        if (stripe != first || stripe >= 2) strayStripes.fetch_add(1);
+        if (!open.load(std::memory_order_seq_cst)) {
+          latch.leave(stripe);
+          return;
+        }
+        inside.fetch_add(1, std::memory_order_relaxed);
+        entered.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::yield();
+        inside.fetch_sub(1, std::memory_order_relaxed);
+        latch.leave(stripe);
+      }
+    });
+  }
+  while (entered.load(std::memory_order_relaxed) < 4000) {
+    std::this_thread::yield();
+  }
+  open.store(false, std::memory_order_seq_cst);
+  latch.wait();
+  EXPECT_EQ(inside.load(std::memory_order_relaxed), 0);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(strayStripes.load(), 0);
+  latch.wait();  // every stripe back at 0: returns at once
 }
 
 }  // namespace

@@ -733,6 +733,48 @@ TEST(PartitionService, ShutdownDrainsAndRejectsNewWork) {
   EXPECT_EQ(stats.requestsCompleted, 20u);
 }
 
+TEST(PartitionService, ShutdownUnderLiveTrafficCountsEveryRequest) {
+  // More clients than the in-flight latch has stripes (16 by default), so
+  // stripes are shared. shutdown() must return only once every admitted
+  // request is answered, and nothing is admitted after it.
+  ServiceFixture fx;
+  constexpr std::size_t kClients = 20;
+  std::atomic<std::size_t> live{0};
+  std::atomic<std::size_t> wrongErrors{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      bool counted = false;
+      for (std::size_t t = c;; ++t) {
+        try {
+          (void)fx.service->call(fx.request(t));
+        } catch (const Error& e) {
+          if (std::string(e.what()).find("submit after shutdown") ==
+              std::string::npos) {
+            wrongErrors.fetch_add(1);
+          }
+          return;
+        }
+        if (!counted) {
+          counted = true;
+          live.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (live.load() < kClients) std::this_thread::yield();
+  fx.service->shutdown();
+  const auto atShutdown = fx.service->stats();
+  EXPECT_EQ(atShutdown.requestsCompleted, atShutdown.requestsSubmitted);
+  EXPECT_EQ(atShutdown.requestsFailed, 0u);
+  EXPECT_GE(atShutdown.requestsSubmitted, kClients);
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(wrongErrors.load(), 0u);
+  const auto after = fx.service->stats();
+  EXPECT_EQ(after.requestsSubmitted, atShutdown.requestsSubmitted);
+  EXPECT_EQ(after.requestsCompleted, atShutdown.requestsCompleted);
+}
+
 TEST(PartitionService, RejectsUnknownMachineAndBadConfig) {
   ServiceFixture fx;
   LaunchRequest request;
@@ -1148,6 +1190,99 @@ TEST(PartitionService, FeedbackRecorderTakesTheCallersIdentity) {
   EXPECT_FALSE(recorder.record(later.launch, task, machine, space, ""));
   EXPECT_FALSE(recorder.record(task, machine, space, "n=4096"));
   EXPECT_EQ(recorder.size(), 1u);
+}
+
+/// `n` distinct launch identities of one task on `machine`: the dedup
+/// table keys on the identity alone, so they need not differ in the task.
+std::vector<runtime::LaunchKey> distinctIdentities(
+    const sim::MachineConfig& machine, const runtime::Task& task,
+    std::size_t n) {
+  std::vector<runtime::LaunchKey> ids;
+  for (std::size_t i = 0; i < n; ++i) {
+    runtime::LaunchKey id{machine.name, programKey(task), {}};
+    quantizeSignature(task, kCacheRoundDigits, id.signature);
+    id.signature[0] += static_cast<double>(i);
+    ids.push_back(std::move(id));
+  }
+  return ids;
+}
+
+TEST(FeedbackDedup, ConcurrentRecordersSeeEachIdentityOnce) {
+  const auto machine = sim::makeMc2();
+  const runtime::PartitioningSpace space(machine.numDevices(), kDivisions);
+  FeedbackRecorder recorder(space.size());
+  const runtime::Task task = makeScaleTask(1 << 12, 10);
+  const auto ids = distinctIdentities(machine, task, 40);
+  std::vector<std::atomic<int>> firsts(ids.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      // Odd threads walk the identities backwards, so first sightings
+      // race from both ends.
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        const std::size_t i = t % 2 == 0 ? k : ids.size() - 1 - k;
+        if (recorder.record(ids[i], task, machine, space, "")) {
+          firsts[i].fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(firsts[i].load(), 1) << "identity " << i;
+  }
+  EXPECT_EQ(recorder.size(), ids.size());
+}
+
+TEST(FeedbackDedup, TableGrowsUnderConcurrentProbes) {
+  // Four times the first table's slots: the table doubles at least three
+  // times while two writers insert and two probers re-record identities.
+  const auto machine = sim::makeMc2();
+  const runtime::PartitioningSpace space(machine.numDevices(), kDivisions);
+  FeedbackRecorder recorder(space.size());
+  const runtime::Task task = makeScaleTask(1 << 12, 10);
+  const auto ids =
+      distinctIdentities(machine, task, 4 * FeedbackRecorder::kInitialSlots);
+  const auto label = [](std::size_t i) { return "id=" + std::to_string(i); };
+  std::vector<std::atomic<int>> firsts(ids.size());
+  std::atomic<std::size_t> writersDone{0};
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t k = 0; k < ids.size(); ++k) {
+        const std::size_t i = w == 0 ? k : ids.size() - 1 - k;
+        if (recorder.record(ids[i], task, machine, space, label(i))) {
+          firsts[i].fetch_add(1);
+        }
+      }
+      writersDone.fetch_add(1);
+    });
+  }
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    threads.emplace_back([&, p] {
+      common::Rng rng(p + 1);
+      while (writersDone.load() < 2) {
+        const auto i = static_cast<std::size_t>(rng.below(ids.size()));
+        if (recorder.record(ids[i], task, machine, space, label(i))) {
+          firsts[i].fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::set<std::string> recorded;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(firsts[i].load(), 1) << "identity " << i;
+    // Every identity stays recorded after the growth.
+    EXPECT_FALSE(recorder.record(ids[i], task, machine, space, label(i)));
+  }
+  const auto db = recorder.snapshot();
+  ASSERT_EQ(db.size(), ids.size());
+  for (const auto& rec : db.records()) recorded.insert(rec.sizeLabel);
+  EXPECT_EQ(recorded.size(), ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(recorded.count(label(i)), 1u) << "identity " << i;
+  }
 }
 
 TEST(QuantizeOnce, StreamingAndVectorFormsAgreeOnEverySuiteLaunch) {
