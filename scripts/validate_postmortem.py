@@ -17,7 +17,8 @@ src/obs/flight_recorder.hpp:
   - health_events are well-formed (known severities, strictly increasing
     seqs, cleared recoveries only at severity "info") and reconcile with
     health_counters (history is bounded, so events_emitted +
-    events_cleared is a lower bound only when history overflowed)
+    events_cleared is a lower bound only when history overflowed); every
+    health_counters field, callback_errors included, is an integer >= 0
 
 The argument may be a bundle file or a directory, in which case the
 highest-sequence postmortem-<seq>.json is validated (what ctest/CI do:
@@ -140,7 +141,8 @@ def check_health(doc):
     if not isinstance(counters, dict):
         fail("'health_counters' must be an object")
     for key in ("evaluations", "firings", "events_emitted",
-                "events_cleared", "suppressed_firings", "rule_errors"):
+                "events_cleared", "suppressed_firings", "rule_errors",
+                "callback_errors"):
         if not isinstance(counters.get(key), int) or counters[key] < 0:
             fail(f"health_counters.{key} missing or bad: "
                  f"{counters.get(key)!r}")

@@ -1,11 +1,10 @@
 #include "fleet/snapshot.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <vector>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
@@ -13,42 +12,12 @@
 
 namespace tp::fleet {
 
-namespace fs = std::filesystem;
-
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x5450534eu;  // "TPSN"
 constexpr std::uint16_t kSnapshotVersion = 1;
 constexpr const char* kPrefix = "snapshot-";
 constexpr const char* kSuffix = ".tpsnap";
-
-std::string fileName(std::uint64_t seq) {
-  std::ostringstream os;
-  os << kPrefix;
-  os.width(8);
-  os.fill('0');
-  os << seq << kSuffix;
-  return os.str();
-}
-
-/// Sequence number of a snapshot file name; 0 when it is not one.
-std::uint64_t sequenceOf(const std::string& name) {
-  const std::string prefix = kPrefix;
-  const std::string suffix = kSuffix;
-  if (name.size() <= prefix.size() + suffix.size()) return 0;
-  if (name.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return 0;
-  }
-  const std::string digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  std::uint64_t seq = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return 0;
-    seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return seq;
-}
 
 }  // namespace
 
@@ -91,63 +60,11 @@ ReplicaSnapshot decodeSnapshot(std::string_view bytes) {
 }
 
 SnapshotStore::SnapshotStore(std::string dir, std::size_t keepLast)
-    : dir_(std::move(dir)), keepLast_(keepLast) {
-  TP_REQUIRE(!dir_.empty(), "SnapshotStore: empty directory");
+    : files_(std::move(dir), kPrefix, kSuffix, keepLast) {
   std::error_code ec;
-  fs::create_directories(dir_, ec);
-  TP_REQUIRE(!ec, "SnapshotStore: cannot create " << dir_ << ": "
+  std::filesystem::create_directories(files_.dir(), ec);
+  TP_REQUIRE(!ec, "SnapshotStore: cannot create " << files_.dir() << ": "
                                                   << ec.message());
-}
-
-std::uint64_t SnapshotStore::highestSequence() const {
-  std::uint64_t highest = 0;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    highest = std::max(highest, sequenceOf(entry.path().filename().string()));
-  }
-  return highest;
-}
-
-std::uint64_t SnapshotStore::save(const ReplicaSnapshot& snapshot) {
-  const std::uint64_t seq = highestSequence() + 1;
-  const fs::path finalPath = fs::path(dir_) / fileName(seq);
-  const fs::path tmpPath = fs::path(dir_) / (fileName(seq) + ".tmp");
-  const std::string bytes = encodeSnapshot(snapshot);
-  {
-    std::ofstream os(tmpPath, std::ios::binary | std::ios::trunc);
-    if (!os) throw IoError("SnapshotStore: cannot write " + tmpPath.string());
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os) throw IoError("SnapshotStore: short write to " + tmpPath.string());
-  }
-  // Atomic publish: readers either see the previous latest snapshot or
-  // this complete one, never a half-written file.
-  std::error_code ec;
-  fs::rename(tmpPath, finalPath, ec);
-  if (ec) {
-    throw IoError("SnapshotStore: cannot publish " + finalPath.string() +
-                  ": " + ec.message());
-  }
-  if (keepLast_ > 0) prune(seq);
-  return seq;
-}
-
-void SnapshotStore::prune(std::uint64_t newestSeq) const {
-  // Remove snapshots older than the newest keepLast_. Best-effort: a file
-  // that cannot be removed (e.g. a concurrent reader on a platform with
-  // strict sharing) is retried on the next save; recovery correctness
-  // only ever depends on the newest snapshot surviving, which prune()
-  // never touches.
-  if (newestSeq < keepLast_) return;
-  const std::uint64_t cutoff = newestSeq - keepLast_;  // prune seq <= cutoff
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::uint64_t seq = sequenceOf(entry.path().filename().string());
-    if (seq > 0 && seq <= cutoff) {
-      std::error_code removeEc;
-      fs::remove(entry.path(), removeEc);
-    }
-  }
 }
 
 std::optional<ReplicaSnapshot> SnapshotStore::loadLatest() const
@@ -155,41 +72,25 @@ std::optional<ReplicaSnapshot> SnapshotStore::loadLatest() const
         "only corruptSkipped_ is touched lock-free (relaxed monotonic "
         "counter); TSan: test_fleet Fleet.CountersReconcileUnderConcurrent"
         "GossipAndRetrain") {
-  // Collect every sequence on disk, newest first, and salvage: the first
-  // snapshot that opens and decodes wins. A corrupt newest file (torn
-  // write that still got renamed, bit rot, truncation) falls back to
-  // the next-older valid one instead of failing warm start.
-  std::vector<std::uint64_t> sequences;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::uint64_t seq = sequenceOf(entry.path().filename().string());
-    if (seq > 0) sequences.push_back(seq);
-  }
-  std::sort(sequences.rbegin(), sequences.rend());
-  for (const std::uint64_t seq : sequences) {
-    const fs::path path = fs::path(dir_) / fileName(seq);
+  // Salvage, newest first: the first snapshot that opens and decodes
+  // wins. A corrupt newest file (torn write that still got renamed, bit
+  // rot, truncation) falls back to the next-older valid one instead of
+  // failing warm start.
+  for (const std::uint64_t seq : files_.sequences()) {
+    const std::string path = files_.path(seq);
     try {
       std::ifstream is(path, std::ios::binary);
-      if (!is) throw IoError("SnapshotStore: cannot open " + path.string());
+      if (!is) throw IoError("SnapshotStore: cannot open " + path);
       std::ostringstream buffer;
       buffer << is.rdbuf();
       return decodeSnapshot(buffer.str());
     } catch (const std::exception& e) {
       corruptSkipped_.fetch_add(1, std::memory_order_relaxed);
       TP_WARN("SnapshotStore: skipping corrupt snapshot "
-              << path.string() << " (" << e.what() << "), trying next-older");
+              << path << " (" << e.what() << "), trying next-older");
     }
   }
   return std::nullopt;
-}
-
-std::size_t SnapshotStore::count() const {
-  std::size_t n = 0;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    if (sequenceOf(entry.path().filename().string()) > 0) ++n;
-  }
-  return n;
 }
 
 }  // namespace tp::fleet

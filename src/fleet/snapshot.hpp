@@ -6,11 +6,12 @@
 // decisions immediately instead of relearning them: the deployed model
 // of every machine (serialized), the generation they serve, and the
 // refiner's full tracked state (every key's measured arms, exported with
-// exportWins(refinedOnly = false)). Snapshots are numbered files in one
-// directory, written atomically (temp file + rename) in the fleet wire
-// encoding with its own magic/version header; loadLatest() picks the
-// highest sequence number, so a crash mid-write never corrupts the
-// recovery path — the previous snapshot still wins. If the newest
+// exportWins(refinedOnly = false)). Snapshots are the numbered files
+// `snapshot-%08d.tpsnap` of one common::NumberedFiles directory, written
+// atomically (temp file + rename) in the fleet wire encoding with its
+// own magic/version header; loadLatest() picks the highest sequence
+// number, so a crash mid-write never corrupts the recovery path — the
+// previous snapshot still wins. If the newest
 // snapshot is corrupt or truncated anyway (torn disk, bit rot, hostile
 // bytes), loadLatest() salvages: it falls back through older snapshots
 // in sequence order until one decodes, counting and logging every file
@@ -24,6 +25,7 @@
 
 #include "adapt/refiner.hpp"
 #include "common/annotations.hpp"
+#include "common/numbered_files.hpp"
 #include "fleet/wire.hpp"
 
 namespace tp::fleet {
@@ -40,19 +42,23 @@ ReplicaSnapshot decodeSnapshot(std::string_view bytes);
 class SnapshotStore {
 public:
   /// Creates `dir` (and parents) if absent. `keepLast` is the retention
-  /// policy: after each save, snapshots older than the newest `keepLast`
-  /// are pruned from disk (0 keeps every snapshot forever). Pruning only
-  /// ever removes strictly older sequence numbers, so loadLatest() is
+  /// policy: after each save, all but the newest `keepLast` snapshots by
+  /// sequence are pruned from disk (0 keeps every snapshot forever).
+  /// Pruning never touches the snapshot just saved, so loadLatest() is
   /// unaffected by it.
   explicit SnapshotStore(std::string dir, std::size_t keepLast = 0);
 
-  const std::string& dir() const noexcept { return dir_; }
-  std::size_t keepLast() const noexcept { return keepLast_; }
+  const std::string& dir() const noexcept { return files_.dir(); }
+  std::size_t keepLast() const noexcept { return files_.keepLast(); }
 
   /// Persist a snapshot; returns its sequence number (monotonic per
-  /// directory, one past the highest already on disk). Applies the
-  /// keep-last retention policy after the new snapshot is published.
-  std::uint64_t save(const ReplicaSnapshot& snapshot);
+  /// directory, one past the highest already on disk; concurrent saves
+  /// through one store get distinct numbers). Applies the keep-last
+  /// retention policy after the new snapshot is published. Throws
+  /// tp::IoError when the file cannot be written or published.
+  std::uint64_t save(const ReplicaSnapshot& snapshot) {
+    return files_.publish(encodeSnapshot(snapshot));
+  }
 
   /// The newest snapshot that decodes. Corrupt/truncated/unreadable
   /// files are skipped (counted in corruptSnapshotsSkipped(), logged)
@@ -71,14 +77,10 @@ public:
   }
 
   /// Snapshots currently on disk.
-  std::size_t count() const;
+  std::size_t count() const { return files_.count(); }
 
 private:
-  std::uint64_t highestSequence() const;
-  void prune(std::uint64_t newestSeq) const;
-
-  std::string dir_;
-  std::size_t keepLast_;
+  common::NumberedFiles files_;
   mutable std::atomic<std::uint64_t> corruptSkipped_{0};
 };
 

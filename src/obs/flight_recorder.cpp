@@ -1,86 +1,20 @@
 #include "obs/flight_recorder.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <iomanip>
-#include <limits>
+#include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "obs/json.hpp"
 
 namespace tp::obs {
-
-namespace fs = std::filesystem;
 
 namespace {
 
 constexpr const char* kSchema = "tp-postmortem-v1";
 constexpr const char* kPrefix = "postmortem-";
 constexpr const char* kSuffix = ".json";
-
-std::string fileName(std::uint64_t seq) {
-  std::ostringstream os;
-  os << kPrefix;
-  os.width(8);
-  os.fill('0');
-  os << seq << kSuffix;
-  return os.str();
-}
-
-/// Sequence number of a bundle file name; 0 when it is not one.
-std::uint64_t sequenceOf(const std::string& name) {
-  const std::string prefix = kPrefix;
-  const std::string suffix = kSuffix;
-  if (name.size() <= prefix.size() + suffix.size()) return 0;
-  if (name.compare(0, prefix.size(), prefix) != 0) return 0;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return 0;
-  }
-  const std::string digits =
-      name.substr(prefix.size(), name.size() - prefix.size() - suffix.size());
-  std::uint64_t seq = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return 0;
-    seq = seq * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return seq;
-}
-
-std::string escapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c));
-          out += os.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void appendDouble(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "0";  // JSON has no inf/nan; the bundle must stay parseable
-    return;
-  }
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-}
 
 void appendEvent(std::ostringstream& os, const HealthEvent& event) {
   os << "{\"seq\":" << event.seq << ",\"ticks\":" << event.ticks
@@ -96,39 +30,14 @@ void appendEvent(std::ostringstream& os, const HealthEvent& event) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
-    : config_(std::move(config)) {
-  TP_REQUIRE(!config_.dir.empty(), "FlightRecorder: needs a directory");
-}
-
-std::string FlightRecorder::pathFor(std::uint64_t seq) const {
-  return (fs::path(config_.dir) / fileName(seq)).string();
-}
-
-std::uint64_t FlightRecorder::highestSequence() const {
-  common::MutexLock lock(mutex_);
-  std::uint64_t highest = 0;
-  if (!fs::exists(config_.dir)) return highest;
-  for (const auto& entry : fs::directory_iterator(config_.dir)) {
-    highest = std::max(highest, sequenceOf(entry.path().filename().string()));
-  }
-  return highest;
-}
-
-std::size_t FlightRecorder::bundleCount() const {
-  common::MutexLock lock(mutex_);
-  std::size_t count = 0;
-  if (!fs::exists(config_.dir)) return count;
-  for (const auto& entry : fs::directory_iterator(config_.dir)) {
-    if (sequenceOf(entry.path().filename().string()) != 0) ++count;
-  }
-  return count;
-}
+    : config_(std::move(config)),
+      files_(config_.dir, kPrefix, kSuffix, config_.keepLast) {}
 
 std::uint64_t FlightRecorder::dump(const std::string& reason) {
-  // Snapshot the sources BEFORE taking the recorder mutex: none of these
-  // reads depend on it, and the trace drain can spin against recording
-  // threads. One snapshot feeds both the embedded trace and the
-  // kept/dropped accounting, so they agree exactly.
+  // Snapshot and render the sources BEFORE publish() takes the store's
+  // mutex: none of these reads depend on it, and the trace drain can
+  // spin against recording threads. One snapshot feeds both the
+  // embedded trace and the kept/dropped accounting, so they agree.
   TraceRecorder::Snapshot traceSnap;
   if (config_.trace != nullptr) traceSnap = config_.trace->snapshot();
   std::string metricsJson =
@@ -162,50 +71,17 @@ std::uint64_t FlightRecorder::dump(const std::string& reason) {
      << ",\"events_emitted\":" << health.eventsEmitted
      << ",\"events_cleared\":" << health.eventsCleared
      << ",\"suppressed_firings\":" << health.suppressedFirings
-     << ",\"rule_errors\":" << health.ruleErrors << "}";
+     << ",\"rule_errors\":" << health.ruleErrors
+     << ",\"callback_errors\":" << health.callbackErrors << "}";
   os << ",\"metrics\":" << metricsJson;
   os << ",\"trace\":";
-  std::ostringstream traceOs;
-  TraceRecorder::writeChromeTrace(traceOs, traceSnap);
-  os << traceOs.str();
+  TraceRecorder::writeChromeTrace(os, traceSnap);
+  const std::string body = os.str();
 
-  common::MutexLock lock(mutex_);
-  std::uint64_t seq = 0;
-  fs::create_directories(config_.dir);
-  for (const auto& entry : fs::directory_iterator(config_.dir)) {
-    seq = std::max(seq, sequenceOf(entry.path().filename().string()));
-  }
-  ++seq;
-  os << ",\"seq\":" << seq << "}\n";
-
-  // tmp+rename: a bundle is either absent or complete, never torn — a
-  // crash mid-write leaves only the tmp file behind.
-  const fs::path finalPath = fs::path(config_.dir) / fileName(seq);
-  const fs::path tmpPath = finalPath.string() + ".tmp";
-  {
-    std::ofstream out(tmpPath, std::ios::binary | std::ios::trunc);
-    TP_REQUIRE(out.good(),
-               "FlightRecorder: cannot open '" << tmpPath.string() << "'");
-    out << os.str();
-    out.flush();
-    TP_REQUIRE(out.good(),
-               "FlightRecorder: write to '" << tmpPath.string() << "' failed");
-  }
-  fs::rename(tmpPath, finalPath);
-
-  if (config_.keepLast > 0) {
-    std::vector<std::uint64_t> seqs;
-    for (const auto& entry : fs::directory_iterator(config_.dir)) {
-      const std::uint64_t s = sequenceOf(entry.path().filename().string());
-      if (s != 0) seqs.push_back(s);
-    }
-    std::sort(seqs.begin(), seqs.end());
-    while (seqs.size() > config_.keepLast) {
-      fs::remove(fs::path(config_.dir) / fileName(seqs.front()));
-      seqs.erase(seqs.begin());
-    }
-  }
-  return seq;
+  // The bundle ends with its own sequence, which publish() allocates.
+  return files_.publish([&body](std::ostream& out, std::uint64_t seq) {
+    out << body << ",\"seq\":" << seq << "}\n";
+  });
 }
 
 void FlightRecorder::attach() {

@@ -2,9 +2,10 @@
 
 // tp::obs flight recorder: the black box. On a health breach (or on
 // demand) it freezes the process's telemetry into one atomic postmortem
-// bundle — `postmortem-<seq>.json`, written tmp+rename, pruned to the
-// last K like fleet::SnapshotStore — so the evidence of what went wrong
-// survives the process that produced it.
+// bundle — `postmortem-%08d.json`, one file of a common::NumberedFiles
+// directory (written tmp+rename, pruned to the newest K by sequence),
+// the same store fleet::SnapshotStore keeps its snapshots in — so the
+// evidence of what went wrong survives the process that produced it.
 //
 // Bundle anatomy (schema "tp-postmortem-v1", validated by
 // scripts/validate_postmortem.py):
@@ -16,7 +17,7 @@
 //     "trace": { Chrome trace-event object },  // drained rings
 //     "metrics": { Registry::exportJson },     // incl. recent-log tap
 //     "health_events": [ HealthEvent... ],     // bounded history
-//     "health_counters": { ... }
+//     "health_counters": { ... }               // incl. callback_errors
 //   }
 //
 // kept/dropped and the embedded trace come from ONE TraceRecorder
@@ -25,9 +26,9 @@
 // the validator asserts the accounting carried through. Sections whose
 // source is not configured are emitted empty-but-valid, never omitted.
 //
-// dump() is serialized by a mutex (sequence allocation + the fs window)
-// and safe concurrently with traffic: everything it reads is a
-// thread-safe snapshot surface. attach() wires dump() as the monitor's
+// dump() is safe concurrently with traffic: it renders from thread-safe
+// snapshot surfaces, and NumberedFiles serializes the sequence
+// allocation and the filesystem window. attach() wires dump() as the monitor's
 // onEvent callback: every non-cleared event at or above dumpAtOrAbove
 // severity writes one bundle — the monitor's dedup/hysteresis already
 // guarantees one event (hence one bundle) per sustained breach.
@@ -35,7 +36,7 @@
 #include <cstdint>
 #include <string>
 
-#include "common/annotations.hpp"
+#include "common/numbered_files.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -63,7 +64,8 @@ public:
 
   /// Write one bundle; returns its sequence number. Sequences continue
   /// past bundles already in the directory (tmp+rename, then prune).
-  std::uint64_t dump(const std::string& reason) TP_EXCLUDES(mutex_);
+  /// Throws tp::IoError when the bundle cannot be written.
+  std::uint64_t dump(const std::string& reason);
 
   /// Register as config.health's event callback (replaces any previous
   /// one): dump on every non-cleared event at or above dumpAtOrAbove.
@@ -71,16 +73,16 @@ public:
   /// last evaluation.
   void attach();
 
-  std::string pathFor(std::uint64_t seq) const;
+  std::string pathFor(std::uint64_t seq) const { return files_.path(seq); }
   /// Highest bundle sequence in dir (0 = none).
-  std::uint64_t highestSequence() const TP_EXCLUDES(mutex_);
+  std::uint64_t highestSequence() const { return files_.highest(); }
   /// Bundles currently on disk.
-  std::size_t bundleCount() const TP_EXCLUDES(mutex_);
+  std::size_t bundleCount() const { return files_.count(); }
   const std::string& dir() const noexcept { return config_.dir; }
 
 private:
   FlightRecorderConfig config_;
-  mutable common::Mutex mutex_;  ///< serializes dump's seq + fs window
+  common::NumberedFiles files_;
 };
 
 }  // namespace tp::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
@@ -132,9 +133,24 @@ std::size_t HealthMonitor::evaluateOnce() {
     callback = callback_;
   }
   // Outside the mutex: the callback may read the monitor (the flight
-  // recorder snapshots event history from here).
+  // recorder snapshots event history from here). A failing callback (a
+  // bundle that cannot be written) must not take the evaluator down.
   if (callback) {
-    for (const HealthEvent& event : emitted) callback(event);
+    for (const HealthEvent& event : emitted) {
+      try {
+        callback(event);
+      } catch (const std::exception& e) {
+        TP_WARN("HealthMonitor: event callback for '"
+                << event.rule << "' threw: " << e.what());
+        common::MutexLock lock(mutex_);
+        ++counters_.callbackErrors;
+      } catch (...) {
+        TP_WARN("HealthMonitor: event callback for '" << event.rule
+                                                      << "' threw");
+        common::MutexLock lock(mutex_);
+        ++counters_.callbackErrors;
+      }
+    }
   }
   return emitted.size();
 }

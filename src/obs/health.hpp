@@ -26,10 +26,11 @@
 // reports, cache counter snapshots), and must never call back into the
 // monitor. The onEvent callback runs on the same thread AFTER the
 // mutex is released, so it may read the monitor (the FlightRecorder
-// dumps event history from inside it). A throwing rule is counted
-// (ruleErrors) and skipped, never fatal. Components registering rules
-// must outlive the monitor's last evaluation: stop() the monitor (or
-// removeRulesByPrefix()) before tearing the component down.
+// dumps event history from inside it). A throwing rule (ruleErrors) or
+// callback (callbackErrors) is counted, logged and skipped, never
+// fatal. Components registering rules must outlive the monitor's last
+// evaluation: stop() the monitor (or removeRulesByPrefix()) before
+// tearing the component down.
 
 #include <cstdint>
 #include <deque>
@@ -140,6 +141,7 @@ struct HealthCounters {
   std::uint64_t eventsCleared = 0;
   std::uint64_t suppressedFirings = 0; ///< firings deduped into an active event
   std::uint64_t ruleErrors = 0;        ///< rule closures that threw
+  std::uint64_t callbackErrors = 0;    ///< onEvent callbacks that threw
 };
 
 class HealthMonitor {
@@ -169,7 +171,8 @@ public:
   bool running() const TP_EXCLUDES(mutex_);
 
   /// Invoked once per emitted event, outside the monitor mutex, on the
-  /// evaluating thread. Replaces any previous callback.
+  /// evaluating thread. Replaces any previous callback. Its exceptions
+  /// are counted in callbackErrors, never propagated.
   void onEvent(std::function<void(const HealthEvent&)> callback)
       TP_EXCLUDES(mutex_);
 

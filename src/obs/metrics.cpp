@@ -2,57 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "obs/json.hpp"
 
 namespace tp::obs {
 
 namespace {
 
-std::string escapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c));
-          out += os.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-void appendDouble(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "0";  // JSON has no inf/nan; exposition must stay parseable
-    return;
-  }
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-}
-
-/// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
+/// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*. Registry names
+/// are validated, so '.' is the one character left to map.
 std::string promName(const std::string& name) {
   std::string out = "tp_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
+  out += name;
+  std::replace(out.begin(), out.end(), '.', '_');
   return out;
 }
 
@@ -72,13 +39,10 @@ std::string escapeHelp(const std::string& s) {
   return out;
 }
 
-/// One # HELP + # TYPE preamble (the name doubles as default help).
-void promPreamble(std::ostringstream& os, const std::string& metric,
-                  const std::string& name, const std::string& help,
-                  const char* type) {
-  os << "# HELP " << metric << " "
-     << escapeHelp(help.empty() ? name : help) << "\n";
-  os << "# TYPE " << metric << " " << type << "\n";
+void requireValidName(const std::string& name) {
+  TP_REQUIRE(Registry::validName(name),
+             "Registry: invalid metric name '"
+                 << name << "' (want [a-zA-Z_][a-zA-Z0-9_.:]*)");
 }
 
 }  // namespace
@@ -156,95 +120,66 @@ bool Registry::validName(const std::string& name) noexcept {
   return true;
 }
 
-namespace {
-
-void requireValidName(const std::string& name) {
-  TP_REQUIRE(Registry::validName(name),
-             "Registry: invalid metric name '"
-                 << name << "' (want [a-zA-Z_][a-zA-Z0-9_.:]*)");
-}
-
-}  // namespace
-
-common::StripedCounter& Registry::counter(const std::string& name) {
+template <typename T, typename Sample, typename... Args>
+T& Registry::owned(const std::string& name, Sample sample, Args... args) {
+  using Read = std::function<std::invoke_result_t<Sample, const T&>()>;
   requireValidName(name);
   common::MutexLock lock(mutex_);
   Entry& entry = entries_[name];
-  if (entry.ownedCounter == nullptr) {
-    TP_REQUIRE(!entry.ownedGauge && !entry.ownedHistogram &&
-                   !entry.counterFn && !entry.gaugeFn && !entry.histogramFn &&
-                   !entry.summaryFn,
-               "Registry: '" << name
-                             << "' is already registered as another kind");
-    entry.ownedCounter = std::make_unique<common::StripedCounter>();
+  if (auto* mine = std::get_if<std::unique_ptr<T>>(&entry.instrument)) {
+    return **mine;
   }
-  return *entry.ownedCounter;
+  TP_REQUIRE(std::holds_alternative<std::monostate>(entry.read),
+             "Registry: '" << name
+                           << "' is already registered as another kind");
+  const auto& storage = entry.instrument.emplace<std::unique_ptr<T>>(
+      std::make_unique<T>(args...));
+  entry.read = Read([sample, raw = storage.get()] { return sample(*raw); });
+  return *storage;
+}
+
+common::StripedCounter& Registry::counter(const std::string& name) {
+  return owned<common::StripedCounter>(
+      name, [](const common::StripedCounter& c) { return c.total(); });
 }
 
 Gauge& Registry::gauge(const std::string& name) {
-  requireValidName(name);
-  common::MutexLock lock(mutex_);
-  Entry& entry = entries_[name];
-  if (entry.ownedGauge == nullptr) {
-    TP_REQUIRE(!entry.ownedCounter && !entry.ownedHistogram &&
-                   !entry.counterFn && !entry.gaugeFn && !entry.histogramFn &&
-                   !entry.summaryFn,
-               "Registry: '" << name
-                             << "' is already registered as another kind");
-    entry.ownedGauge = std::make_unique<Gauge>();
-  }
-  return *entry.ownedGauge;
+  return owned<Gauge>(name, [](const Gauge& g) { return g.value(); });
 }
 
 Histogram& Registry::histogram(const std::string& name, std::size_t stripes) {
+  return owned<Histogram>(
+      name, [](const Histogram& h) { return h.snapshot(); }, stripes);
+}
+
+template <typename R>
+void Registry::replace(const std::string& name, std::function<R()> read) {
   requireValidName(name);
   common::MutexLock lock(mutex_);
   Entry& entry = entries_[name];
-  if (entry.ownedHistogram == nullptr) {
-    TP_REQUIRE(!entry.ownedCounter && !entry.ownedGauge && !entry.counterFn &&
-                   !entry.gaugeFn && !entry.histogramFn && !entry.summaryFn,
-               "Registry: '" << name
-                             << "' is already registered as another kind");
-    entry.ownedHistogram = std::make_unique<Histogram>(stripes);
-  }
-  return *entry.ownedHistogram;
-}
-
-Registry::Entry& Registry::resetEntry(const std::string& name) {
-  // Re-registering replaces the instrument but keeps the help metadata.
-  Entry& entry = entries_[name];
-  std::string help = std::move(entry.help);
-  entry = Entry{};
-  entry.help = std::move(help);
-  return entry;
+  // An empty callback leaves a help-only entry, as if never registered.
+  entry.read = read ? Readout(std::move(read)) : Readout();
+  entry.instrument = std::monostate{};
 }
 
 void Registry::registerCounter(const std::string& name,
                                std::function<std::uint64_t()> read) {
-  requireValidName(name);
-  common::MutexLock lock(mutex_);
-  resetEntry(name).counterFn = std::move(read);
+  replace(name, std::move(read));
 }
 
 void Registry::registerGauge(const std::string& name,
                              std::function<double()> read) {
-  requireValidName(name);
-  common::MutexLock lock(mutex_);
-  resetEntry(name).gaugeFn = std::move(read);
+  replace(name, std::move(read));
 }
 
 void Registry::registerHistogram(const std::string& name,
                                  std::function<Histogram::Snapshot()> read) {
-  requireValidName(name);
-  common::MutexLock lock(mutex_);
-  resetEntry(name).histogramFn = std::move(read);
+  replace(name, std::move(read));
 }
 
 void Registry::registerSummary(const std::string& name,
                                std::function<SummarySnapshot()> read) {
-  requireValidName(name);
-  common::MutexLock lock(mutex_);
-  resetEntry(name).summaryFn = std::move(read);
+  replace(name, std::move(read));
 }
 
 void Registry::setHelp(const std::string& name, const std::string& help) {
@@ -271,76 +206,52 @@ std::size_t Registry::size() const {
 
 std::string Registry::exportJson(bool includeRecentLog) const {
   common::MutexLock lock(mutex_);
-  std::ostringstream counters;
-  std::ostringstream gauges;
-  std::ostringstream histograms;
-  std::ostringstream summaries;
-  bool firstCounter = true;
-  bool firstGauge = true;
-  bool firstHistogram = true;
-  bool firstSummary = true;
+  // One section per kind, in Readout alternative order.
+  std::ostringstream sections[4];
   for (const auto& [name, entry] : entries_) {
-    // reserve + append, not `"lit" + std::string&&`: the latter trips a
-    // GCC 12 -Wrestrict false positive in Release builds.
-    const std::string escaped = escapeJson(name);
-    std::string key;
-    key.reserve(escaped.size() + 3);
-    key.append("\"").append(escaped).append("\":");
-    if (entry.ownedCounter != nullptr || entry.counterFn) {
-      if (!firstCounter) counters << ",";
-      firstCounter = false;
-      const std::uint64_t v = entry.ownedCounter != nullptr
-                                  ? entry.ownedCounter->total()
-                                  : entry.counterFn();
-      counters << key << v;
-    } else if (entry.ownedGauge != nullptr || entry.gaugeFn) {
-      if (!firstGauge) gauges << ",";
-      firstGauge = false;
-      const double v = entry.ownedGauge != nullptr ? entry.ownedGauge->value()
-                                                   : entry.gaugeFn();
-      gauges << key;
-      appendDouble(gauges, v);
-    } else if (entry.ownedHistogram != nullptr || entry.histogramFn) {
-      if (!firstHistogram) histograms << ",";
-      firstHistogram = false;
-      const Histogram::Snapshot snap = entry.ownedHistogram != nullptr
-                                           ? entry.ownedHistogram->snapshot()
-                                           : entry.histogramFn();
-      histograms << key << "{\"count\":" << snap.count
-                 << ",\"sum\":" << snap.sum << ",\"mean\":";
-      appendDouble(histograms, snap.mean());
-      histograms << ",\"p50\":" << snap.quantile(0.50)
-                 << ",\"p90\":" << snap.quantile(0.90)
-                 << ",\"p99\":" << snap.quantile(0.99) << ",\"buckets\":[";
+    if (entry.read.index() == 0) continue;  // help only
+    std::ostringstream& os = sections[entry.read.index() - 1];
+    if (os.tellp() > 0) os << ",";
+    os << "\"" << escapeJson(name) << "\":";
+    if (const auto* read = std::get_if<CounterRead>(&entry.read)) {
+      os << (*read)();
+    } else if (const auto* read = std::get_if<GaugeRead>(&entry.read)) {
+      appendDouble(os, (*read)());
+    } else if (const auto* read = std::get_if<HistogramRead>(&entry.read)) {
+      const Histogram::Snapshot snap = (*read)();
+      os << "{\"count\":" << snap.count << ",\"sum\":" << snap.sum
+         << ",\"mean\":";
+      appendDouble(os, snap.mean());
+      os << ",\"p50\":" << snap.quantile(0.50)
+         << ",\"p90\":" << snap.quantile(0.90)
+         << ",\"p99\":" << snap.quantile(0.99) << ",\"buckets\":[";
       bool firstBucket = true;
       for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
         if (snap.buckets[b] == 0) continue;
-        if (!firstBucket) histograms << ",";
+        if (!firstBucket) os << ",";
         firstBucket = false;
-        histograms << "[" << Histogram::bucketUpperBound(b) << ","
-                   << snap.buckets[b] << "]";
+        os << "[" << Histogram::bucketUpperBound(b) << "," << snap.buckets[b]
+           << "]";
       }
-      histograms << "]}";
-    } else if (entry.summaryFn) {
-      if (!firstSummary) summaries << ",";
-      firstSummary = false;
-      const SummarySnapshot snap = entry.summaryFn();
-      summaries << key << "{\"count\":" << snap.count << ",\"mean_seconds\":";
-      appendDouble(summaries, snap.meanSeconds);
-      summaries << ",\"max_seconds\":";
-      appendDouble(summaries, snap.maxSeconds);
-      summaries << ",\"p50_seconds\":";
-      appendDouble(summaries, snap.p50Seconds);
-      summaries << ",\"p95_seconds\":";
-      appendDouble(summaries, snap.p95Seconds);
-      summaries << "}";
+      os << "]}";
+    } else if (const auto* read = std::get_if<SummaryRead>(&entry.read)) {
+      const SummarySnapshot snap = (*read)();
+      os << "{\"count\":" << snap.count << ",\"mean_seconds\":";
+      appendDouble(os, snap.meanSeconds);
+      os << ",\"max_seconds\":";
+      appendDouble(os, snap.maxSeconds);
+      os << ",\"p50_seconds\":";
+      appendDouble(os, snap.p50Seconds);
+      os << ",\"p95_seconds\":";
+      appendDouble(os, snap.p95Seconds);
+      os << "}";
     }
   }
 
   std::ostringstream os;
-  os << "{\"counters\":{" << counters.str() << "},\"gauges\":{"
-     << gauges.str() << "},\"histograms\":{" << histograms.str()
-     << "},\"summaries\":{" << summaries.str() << "}";
+  os << "{\"counters\":{" << sections[0].str() << "},\"gauges\":{"
+     << sections[1].str() << "},\"histograms\":{" << sections[2].str()
+     << "},\"summaries\":{" << sections[3].str() << "}";
   if (includeRecentLog) {
     os << ",\"recent_log\":[";
     bool first = true;
@@ -358,26 +269,24 @@ std::string Registry::exportJson(bool includeRecentLog) const {
 }
 
 std::string Registry::exportPrometheus() const {
+  // # TYPE names, in Readout alternative order.
+  static constexpr const char* kTypes[] = {"", "counter", "gauge",
+                                           "histogram", "summary"};
   common::MutexLock lock(mutex_);
   std::ostringstream os;
   for (const auto& [name, entry] : entries_) {
+    if (entry.read.index() == 0) continue;  // help only
+    // The name doubles as default help.
     const std::string metric = promName(name);
-    if (entry.ownedCounter != nullptr || entry.counterFn) {
-      const std::uint64_t v = entry.ownedCounter != nullptr
-                                  ? entry.ownedCounter->total()
-                                  : entry.counterFn();
-      promPreamble(os, metric, name, entry.help, "counter");
-      os << metric << " " << v << "\n";
-    } else if (entry.ownedGauge != nullptr || entry.gaugeFn) {
-      const double v = entry.ownedGauge != nullptr ? entry.ownedGauge->value()
-                                                   : entry.gaugeFn();
-      promPreamble(os, metric, name, entry.help, "gauge");
-      os << metric << " " << v << "\n";
-    } else if (entry.ownedHistogram != nullptr || entry.histogramFn) {
-      const Histogram::Snapshot snap = entry.ownedHistogram != nullptr
-                                           ? entry.ownedHistogram->snapshot()
-                                           : entry.histogramFn();
-      promPreamble(os, metric, name, entry.help, "histogram");
+    os << "# HELP " << metric << " "
+       << escapeHelp(entry.help.empty() ? name : entry.help) << "\n";
+    os << "# TYPE " << metric << " " << kTypes[entry.read.index()] << "\n";
+    if (const auto* read = std::get_if<CounterRead>(&entry.read)) {
+      os << metric << " " << (*read)() << "\n";
+    } else if (const auto* read = std::get_if<GaugeRead>(&entry.read)) {
+      os << metric << " " << (*read)() << "\n";
+    } else if (const auto* read = std::get_if<HistogramRead>(&entry.read)) {
+      const Histogram::Snapshot snap = (*read)();
       std::uint64_t cumulative = 0;
       for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
         if (snap.buckets[b] == 0) continue;
@@ -388,9 +297,8 @@ std::string Registry::exportPrometheus() const {
       os << metric << "_bucket{le=\"+Inf\"} " << snap.count << "\n";
       os << metric << "_sum " << snap.sum << "\n";
       os << metric << "_count " << snap.count << "\n";
-    } else if (entry.summaryFn) {
-      const SummarySnapshot snap = entry.summaryFn();
-      promPreamble(os, metric, name, entry.help, "summary");
+    } else if (const auto* read = std::get_if<SummaryRead>(&entry.read)) {
+      const SummarySnapshot snap = (*read)();
       os << metric << "{quantile=\"0.5\"} " << snap.p50Seconds << "\n";
       os << metric << "{quantile=\"0.95\"} " << snap.p95Seconds << "\n";
       os << metric << "_sum "

@@ -3,10 +3,12 @@
 // tp::obs metrics registry: named counters, gauges and log-bucketed
 // latency histograms, with JSON and Prometheus-style text exposition.
 //
-// Two kinds of entries share one namespace:
+// Every entry is one kind-tagged readout (counter, gauge, histogram or
+// summary) sampled at exposition time, fed from one of two sources:
 //
 //   - OWNED instruments, created on first use (counter()/gauge()/
-//     histogram()) and recorded through the returned reference. The hot
+//     histogram()) and recorded through the returned reference: the
+//     entry holds the instrument and reads it back. The hot
 //     write paths reuse the common/striped machinery: counters are
 //     common::StripedCounter, histograms stripe per thread with the same
 //     per-stripe seqlock snapshot discipline as LatencyRecorder.
@@ -16,6 +18,9 @@
 //     its existing StripedCounters and LatencyRecorder without double
 //     accounting — the service's counters stay the single source of
 //     truth, the registry reads them at exposition time.
+//
+// An owned lookup throws over any other entry, a same-kind readout
+// included; register*() replaces whatever the entry held, help kept.
 //
 // Registration/exposition take the registry mutex; recording through an
 // owned instrument reference never does. Readout callbacks run under the
@@ -35,6 +40,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/annotations.hpp"
@@ -51,7 +57,6 @@ public:
           "TSan: test_obs Registry.OwnedInstrumentsAndExposition") {
     value_.store(v, std::memory_order_relaxed);
   }
-  void add(double v) noexcept { common::atomicAdd(value_, v); }
   double value() const noexcept
       TP_LOCK_FREE_AUDITED(
           "relaxed read of the last-write-wins word, see set(); TSan: "
@@ -143,7 +148,7 @@ public:
   static bool validName(const std::string& name) noexcept;
 
   /// Owned instruments, created on first use. Throws tp::Error when the
-  /// name is already registered as a different kind.
+  /// name is already registered as a different kind or as a readout.
   common::StripedCounter& counter(const std::string& name)
       TP_EXCLUDES(mutex_);
   Gauge& gauge(const std::string& name) TP_EXCLUDES(mutex_);
@@ -188,23 +193,35 @@ public:
   std::string exportPrometheus() const TP_EXCLUDES(mutex_);
 
 private:
+  using CounterRead = std::function<std::uint64_t()>;
+  using GaugeRead = std::function<double()>;
+  using HistogramRead = std::function<Histogram::Snapshot()>;
+  using SummaryRead = std::function<SummarySnapshot()>;
+  /// The kind tag is the alternative held; monostate is a help-only
+  /// entry, which neither exporter emits.
+  using Readout = std::variant<std::monostate, CounterRead, GaugeRead,
+                               HistogramRead, SummaryRead>;
+
   struct Entry {
     /// Exposition metadata, orthogonal to the kind (may be set before
     /// the instrument registers).
     std::string help;
-    // Exactly one instrument member is set; the entry's kind follows
-    // from which.
-    std::unique_ptr<common::StripedCounter> ownedCounter;
-    std::unique_ptr<Gauge> ownedGauge;
-    std::unique_ptr<Histogram> ownedHistogram;
-    std::function<std::uint64_t()> counterFn;
-    std::function<double()> gaugeFn;
-    std::function<Histogram::Snapshot()> histogramFn;
-    std::function<SummarySnapshot()> summaryFn;
+    Readout read;
+    /// The owned instrument `read` samples; monostate for readouts.
+    std::variant<std::monostate, std::unique_ptr<common::StripedCounter>,
+                 std::unique_ptr<Gauge>, std::unique_ptr<Histogram>>
+        instrument;
   };
 
-  /// Reset `name`'s instrument for re-registration, preserving help.
-  Entry& resetEntry(const std::string& name) TP_REQUIRES(mutex_);
+  /// Owned lookup: `name`'s instrument of type T, created from `args`
+  /// on first use and read back through `sample(const T&)`.
+  template <typename T, typename Sample, typename... Args>
+  T& owned(const std::string& name, Sample sample, Args... args)
+      TP_EXCLUDES(mutex_);
+  /// register*(): `read` replaces whatever `name` held, help kept.
+  template <typename R>
+  void replace(const std::string& name, std::function<R()> read)
+      TP_EXCLUDES(mutex_);
 
   mutable common::Mutex mutex_;
   std::map<std::string, Entry> entries_ TP_GUARDED_BY(mutex_);

@@ -2,44 +2,14 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
+#include <ios>
 #include <ostream>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/striped.hpp"
+#include "obs/json.hpp"
 
 namespace tp::obs {
-
-namespace {
-
-/// Minimal JSON string escaper (names are identifiers in practice, but
-/// the format must stay loadable whatever a caller interns).
-std::string escapeJson(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c));
-          out += os.str();
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 /// One recording thread's ring for one capture session. The seqlock
 /// word is the only synchronization: the owning thread claims it to
@@ -173,8 +143,9 @@ void TraceRecorder::writeChromeTrace(std::ostream& os, const Snapshot& snap) {
               return a.end > b.end;
             });
 
-  const std::ios::fmtflags flags = os.flags();
-  os << std::fixed << std::setprecision(3);
+  const std::ios::fmtflags flags =
+      os.setf(std::ios::fixed, std::ios::floatfield);
+  const std::streamsize precision = os.precision(3);
   os << "{\"traceEvents\":[";
   bool first = true;
   for (const TraceEvent& event : events) {
@@ -204,6 +175,7 @@ void TraceRecorder::writeChromeTrace(std::ostream& os, const Snapshot& snap) {
   os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":"
      << snap.totalDropped << "}}\n";
   os.flags(flags);
+  os.precision(precision);
 }
 
 void TraceRecorder::writeChromeTraceFile(const std::string& path) const {

@@ -1,13 +1,15 @@
 // Unit tests for tp_common: RNG determinism and distributions, statistics,
 // CSV round-trips, string utilities, thread pool behaviour, the shared
 // FNV key-hash helpers (collision sanity), wire serialization, the pair
-// interner and the striped in-flight latch.
+// interner, the striped in-flight latch and the numbered-file store.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -21,6 +23,7 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/intern.hpp"
+#include "common/numbered_files.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "common/stats.hpp"
@@ -767,6 +770,100 @@ TEST(StripedLatchTest, SharedStripesDrainToZero) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(strayStripes.load(), 0);
   latch.wait();  // every stripe back at 0: returns at once
+}
+
+// ---- numbered files --------------------------------------------------------
+
+/// Fresh per-test directory under gtest's temp root, removed on exit.
+class ScratchDir {
+public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::path(::testing::TempDir()) /
+              ("tp_common_" + name)) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  std::string str() const { return path_.string(); }
+  std::filesystem::path operator/(const std::string& name) const {
+    return path_ / name;
+  }
+
+private:
+  std::filesystem::path path_;
+};
+
+std::string readFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(NumberedFilesTest, PublishNamesScansAndContinues) {
+  ScratchDir dir("numbered_publish");
+  NumberedFiles files(dir.str(), "item-", ".dat", /*keepLast=*/0);
+  EXPECT_EQ(files.highest(), 0u) << "absent directory scans as empty";
+  EXPECT_EQ(files.count(), 0u);
+
+  EXPECT_EQ(files.publish("first"), 1u);  // creates the directory
+  EXPECT_EQ(files.path(1), (dir / "item-00000001.dat").string());
+  EXPECT_EQ(readFile(files.path(1)), "first");
+  // A writer learns its sequence before it writes.
+  EXPECT_EQ(files.publish([](std::ostream& out, std::uint64_t seq) {
+              out << "seq=" << seq;
+            }),
+            2u);
+  EXPECT_EQ(readFile(files.path(2)), "seq=2");
+
+  // Foreign names, other suffixes and leftover tmp files are not ours.
+  std::ofstream(dir / "item-00000009.dat.tmp") << "torn";
+  std::ofstream(dir / "item-12x.dat") << "foreign";
+  std::ofstream(dir / "other-00000007.dat") << "foreign";
+  EXPECT_EQ(files.sequences(), (std::vector<std::uint64_t>{2, 1}));
+  EXPECT_EQ(files.highest(), 2u);
+
+  // Numbering continues past files another instance left behind, and
+  // wider sequences still parse.
+  std::ofstream(dir / "item-123456789.dat") << "wide";
+  NumberedFiles reopened(dir.str(), "item-", ".dat", 0);
+  EXPECT_EQ(reopened.highest(), 123456789u);
+  EXPECT_EQ(reopened.publish("next"), 123456790u);
+  EXPECT_EQ(reopened.count(), 4u);
+}
+
+// Pruning keeps the newest keepLast files by count, whatever gaps the
+// numbering has: sequence 1 survives the publish of 6 below, although it
+// is more than keepLast numbers older.
+TEST(NumberedFilesTest, PruneKeepsNewestByCountAcrossGaps) {
+  ScratchDir dir("numbered_prune");
+  std::filesystem::create_directories(dir.str());
+  for (const char* name : {"item-00000001.dat", "item-00000005.dat"}) {
+    std::ofstream(dir / name) << "old";
+  }
+  NumberedFiles files(dir.str(), "item-", ".dat", /*keepLast=*/3);
+  EXPECT_EQ(files.publish("new"), 6u);
+  EXPECT_EQ(files.sequences(), (std::vector<std::uint64_t>{6, 5, 1}));
+  EXPECT_EQ(files.publish("newer"), 7u);
+  EXPECT_EQ(files.sequences(), (std::vector<std::uint64_t>{7, 6, 5}));
+
+  NumberedFiles keepOne(dir.str(), "item-", ".dat", /*keepLast=*/1);
+  EXPECT_EQ(keepOne.publish("only"), 8u);
+  EXPECT_EQ(keepOne.sequences(), (std::vector<std::uint64_t>{8}));
+  EXPECT_EQ(readFile(keepOne.path(8)), "only");
+}
+
+TEST(NumberedFilesTest, UnwritableDirectoryThrowsIoError) {
+  ScratchDir dir("numbered_unwritable");
+  std::filesystem::create_directories(dir.str());
+  const std::string blocker = (dir / "a_file").string();
+  std::ofstream(blocker) << "not a directory";
+  NumberedFiles files(blocker, "item-", ".dat", 0);
+  EXPECT_THROW(files.publish("bytes"), IoError);
+  EXPECT_EQ(files.count(), 0u);
+  EXPECT_THROW(NumberedFiles("", "item-", ".dat", 0), Error);
 }
 
 }  // namespace

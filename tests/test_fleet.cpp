@@ -13,6 +13,9 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -624,6 +627,57 @@ TEST(SnapshotStore, LoadLatestSalvagesOlderWhenNewestCorrupt) {
   corruptFile(snapshotPath(dir, 1));
   EXPECT_FALSE(store.loadLatest().has_value());
   EXPECT_EQ(store.corruptSnapshotsSkipped(), 4u);  // 3 re-skipped + 2 + 1
+  std::filesystem::remove_all(dir);
+}
+
+// One store shared by concurrent savers: every save gets its own
+// sequence (no two share a number or a tmp path), and every file loads.
+TEST(SnapshotStore, ConcurrentSavesGetDistinctSequences) {
+  const std::string dir = tempDir("concurrent");
+  SnapshotStore store(dir);  // keepLast = 0: every snapshot stays
+  constexpr int kThreads = 4;
+  constexpr int kSaves = 8;
+  const std::string blob(std::size_t{1} << 20, 'm');
+  std::vector<std::vector<std::uint64_t>> seqs(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> savers;
+  for (int t = 0; t < kThreads; ++t) {
+    savers.emplace_back([&, t] {
+      ReplicaSnapshot snap;
+      snap.models = {ModelBlob{"mc2", blob}};
+      for (int i = 0; i < kSaves; ++i) {
+        snap.modelVersion = static_cast<std::uint64_t>(t * 100 + i);
+        try {
+          seqs[t].push_back(store.save(snap));
+        } catch (const std::exception&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& saver : savers) saver.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  std::set<std::uint64_t> distinct;
+  for (const auto& perThread : seqs) {
+    distinct.insert(perThread.begin(), perThread.end());
+  }
+  constexpr std::size_t kTotal = kThreads * kSaves;
+  ASSERT_EQ(distinct.size(), kTotal) << "a sequence was handed out twice";
+  EXPECT_EQ(*distinct.begin(), 1u);
+  EXPECT_EQ(*distinct.rbegin(), kTotal);
+  EXPECT_EQ(store.count(), kTotal);
+  std::set<std::uint64_t> versions;
+  for (const std::uint64_t seq : distinct) {
+    std::ifstream in(snapshotPath(dir, seq), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    const ReplicaSnapshot back = decodeSnapshot(bytes.str());
+    ASSERT_EQ(back.models.size(), 1u);
+    EXPECT_EQ(back.models[0].model, blob);
+    versions.insert(back.modelVersion);
+  }
+  EXPECT_EQ(versions.size(), kTotal) << "every save landed in its own file";
   std::filesystem::remove_all(dir);
 }
 

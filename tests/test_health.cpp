@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -535,6 +536,24 @@ TEST(HealthMonitor, ThrowingRuleIsCountedAndOthersStillRun) {
   EXPECT_EQ(monitor.events()[0].rule, "test.good");
 }
 
+// A throwing event callback is counted and logged like a throwing rule:
+// later events of the same pass still reach it, evaluateOnce() returns.
+TEST(HealthMonitor, ThrowingCallbackIsCountedAndLaterEventsStillArrive) {
+  HealthMonitor monitor;
+  std::atomic<bool> flag{true};
+  monitor.addRule(flagRule("test.cb_a", flag));
+  monitor.addRule(flagRule("test.cb_b", flag));
+  std::vector<std::string> seen;
+  monitor.onEvent([&seen](const HealthEvent& event) {
+    seen.push_back(event.rule);
+    throw std::runtime_error("callback exploded");
+  });
+  EXPECT_EQ(monitor.evaluateOnce(), 2u);
+  EXPECT_EQ(seen, (std::vector<std::string>{"test.cb_a", "test.cb_b"}));
+  EXPECT_EQ(monitor.counters().callbackErrors, 2u);
+  EXPECT_EQ(monitor.counters().eventsEmitted, 2u);
+}
+
 TEST(HealthMonitor, RemoveRulesByPrefixUnhooksComponents) {
   HealthMonitor monitor;
   std::atomic<bool> flag{false};
@@ -742,6 +761,50 @@ TEST(FlightRecorder, AttachDumpsOncePerBreachAndIgnoresRecoveries) {
   flag = true;
   monitor.evaluateOnce();  // re-breach -> second bundle
   EXPECT_EQ(recorder.bundleCount(), 2u);
+}
+
+/// A recorder attached with a directory it can never create: a regular
+/// file stands where the bundle directory should be.
+struct UnwritableRecorder {
+  explicit UnwritableRecorder(const TempDir& dir, HealthMonitor& monitor)
+      : blocker(std::filesystem::path(dir.str()) / "not_a_dir") {
+    std::ofstream(blocker) << "a file, not a directory";
+    FlightRecorderConfig rc;
+    rc.dir = blocker.string();
+    rc.health = &monitor;
+    recorder = std::make_unique<FlightRecorder>(rc);
+    recorder->attach();
+  }
+  std::filesystem::path blocker;
+  std::unique_ptr<FlightRecorder> recorder;
+};
+
+TEST(FlightRecorder, FailedDumpIsCountedNotThrownByTheMonitor) {
+  TempDir dir("unwritable_fg");
+  HealthMonitor monitor;
+  std::atomic<bool> flag{true};
+  monitor.addRule(flagRule("test.unwritable", flag));
+  UnwritableRecorder unwritable(dir, monitor);
+  EXPECT_THROW(unwritable.recorder->dump("direct"), tp::IoError);
+  EXPECT_NO_THROW(monitor.evaluateOnce());
+  EXPECT_EQ(monitor.counters().callbackErrors, 1u);
+  EXPECT_EQ(monitor.counters().eventsEmitted, 1u);
+}
+
+TEST(FlightRecorder, FailedDumpDoesNotKillTheBackgroundMonitor) {
+  TempDir dir("unwritable_bg");
+  HealthMonitor monitor;
+  std::atomic<bool> flag{true};
+  monitor.addRule(flagRule("test.unwritable", flag));
+  UnwritableRecorder unwritable(dir, monitor);
+  monitor.start(0.0005);
+  for (int i = 0; i < 2000 && monitor.counters().evaluations < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  monitor.stop();
+  const HealthCounters hc = monitor.counters();
+  EXPECT_GE(hc.evaluations, 3u);
+  EXPECT_EQ(hc.callbackErrors, 1u) << "one breach, one failed dump";
 }
 
 TEST(FlightRecorder, AttachRespectsSeverityFloor) {

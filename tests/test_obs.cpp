@@ -1,11 +1,13 @@
 // tp::obs: trace recorder (ring wraparound, sampling, epoch retirement,
 // Chrome JSON), log-bucketed histogram (boundaries, merge algebra),
-// metrics registry (exposition, ownership prefixes) and the common/log
-// recent-events tap. The two Concurrent* tests are the named TSan
-// coverage behind the TP_LOCK_FREE_AUDITED markers in obs/.
+// metrics registry (exposition, ownership prefixes), the shared JSON
+// writer and the common/log recent-events tap. The two Concurrent* tests
+// are the named TSan coverage behind the TP_LOCK_FREE_AUDITED markers in
+// obs/.
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -17,6 +19,7 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/clock.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -318,7 +321,39 @@ TEST(Histogram, ConcurrentRecordAndSnapshotAgree) {
   EXPECT_EQ(snap.sum, kWriters * (kPerWriter * (kPerWriter + 1) / 2));
 }
 
+// The writer sets fixed/precision(3) for its timestamps; the caller's
+// stream must come back exactly as it went in.
+TEST(TraceRecorder, ChromeTraceRestoresStreamFormat) {
+  std::ostringstream os;
+  os.precision(10);
+  TraceRecorder::writeChromeTrace(os, TraceRecorder::Snapshot{});
+  EXPECT_EQ(os.precision(), 10);
+  os.str("");
+  os << 0.123456789;
+  EXPECT_EQ(os.str(), "0.123456789");
+}
+
 // ---------------------------------------------------------------------------
+
+TEST(Json, EscapesQuotesBackslashesAndControlBytes) {
+  EXPECT_EQ(tp::obs::escapeJson("plain.name_1"), "plain.name_1");
+  EXPECT_EQ(tp::obs::escapeJson("a\"b\\c\nd\re\tf"),
+            "a\\\"b\\\\c\\nd\\re\\tf");
+  EXPECT_EQ(tp::obs::escapeJson(std::string("\x01\x1f\0", 3)),
+            "\\u0001\\u001f\\u0000");
+  EXPECT_EQ(tp::obs::escapeJson("caf\xc3\xa9 \x7f"), "caf\xc3\xa9 \x7f");
+}
+
+TEST(Json, DoublesRoundTripAndNonFiniteIsZero) {
+  std::ostringstream os;
+  tp::obs::appendDouble(os, 0.1);
+  os << " ";
+  tp::obs::appendDouble(os, std::numeric_limits<double>::quiet_NaN());
+  os << " ";
+  tp::obs::appendDouble(os, -std::numeric_limits<double>::infinity());
+  os << " " << 0.123456789;  // the stream's own precision is back
+  EXPECT_EQ(os.str(), "0.10000000000000001 0 0 0.123457");
+}
 
 TEST(Registry, OwnedInstrumentsAndExposition) {
   Registry reg;
@@ -353,6 +388,104 @@ TEST(Registry, KindConflictThrows) {
   // Same kind re-lookup returns the same instrument.
   reg.counter("test.name").add();
   EXPECT_EQ(reg.counter("test.name").total(), 1u);
+  // An owned lookup over a readout throws, even of the same kind.
+  reg.registerCounter("test.readout", [] { return std::uint64_t{4}; });
+  EXPECT_THROW(reg.counter("test.readout"), tp::Error);
+  // register* replaces an owned instrument and keeps its help text.
+  reg.setHelp("test.name", "kept help");
+  reg.registerGauge("test.name", [] { return 1.5; });
+  EXPECT_NE(reg.exportPrometheus().find("# HELP tp_test_name kept help\n"
+                                        "# TYPE tp_test_name gauge\n"
+                                        "tp_test_name 1.5\n"),
+            std::string::npos);
+  EXPECT_THROW(reg.counter("test.name"), tp::Error);
+  EXPECT_EQ(reg.size(), 2u);
+}
+
+// Every kind, owned and as a readout, plus help text, a help-only entry
+// and names the Prometheus exposition must sanitize: both expositions
+// are pinned byte for byte.
+TEST(Registry, ExpositionBytesArePinned) {
+  Registry reg;
+  reg.counter("pin.owned_counter").add(3);
+  reg.registerCounter("pin.read_counter", [] { return std::uint64_t{7}; });
+  reg.gauge("pin.owned_gauge").set(0.1);
+  reg.registerGauge("pin.read_gauge", [] { return -2.5; });
+  reg.registerGauge("pin.inf_gauge",
+                    [] { return std::numeric_limits<double>::infinity(); });
+  Histogram& hist = reg.histogram("pin.owned_hist", 2);
+  hist.record(0);
+  hist.record(1);
+  hist.record(1000);
+  reg.registerHistogram("pin.read_hist", [] {
+    Histogram::Snapshot snap;
+    snap.count = 2;
+    snap.sum = 300;
+    snap.buckets[Histogram::bucketIndex(100)] = 1;
+    snap.buckets[Histogram::bucketIndex(200)] = 1;
+    return snap;
+  });
+  reg.registerSummary("pin.read_summary", [] {
+    return tp::obs::SummarySnapshot{4, 0.25, 1.0 / 3.0, 0.125, 0.5};
+  });
+  reg.setHelp("pin.owned_counter", "Owned \"counter\"\nwith \\ escapes");
+  reg.setHelp("pin.read_hist", "a readout histogram");
+  reg.setHelp("pin.help_only", "help before any instrument");
+  reg.counter("Ns:colon.mixed_Case").add(1);
+
+  EXPECT_EQ(
+      reg.exportJson(/*includeRecentLog=*/false),
+      R"({"counters":{"Ns:colon.mixed_Case":1,"pin.owned_counter":3,)"
+      R"("pin.read_counter":7},"gauges":{"pin.inf_gauge":0,)"
+      R"("pin.owned_gauge":0.10000000000000001,"pin.read_gauge":-2.5},)"
+      R"("histograms":{"pin.owned_hist":{"count":3,"sum":1001,)"
+      R"("mean":333.66666666666669,"p50":1,"p90":1023,"p99":1023,)"
+      R"("buckets":[[0,1],[1,1],[1023,1]]},"pin.read_hist":{"count":2,)"
+      R"("sum":300,"mean":150,"p50":127,"p90":255,"p99":255,)"
+      R"("buckets":[[127,1],[255,1]]}},"summaries":{"pin.read_summary":)"
+      R"({"count":4,"mean_seconds":0.25,"max_seconds":0.33333333333333331,)"
+      R"("p50_seconds":0.125,"p95_seconds":0.5}}})");
+  EXPECT_EQ(reg.exportPrometheus(),
+            R"(# HELP tp_Ns:colon_mixed_Case Ns:colon.mixed_Case
+# TYPE tp_Ns:colon_mixed_Case counter
+tp_Ns:colon_mixed_Case 1
+# HELP tp_pin_inf_gauge pin.inf_gauge
+# TYPE tp_pin_inf_gauge gauge
+tp_pin_inf_gauge inf
+# HELP tp_pin_owned_counter Owned "counter"\nwith \\ escapes
+# TYPE tp_pin_owned_counter counter
+tp_pin_owned_counter 3
+# HELP tp_pin_owned_gauge pin.owned_gauge
+# TYPE tp_pin_owned_gauge gauge
+tp_pin_owned_gauge 0.1
+# HELP tp_pin_owned_hist pin.owned_hist
+# TYPE tp_pin_owned_hist histogram
+tp_pin_owned_hist_bucket{le="0"} 1
+tp_pin_owned_hist_bucket{le="1"} 2
+tp_pin_owned_hist_bucket{le="1023"} 3
+tp_pin_owned_hist_bucket{le="+Inf"} 3
+tp_pin_owned_hist_sum 1001
+tp_pin_owned_hist_count 3
+# HELP tp_pin_read_counter pin.read_counter
+# TYPE tp_pin_read_counter counter
+tp_pin_read_counter 7
+# HELP tp_pin_read_gauge pin.read_gauge
+# TYPE tp_pin_read_gauge gauge
+tp_pin_read_gauge -2.5
+# HELP tp_pin_read_hist a readout histogram
+# TYPE tp_pin_read_hist histogram
+tp_pin_read_hist_bucket{le="127"} 1
+tp_pin_read_hist_bucket{le="255"} 2
+tp_pin_read_hist_bucket{le="+Inf"} 2
+tp_pin_read_hist_sum 300
+tp_pin_read_hist_count 2
+# HELP tp_pin_read_summary pin.read_summary
+# TYPE tp_pin_read_summary summary
+tp_pin_read_summary{quantile="0.5"} 0.125
+tp_pin_read_summary{quantile="0.95"} 0.5
+tp_pin_read_summary_sum 1
+tp_pin_read_summary_count 4
+)");
 }
 
 TEST(Registry, RemoveByPrefixScopesOwnership) {
