@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
           serve::LaunchRequest request;
           request.machine = machines[rng.below(machines.size())].name;
           request.task = tasks[rng.below(tasks.size())];
-          (void)service.submit(std::move(request)).get();
+          (void)service.call(std::move(request));
         }
       });
     }

@@ -166,15 +166,10 @@ ScenarioResult runScenario(const Options& opt, const Workload& wl,
 
   common::Rng rng(0xBE7C4);
   for (std::size_t wave = 0; wave < opt.waves; ++wave) {
-    // submit() serves on the submitting thread, so a wave executes
-    // serially here and every future is already resolved.
-    std::vector<std::future<serve::LaunchResponse>> inflight;
-    inflight.reserve(requestsPerWave);
+    // call() serves on this thread, so a wave executes serially.
     for (std::size_t i = 0; i < requestsPerWave; ++i) {
-      inflight.push_back(
-          fleet.submit(wl.request(rng.below(wl.distinctLaunches()))));
+      (void)fleet.call(wl.request(rng.below(wl.distinctLaunches())));
     }
-    for (auto& f : inflight) (void)f.get();
     if (gossip) fleet.gossipRound();
   }
   fleet.drainAll();

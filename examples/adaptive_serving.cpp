@@ -122,7 +122,7 @@ int main() {
           const std::size_t t = rng.below(tasks.size());
           request.machine = machines[rng.below(machines.size())].name;
           request.task = tasks[t];
-          const auto response = service.submit(std::move(request)).get();
+          const auto response = service.call(std::move(request));
           if (response.execution.makespan <= 0.0) faults.fetch_add(1);
         }
       });
@@ -184,7 +184,7 @@ int main() {
         serve::LaunchRequest request;
         request.machine = machines[rng.below(machines.size())].name;
         request.task = tasks[rng.below(tasks.size())];
-        (void)service.submit(std::move(request)).get();
+        (void)service.call(std::move(request));
       }
     });
   }

@@ -188,9 +188,8 @@ int main(int argc, char** argv) {
           serve::LaunchRequest request;
           request.machine = machines[m].name;
           request.task = tasks[t];
-          // submit() serves on this client thread; the future comes back
-          // already resolved.
-          auto response = service.submit(std::move(request)).get();
+          // call() serves on this client thread.
+          auto response = service.call(std::move(request));
           if (checkExpected && response.label != expected[t][m]) {
             mismatches.fetch_add(1);
           }

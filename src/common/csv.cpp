@@ -87,13 +87,6 @@ std::size_t Table::columnIndex(const std::string& name) const {
   throw IoError("Table: no such column: " + name);
 }
 
-bool Table::hasColumn(const std::string& name) const {
-  for (const auto& c : columns_) {
-    if (c == name) return true;
-  }
-  return false;
-}
-
 void Table::addRow(std::vector<std::string> cells) {
   TP_REQUIRE(cells.size() == columns_.size(),
              "Table::addRow: expected " << columns_.size() << " cells, got "
@@ -137,21 +130,6 @@ long long Table::cellInt(std::size_t row, const std::string& column) const {
                   column + rowLocation(row));
   }
   return v;
-}
-
-void Table::setCell(std::size_t row, const std::string& column,
-                    std::string value) {
-  TP_ASSERT(row < rows_.size());
-  rows_[row][columnIndex(column)] = std::move(value);
-}
-
-std::vector<double> Table::columnDoubles(const std::string& column) const {
-  std::vector<double> out;
-  out.reserve(rows_.size());
-  for (std::size_t r = 0; r < rows_.size(); ++r) {
-    out.push_back(cellDouble(r, column));
-  }
-  return out;
 }
 
 void Table::writeCsv(std::ostream& os) const {

@@ -27,7 +27,6 @@ public:
 
   /// Index of a named column; throws IoError if absent.
   std::size_t columnIndex(const std::string& name) const;
-  bool hasColumn(const std::string& name) const;
 
   /// Append a row; must have exactly numColumns() cells.
   void addRow(std::vector<std::string> cells);
@@ -36,11 +35,6 @@ public:
   const std::string& cell(std::size_t row, const std::string& column) const;
   double cellDouble(std::size_t row, const std::string& column) const;
   long long cellInt(std::size_t row, const std::string& column) const;
-
-  void setCell(std::size_t row, const std::string& column, std::string value);
-
-  /// Whole column as doubles.
-  std::vector<double> columnDoubles(const std::string& column) const;
 
   /// RFC-4180-ish CSV: quotes fields containing separator/quote/newline.
   void writeCsv(std::ostream& os) const;

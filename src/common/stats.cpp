@@ -51,11 +51,6 @@ double percentile(std::vector<double> xs, double p) {
   return xs[lo] + frac * (xs[hi] - xs[lo]);
 }
 
-double minOf(const std::vector<double>& xs) {
-  TP_ASSERT(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
 double maxOf(const std::vector<double>& xs) {
   TP_ASSERT(!xs.empty());
   return *std::max_element(xs.begin(), xs.end());

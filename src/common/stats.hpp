@@ -13,7 +13,6 @@ double stddev(const std::vector<double>& xs);   ///< sample stddev (n-1)
 double median(std::vector<double> xs);          ///< by value: sorts a copy
 /// Linear-interpolated percentile, p in [0,100].
 double percentile(std::vector<double> xs, double p);
-double minOf(const std::vector<double>& xs);
 double maxOf(const std::vector<double>& xs);
 
 /// Streaming mean/variance (Welford). Numerically stable.

@@ -1,6 +1,5 @@
 #include "common/str.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -36,14 +35,6 @@ bool startsWith(std::string_view s, std::string_view prefix) {
 bool endsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string toLower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

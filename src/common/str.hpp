@@ -12,7 +12,6 @@ std::vector<std::string> split(std::string_view s, char sep);
 std::string trim(std::string_view s);
 bool startsWith(std::string_view s, std::string_view prefix);
 bool endsWith(std::string_view s, std::string_view suffix);
-std::string toLower(std::string_view s);
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Format a double compactly for tables ("12.34", "0.001", "1.2e+09").

@@ -5,8 +5,7 @@
 
 namespace tp::fleet {
 
-Fleet::Fleet(FleetConfig config)
-    : config_(std::move(config)), bus_(config_.gossip) {
+Fleet::Fleet(FleetConfig config) : config_(std::move(config)) {
   TP_REQUIRE(config_.replicas > 0, "Fleet: need at least one replica");
   for (std::size_t r = 0; r < config_.replicas; ++r) {
     ReplicaConfig rc;
@@ -17,18 +16,17 @@ Fleet::Fleet(FleetConfig config)
     // the same arms in lockstep, and gossip could never save a probe.
     rc.service.refiner.seed =
         config_.service.refiner.seed + 0x9E3779B9ull * r;
-    if (config_.service.metrics != nullptr) {
-      // One registry, many replicas: namespace each service's entries by
-      // replica id so readouts never collide (and removeByPrefix in one
-      // replica's destructor cannot unhook a sibling's). Replica ids are
-      // transport addresses and may contain '-', which Registry names
-      // must not — sanitize the prefix, not the id.
-      std::string prefix = rc.id;
-      for (char& c : prefix) {
-        if (c == '-') c = '_';
-      }
-      rc.service.metricsPrefix = prefix + "." + config_.service.metricsPrefix;
+    // One registry or health monitor, many replicas: namespace each
+    // service's metric entries and detector rules by replica id so they
+    // never collide (and removeByPrefix in one replica's destructor
+    // cannot unhook a sibling's). Replica ids are transport addresses and
+    // may contain '-', which Registry names must not — sanitize the
+    // prefix, not the id.
+    std::string prefix = rc.id;
+    for (char& c : prefix) {
+      if (c == '-') c = '_';
     }
+    rc.service.metricsPrefix = prefix + "." + config_.service.metricsPrefix;
     if (!config_.snapshotDir.empty()) {
       rc.snapshotDir = config_.snapshotDir + "/" + rc.id;
     }
@@ -60,10 +58,9 @@ Fleet::Fleet(FleetConfig config)
 }
 
 Fleet::~Fleet() {
-  // Quiesce in dependency order: no more gossip rounds, then no more
-  // traffic; replica destructors then detach from the transport with
-  // nothing in flight.
-  bus_.stop();
+  // Quiesce before teardown: no more traffic; replica destructors then
+  // leave the bus (waiting out a round in progress) and detach from the
+  // transport with nothing in flight.
   shutdownAll();
   if (config_.service.metrics != nullptr) {
     // The callbacks above capture `this`; unhook them before the members
@@ -87,28 +84,17 @@ void Fleet::addMachine(const sim::MachineConfig& machine,
   }
 }
 
-std::future<serve::LaunchResponse> Fleet::submit(serve::LaunchRequest request)
+serve::LaunchResponse Fleet::call(serve::LaunchRequest request)
     TP_LOCK_FREE_AUDITED(
         "relaxed round-robin ticket; only fairness depends on it and each "
         "replica synchronizes internally; TSan: test_fleet "
         "Fleet.CountersReconcileUnderConcurrentGossipAndRetrain") {
   const std::size_t r =
       nextReplica_.fetch_add(1, std::memory_order_relaxed) % replicas_.size();
-  return replicas_[r]->submit(std::move(request));
-}
-
-serve::LaunchResponse Fleet::call(serve::LaunchRequest request) {
-  return submit(std::move(request)).get();
+  return replicas_[r]->call(std::move(request));
 }
 
 std::size_t Fleet::gossipRound() { return bus_.runRound(); }
-
-void Fleet::startGossip() {
-  TP_REQUIRE(config_.gossipEnabled, "Fleet: gossip is disabled");
-  bus_.start();
-}
-
-void Fleet::stopGossip() { bus_.stop(); }
 
 Replica::FleetRetrain Fleet::retrainFleet(std::size_t leader) {
   return replica(leader).coordinateRetrain();

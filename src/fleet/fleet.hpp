@@ -3,9 +3,9 @@
 // Fleet — N serving replicas as one simulated deployment.
 //
 // Wires Replicas to a shared LoopbackTransport and GossipBus, fans
-// machine registration out to every replica, load-balances submissions
-// round-robin, and exposes fleet-wide operations: manual or background
-// gossip rounds, coordinated retrain from any replica, aggregate stats.
+// machine registration out to every replica, load-balances calls
+// round-robin, and exposes fleet-wide operations: caller-driven gossip
+// rounds, coordinated retrain from any replica, aggregate stats.
 // Everything a multi-process deployment would do over sockets happens
 // here over the same wire format, in one process — which is what the
 // tests, the example and the scaling benchmark drive.
@@ -25,7 +25,6 @@ namespace tp::fleet {
 struct FleetConfig {
   std::size_t replicas = 3;  ///< ids "replica-0", "replica-1", ...
   serve::ServiceConfig service;  ///< applied to every replica
-  GossipConfig gossip;
   bool gossipEnabled = true;  ///< off = replicas refine independently
   /// Root for per-replica snapshot directories ("<dir>/<replica-id>");
   /// empty = persistence off.
@@ -40,7 +39,7 @@ struct FleetConfig {
 class Fleet {
 public:
   explicit Fleet(FleetConfig config);
-  ~Fleet();  ///< stops gossip, shuts every replica down
+  ~Fleet();  ///< shuts every replica down
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
@@ -54,16 +53,12 @@ public:
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
 
-  /// Round-robin submission across replicas.
-  std::future<serve::LaunchResponse> submit(serve::LaunchRequest request);
+  /// Serve one request on the next replica, round-robin.
   serve::LaunchResponse call(serve::LaunchRequest request);
 
-  /// One manual anti-entropy round (no-op fleet-wide when gossip is
-  /// disabled). Returns participants invoked.
+  /// One anti-entropy round on the calling thread (no-op fleet-wide when
+  /// gossip is disabled). Returns participants invoked.
   std::size_t gossipRound();
-  /// Start/stop background gossip (requires gossipEnabled).
-  void startGossip();
-  void stopGossip();
 
   /// Fleet-wide retrain coordinated by `leader`.
   Replica::FleetRetrain retrainFleet(std::size_t leader = 0);

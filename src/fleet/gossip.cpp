@@ -1,23 +1,12 @@
 #include "fleet/gossip.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 
-#include "common/error.hpp"
 #include "common/log.hpp"
-#include "obs/clock.hpp"
 #include "obs/trace.hpp"
 
 namespace tp::fleet {
-
-GossipBus::GossipBus(GossipConfig config) : config_(config) {
-  TP_REQUIRE(config_.intervalSeconds > 0.0,
-             "GossipBus: intervalSeconds must be > 0, got "
-                 << config_.intervalSeconds);
-}
-
-GossipBus::~GossipBus() { stop(); }
 
 void GossipBus::join(const std::string& node, RoundFn fn) {
   common::MutexLock lock(mutex_);
@@ -63,9 +52,9 @@ std::size_t GossipBus::runRound() {
   }
   for (std::size_t i = 0; i < fns.size(); ++i) {
     // Failure boundary: one participant's exception must not starve the
-    // rest of the round or kill the background thread (a peer's decode
-    // error used to propagate here and std::terminate the bus). Count
-    // and log — never swallow silently.
+    // rest of the round or escape to the caller driving gossip (a peer's
+    // decode error would abort every later participant). Count and log —
+    // never swallow silently.
     try {
       fns[i]();
     } catch (const std::exception& e) {
@@ -79,56 +68,6 @@ std::size_t GossipBus::runRound() {
     }
   }
   return fns.size();
-}
-
-void GossipBus::start() {
-  common::MutexLock stopLock(stopMutex_);
-  common::MutexLock lock(mutex_);
-  if (running_) return;
-  stopRequested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { loop(); });
-}
-
-void GossipBus::stop() {
-  // stopMutex_ serializes concurrent stoppers (and start-vs-stop): only
-  // one caller joins the thread, and a second caller returns only after
-  // the first has fully stopped it — never while the loop still runs.
-  common::MutexLock stopLock(stopMutex_);
-  {
-    common::MutexLock lock(mutex_);
-    if (!running_) return;
-    stopRequested_ = true;
-  }
-  stopCv_.notify_all();
-  thread_.join();
-  common::MutexLock lock(mutex_);
-  running_ = false;
-}
-
-bool GossipBus::running() const {
-  common::MutexLock lock(mutex_);
-  return running_;
-}
-
-void GossipBus::loop() {
-  const auto interval = std::chrono::duration<double>(config_.intervalSeconds);
-  while (true) {
-    {
-      common::MutexLock lock(mutex_);
-      // Explicit wait loop (not a predicate overload): the analysis
-      // treats lambda bodies as separate functions, so a predicate
-      // closure reading stopRequested_ could not prove it holds mutex_.
-      const auto deadline = obs::Clock::now() + interval;
-      while (!stopRequested_) {
-        if (stopCv_.wait_until(mutex_, deadline) == std::cv_status::timeout) {
-          break;
-        }
-      }
-      if (stopRequested_) return;
-    }
-    runRound();
-  }
 }
 
 std::uint64_t GossipBus::rounds() const {

@@ -1,23 +1,21 @@
 #pragma once
 
-// GossipBus — periodic anti-entropy rounds across fleet replicas.
+// GossipBus — anti-entropy rounds across fleet replicas.
 //
 // Each participant registers a round function (for a Replica:
 // publishWins(), which broadcasts its adopted refiner wins over the
-// transport). runRound() invokes every participant once; start() runs
-// rounds from a background thread on a fixed interval until stop().
-// Rounds are anti-entropy in the classic sense: participants re-offer
-// their full win state each round and merging is idempotent, so replicas
-// converge even if individual messages were lost — and a participant
-// whose state digest has not changed skips the broadcast entirely.
-//
-// Tests and benchmarks drive runRound() manually (background = false)
-// for determinism; the background thread is for long-lived services.
+// transport). runRound() invokes every participant once, on the calling
+// thread; the bus owns no thread, so its owner decides when rounds run
+// (Fleet::gossipRound(), a test, a benchmark's wave loop). Rounds are
+// anti-entropy in the classic sense: participants re-offer their full
+// win state each round and merging is idempotent, so replicas converge
+// even if individual messages were lost — and a participant whose state
+// digest has not changed skips the broadcast entirely. Rounds may be
+// started from several threads at once; they run one at a time.
 
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,22 +23,16 @@
 
 namespace tp::fleet {
 
-struct GossipConfig {
-  double intervalSeconds = 0.05;  ///< background round period
-};
-
 class GossipBus {
 public:
   using RoundFn = std::function<void()>;
 
-  explicit GossipBus(GossipConfig config = {});
-  ~GossipBus();  ///< stop()s the background thread
-
+  GossipBus() = default;
   GossipBus(const GossipBus&) = delete;
   GossipBus& operator=(const GossipBus&) = delete;
 
-  /// Add a participant; its fn runs once per round, on the bus thread
-  /// (or the runRound() caller's).
+  /// Add a participant; its fn runs once per round, on the runRound()
+  /// caller's thread.
   void join(const std::string& node, RoundFn fn);
   /// Remove a participant. Blocks until any in-flight round has finished
   /// invoking its copied fns, so after leave() returns the fn is never
@@ -50,35 +42,20 @@ public:
   /// One anti-entropy round: every participant's fn, in join order.
   /// Each fn runs inside a failure boundary: a throwing participant is
   /// counted (roundErrors()) and logged, the remaining participants
-  /// still run, and the background thread survives — mirroring
+  /// still run, and the caller sees no exception — mirroring
   /// HealthMonitor's per-rule error counting. Returns the number of
   /// participants invoked.
   std::size_t runRound();
-
-  /// Start/stop the background round thread. Idempotent.
-  void start();
-  void stop();
-  bool running() const;
 
   std::uint64_t rounds() const;
   /// Participant fns that threw (each counted once per round it threw).
   std::uint64_t roundErrors() const;
 
 private:
-  void loop();
-
-  GossipConfig config_;
-  mutable common::Mutex mutex_;  ///< guards participants_ + lifecycle state
+  mutable common::Mutex mutex_;  ///< guards participants_ + round counts
   common::Mutex roundMutex_;     ///< held while a round invokes its fns
-  common::Mutex stopMutex_;      ///< serializes start()/stop() callers
-  common::CondVar stopCv_;
   std::vector<std::pair<std::string, RoundFn>> participants_
       TP_GUARDED_BY(mutex_);
-  /// Written by start(), joined by stop(); both hold stopMutex_, which is
-  /// what makes concurrent stoppers (and start-vs-stop) safe.
-  std::thread thread_ TP_GUARDED_BY(stopMutex_);
-  bool running_ TP_GUARDED_BY(mutex_) = false;
-  bool stopRequested_ TP_GUARDED_BY(mutex_) = false;
   std::uint64_t rounds_ TP_GUARDED_BY(mutex_) = 0;
   std::uint64_t roundErrors_ TP_GUARDED_BY(mutex_) = 0;
 };

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/log.hpp"
+#include "ml/classifier.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "runtime/evaluation.hpp"
@@ -72,6 +73,13 @@ std::uint64_t recordDedupHash(const runtime::LaunchRecord& rec) {
 Replica::Replica(ReplicaConfig config, Transport& transport, GossipBus* bus)
     : config_(std::move(config)), transport_(transport), bus_(bus) {
   TP_REQUIRE(!config_.id.empty(), "Replica: empty id");
+  // Retrained models travel to peers and snapshots as saved blobs, so
+  // the retrain spec must name a kind ml::loadClassifier decodes.
+  TP_REQUIRE(ml::isDeployableSpec(config_.service.retrainSpec),
+             "Replica " << config_.id << ": retrainSpec '"
+                        << config_.service.retrainSpec
+                        << "' is not a deployable model kind (expected "
+                           "forest or mostfreq)");
   service_ = std::make_unique<serve::PartitionService>(config_.service);
   if (!config_.snapshotDir.empty()) {
     store_.emplace(config_.snapshotDir, kSnapshotKeepLast);
@@ -101,11 +109,6 @@ Replica::~Replica() {
 void Replica::addMachine(const sim::MachineConfig& machine,
                          std::shared_ptr<const ml::Classifier> model) {
   service_->addMachine(machine, std::move(model));
-}
-
-std::future<serve::LaunchResponse> Replica::submit(
-    serve::LaunchRequest request) {
-  return service_->submit(std::move(request));
 }
 
 serve::LaunchResponse Replica::call(serve::LaunchRequest request) {

@@ -56,8 +56,8 @@ struct FleetHealthConfig {
   /// gossip_stall: consecutive evaluations the replica's gossip-round
   /// counter must fail to advance before the event fires. The rule
   /// stays quiet until the first round has run (a fleet that has not
-  /// started gossip yet is not stalled), so start gossip before the
-  /// monitor if you want the detector armed from the first evaluation.
+  /// gossiped yet is not stalled), so run a first round before the
+  /// monitor's first evaluation to arm the detector from the start.
   std::size_t gossipStallEvals = 3;
 };
 
@@ -132,7 +132,6 @@ public:
 
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
-  std::future<serve::LaunchResponse> submit(serve::LaunchRequest request);
   serve::LaunchResponse call(serve::LaunchRequest request);
 
   /// Load the latest snapshot, if any: install its models at its

@@ -1,7 +1,5 @@
 #include "ir/node.hpp"
 
-#include "ir/visitor.hpp"
-
 namespace tp::ir {
 
 const char* unaryOpName(UnaryOp op) {
@@ -51,27 +49,5 @@ bool isComparison(BinaryOp op) {
 bool isLogical(BinaryOp op) {
   return op == BinaryOp::LogicalAnd || op == BinaryOp::LogicalOr;
 }
-
-void IntLit::accept(Visitor& v) const { v.visit(*this); }
-void FloatLit::accept(Visitor& v) const { v.visit(*this); }
-void VarRef::accept(Visitor& v) const { v.visit(*this); }
-void UnaryExpr::accept(Visitor& v) const { v.visit(*this); }
-void BinaryExpr::accept(Visitor& v) const { v.visit(*this); }
-void CallExpr::accept(Visitor& v) const { v.visit(*this); }
-void IndexExpr::accept(Visitor& v) const { v.visit(*this); }
-void CastExpr::accept(Visitor& v) const { v.visit(*this); }
-void SelectExpr::accept(Visitor& v) const { v.visit(*this); }
-
-void DeclStmt::accept(Visitor& v) const { v.visit(*this); }
-void AssignStmt::accept(Visitor& v) const { v.visit(*this); }
-void ExprStmt::accept(Visitor& v) const { v.visit(*this); }
-void CompoundStmt::accept(Visitor& v) const { v.visit(*this); }
-void IfStmt::accept(Visitor& v) const { v.visit(*this); }
-void ForStmt::accept(Visitor& v) const { v.visit(*this); }
-void WhileStmt::accept(Visitor& v) const { v.visit(*this); }
-void BarrierStmt::accept(Visitor& v) const { v.visit(*this); }
-void ReturnStmt::accept(Visitor& v) const { v.visit(*this); }
-void BreakStmt::accept(Visitor& v) const { v.visit(*this); }
-void ContinueStmt::accept(Visitor& v) const { v.visit(*this); }
 
 }  // namespace tp::ir

@@ -3,8 +3,9 @@
 // Expression and statement nodes of the INSPIRE-lite IR.
 //
 // Ownership: every node owns its children through std::unique_ptr. Nodes are
-// immutable after construction (analyses never mutate the tree). Traversal
-// is via ir::Visitor (visitor.hpp) or direct kind() dispatch.
+// immutable after construction (analyses never mutate the tree). Every
+// analysis traverses by switching on kind() and static_cast-ing to the
+// concrete node type.
 
 #include <memory>
 #include <string>
@@ -14,8 +15,6 @@
 #include "ir/type.hpp"
 
 namespace tp::ir {
-
-class Visitor;
 
 // ---------------------------------------------------------------------------
 // Expressions
@@ -52,7 +51,6 @@ public:
   virtual ~Expr() = default;
   ExprKind kind() const noexcept { return kind_; }
   const Type& type() const noexcept { return type_; }
-  virtual void accept(Visitor& v) const = 0;
 
 protected:
   Expr(ExprKind kind, Type type) : kind_(kind), type_(type) {}
@@ -69,7 +67,6 @@ public:
   IntLit(long long value, Type type = Type::intTy())
       : Expr(ExprKind::IntLit, type), value_(value) {}
   long long value() const noexcept { return value_; }
-  void accept(Visitor& v) const override;
 
 private:
   long long value_;
@@ -80,7 +77,6 @@ public:
   explicit FloatLit(double value)
       : Expr(ExprKind::FloatLit, Type::floatTy()), value_(value) {}
   double value() const noexcept { return value_; }
-  void accept(Visitor& v) const override;
 
 private:
   double value_;
@@ -91,7 +87,6 @@ public:
   VarRef(std::string name, Type type)
       : Expr(ExprKind::VarRef, type), name_(std::move(name)) {}
   const std::string& name() const noexcept { return name_; }
-  void accept(Visitor& v) const override;
 
 private:
   std::string name_;
@@ -105,7 +100,6 @@ public:
         operand_(std::move(operand)) {}
   UnaryOp op() const noexcept { return op_; }
   const Expr& operand() const noexcept { return *operand_; }
-  void accept(Visitor& v) const override;
 
 private:
   UnaryOp op_;
@@ -122,7 +116,6 @@ public:
   BinaryOp op() const noexcept { return op_; }
   const Expr& lhs() const noexcept { return *lhs_; }
   const Expr& rhs() const noexcept { return *rhs_; }
-  void accept(Visitor& v) const override;
 
 private:
   BinaryOp op_;
@@ -141,7 +134,6 @@ public:
         args_(std::move(args)) {}
   const std::string& callee() const noexcept { return callee_; }
   const std::vector<ExprPtr>& args() const noexcept { return args_; }
-  void accept(Visitor& v) const override;
 
 private:
   std::string callee_;
@@ -161,7 +153,6 @@ public:
   const Expr& index() const noexcept { return *index_; }
   /// Address space of the accessed memory.
   AddrSpace addrSpace() const noexcept { return base_->type().addrSpace(); }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr base_;
@@ -173,7 +164,6 @@ public:
   CastExpr(Type to, ExprPtr value)
       : Expr(ExprKind::Cast, to), value_(std::move(value)) {}
   const Expr& value() const noexcept { return *value_; }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr value_;
@@ -190,7 +180,6 @@ public:
   const Expr& cond() const noexcept { return *cond_; }
   const Expr& ifTrue() const noexcept { return *ifTrue_; }
   const Expr& ifFalse() const noexcept { return *ifFalse_; }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr cond_;
@@ -220,7 +209,6 @@ class Stmt {
 public:
   virtual ~Stmt() = default;
   StmtKind kind() const noexcept { return kind_; }
-  virtual void accept(Visitor& v) const = 0;
 
 protected:
   explicit Stmt(StmtKind kind) : kind_(kind) {}
@@ -244,7 +232,6 @@ public:
   /// For __private array declarations: number of elements (0 = scalar var).
   long long arraySize() const noexcept { return arraySize_; }
   void setArraySize(long long n) noexcept { arraySize_ = n; }
-  void accept(Visitor& v) const override;
 
 private:
   std::string name_;
@@ -265,7 +252,6 @@ public:
   }
   const Expr& target() const noexcept { return *target_; }
   const Expr& value() const noexcept { return *value_; }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr target_;
@@ -277,7 +263,6 @@ public:
   explicit ExprStmt(ExprPtr expr)
       : Stmt(StmtKind::ExprEval), expr_(std::move(expr)) {}
   const Expr& expr() const noexcept { return *expr_; }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr expr_;
@@ -289,7 +274,6 @@ public:
       : Stmt(StmtKind::Compound), stmts_(std::move(stmts)) {}
   const std::vector<StmtPtr>& stmts() const noexcept { return stmts_; }
   void append(StmtPtr s) { stmts_.push_back(std::move(s)); }
-  void accept(Visitor& v) const override;
 
 private:
   std::vector<StmtPtr> stmts_;
@@ -305,7 +289,6 @@ public:
   const Expr& cond() const noexcept { return *cond_; }
   const Stmt& thenBody() const noexcept { return *then_; }
   const Stmt* elseBody() const noexcept { return else_.get(); }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr cond_;
@@ -334,7 +317,6 @@ public:
   const Expr& bound() const noexcept { return *bound_; }
   long long step() const noexcept { return step_; }
   const Stmt& body() const noexcept { return *body_; }
-  void accept(Visitor& v) const override;
 
 private:
   std::string var_;
@@ -350,7 +332,6 @@ public:
       : Stmt(StmtKind::While), cond_(std::move(cond)), body_(std::move(body)) {}
   const Expr& cond() const noexcept { return *cond_; }
   const Stmt& body() const noexcept { return *body_; }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr cond_;
@@ -361,7 +342,6 @@ private:
 class BarrierStmt final : public Stmt {
 public:
   BarrierStmt() : Stmt(StmtKind::Barrier) {}
-  void accept(Visitor& v) const override;
 };
 
 class ReturnStmt final : public Stmt {
@@ -369,7 +349,6 @@ public:
   explicit ReturnStmt(ExprPtr value /*may be null*/)
       : Stmt(StmtKind::Return), value_(std::move(value)) {}
   const Expr* value() const noexcept { return value_.get(); }
-  void accept(Visitor& v) const override;
 
 private:
   ExprPtr value_;
@@ -378,13 +357,11 @@ private:
 class BreakStmt final : public Stmt {
 public:
   BreakStmt() : Stmt(StmtKind::Break) {}
-  void accept(Visitor& v) const override;
 };
 
 class ContinueStmt final : public Stmt {
 public:
   ContinueStmt() : Stmt(StmtKind::Continue) {}
-  void accept(Visitor& v) const override;
 };
 
 // ---------------------------------------------------------------------------

@@ -231,12 +231,6 @@ std::string printExpr(const Expr& e) {
   return os.str();
 }
 
-std::string printStmt(const Stmt& s, int indent) {
-  std::ostringstream os;
-  emitStmt(os, s, indent);
-  return os.str();
-}
-
 std::string printKernel(const KernelDecl& k) {
   std::ostringstream os;
   os << "__kernel void " << k.name() << "(";
@@ -248,15 +242,6 @@ std::string printKernel(const KernelDecl& k) {
   os << ")\n";
   emitStmt(os, k.body(), 0);
   return os.str();
-}
-
-std::string printProgram(const Program& p) {
-  std::string out;
-  for (const auto& k : p.kernels()) {
-    out += printKernel(*k);
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace tp::ir

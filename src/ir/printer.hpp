@@ -11,8 +11,6 @@
 namespace tp::ir {
 
 std::string printExpr(const Expr& e);
-std::string printStmt(const Stmt& s, int indent = 0);
 std::string printKernel(const KernelDecl& k);
-std::string printProgram(const Program& p);
 
 }  // namespace tp::ir

@@ -24,7 +24,6 @@ public:
     label_ = data.majorityLabel();
   }
   int predict(const std::vector<double>&) const override { return label_; }
-  std::string name() const override { return "mostfreq"; }
   void save(std::ostream& os) const override {
     os << "mostfreq " << numClasses_ << ' ' << label_ << "\n";
   }
@@ -48,17 +47,19 @@ std::vector<double> Classifier::scores(const std::vector<double>& x) const {
   return out;
 }
 
+void Classifier::save(std::ostream&) const {
+  TP_THROW("this model kind is not deployable and has no serialization");
+}
+
+void Classifier::load(std::istream&) {
+  TP_THROW("this model kind is not deployable and has no serialization");
+}
+
 void Classifier::saveFile(const std::string& path) const {
   std::ofstream os(path);
   if (!os) throw IoError("cannot open model file for writing: " + path);
   save(os);
   if (!os) throw IoError("write failed: " + path);
-}
-
-void Classifier::loadFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw IoError("cannot open model file: " + path);
-  load(is);
 }
 
 std::unique_ptr<Classifier> makeClassifier(const std::string& spec,
@@ -97,6 +98,11 @@ std::unique_ptr<Classifier> makeClassifier(const std::string& spec,
                                           "mostfreq)");
 }
 
+bool isDeployableSpec(const std::string& spec) {
+  const std::string kind = common::split(spec, ':')[0];
+  return kind == "forest" || kind == "mostfreq";
+}
+
 std::unique_ptr<Classifier> loadClassifier(std::istream& is) {
   // Peek the header tag, then rewind so each model's load() sees its own
   // header (models validate it themselves).
@@ -106,18 +112,14 @@ std::unique_ptr<Classifier> loadClassifier(std::istream& is) {
   is.clear();
   is.seekg(start);
   std::unique_ptr<Classifier> model;
-  if (tag == "tree") {
-    model = std::make_unique<DecisionTree>();
-  } else if (tag == "forest") {
+  if (tag == "forest") {
     model = std::make_unique<RandomForest>();
-  } else if (tag == "knn") {
-    model = std::make_unique<KnnClassifier>();
-  } else if (tag == "mlp") {
-    model = std::make_unique<MlpClassifier>();
   } else if (tag == "mostfreq") {
     model = std::make_unique<MostFrequentClassifier>();
   } else {
-    throw IoError("unknown model tag '" + tag + "'");
+    throw IoError("model tag '" + tag +
+                  "' is not a deployable model (expected forest or "
+                  "mostfreq)");
   }
   model->load(is);
   return model;

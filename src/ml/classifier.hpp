@@ -21,18 +21,19 @@ public:
 
   virtual void train(const Dataset& data) = 0;
   virtual int predict(const std::vector<double>& x) const = 0;
-  virtual std::string name() const = 0;
 
   /// Per-class scores (higher = more likely); default implementations may
   /// return a one-hot vector for models without calibrated scores.
   virtual std::vector<double> scores(const std::vector<double>& x) const;
 
-  virtual void save(std::ostream& os) const = 0;
-  virtual void load(std::istream& is) = 0;
+  /// Text serialization. Only the deployable kinds (forest, mostfreq,
+  /// and the trees inside a forest) implement it; every other model is
+  /// trained where it is compared and throws tp::Error here.
+  virtual void save(std::ostream& os) const;
+  virtual void load(std::istream& is);
 
-  /// Convenience file IO (text format). Throws tp::IoError on failure.
+  /// save() to a file. Throws tp::IoError on failure.
   void saveFile(const std::string& path) const;
-  void loadFile(const std::string& path);
 
   int numClasses() const noexcept { return numClasses_; }
 
@@ -46,9 +47,15 @@ protected:
 std::unique_ptr<Classifier> makeClassifier(const std::string& spec,
                                            std::uint64_t seed = 42);
 
-/// Load any classifier saved with save(); dispatches on the header tag.
-/// The stream form reads from the current position (fleet snapshots and
-/// model fan-out carry serialized models inside larger messages).
+/// True when `spec` (a makeClassifier spec) names a kind loadClassifier
+/// decodes: "forest" or "mostfreq", with any hyperparameter suffix.
+bool isDeployableSpec(const std::string& spec);
+
+/// Load a deployable model saved with save(): the header tag must be
+/// "forest" or "mostfreq", and any other tag throws tp::IoError (a
+/// tp::Error). The stream form reads from the current position (fleet
+/// snapshots and model fan-out carry serialized models inside larger
+/// messages).
 std::unique_ptr<Classifier> loadClassifier(std::istream& is);
 std::unique_ptr<Classifier> loadClassifierFile(const std::string& path);
 

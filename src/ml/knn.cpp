@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "common/error.hpp"
 
@@ -54,33 +52,6 @@ std::vector<double> KnnClassifier::scores(const std::vector<double>& x) const {
 int KnnClassifier::predict(const std::vector<double>& x) const {
   const auto s = scores(x);
   return static_cast<int>(std::max_element(s.begin(), s.end()) - s.begin());
-}
-
-void KnnClassifier::save(std::ostream& os) const {
-  os.precision(17);
-  os << "knn " << numClasses_ << ' ' << k_ << ' ' << X_.size() << ' '
-     << (X_.empty() ? 0 : X_.front().size()) << "\n";
-  normalizer_.save(os);
-  for (std::size_t i = 0; i < X_.size(); ++i) {
-    os << y_[i];
-    for (const double v : X_[i]) os << ' ' << v;
-    os << "\n";
-  }
-}
-
-void KnnClassifier::load(std::istream& is) {
-  std::string tag;
-  std::size_t n = 0, d = 0;
-  is >> tag >> numClasses_ >> k_ >> n >> d;
-  TP_REQUIRE(is && tag == "knn", "bad knn header");
-  normalizer_.load(is);
-  X_.assign(n, std::vector<double>(d, 0.0));
-  y_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    is >> y_[i];
-    for (double& v : X_[i]) is >> v;
-  }
-  TP_REQUIRE(static_cast<bool>(is), "truncated knn data");
 }
 
 }  // namespace tp::ml

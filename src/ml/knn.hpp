@@ -16,9 +16,6 @@ public:
   void train(const Dataset& data) override;
   int predict(const std::vector<double>& x) const override;
   std::vector<double> scores(const std::vector<double>& x) const override;
-  std::string name() const override { return "knn"; }
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
 
 private:
   int k_;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "common/error.hpp"
 
@@ -205,37 +203,6 @@ std::vector<double> MlpClassifier::scores(const std::vector<double>& x) const {
 int MlpClassifier::predict(const std::vector<double>& x) const {
   const auto s = scores(x);
   return static_cast<int>(std::max_element(s.begin(), s.end()) - s.begin());
-}
-
-void MlpClassifier::save(std::ostream& os) const {
-  os.precision(17);
-  os << "mlp " << numClasses_ << ' ' << layers_.size() << "\n";
-  normalizer_.save(os);
-  for (const auto& layer : layers_) {
-    os << layer.inputs << ' ' << layer.outputs << "\n";
-    for (const double w : layer.weights) os << w << ' ';
-    os << "\n";
-    for (const double b : layer.bias) os << b << ' ';
-    os << "\n";
-  }
-}
-
-void MlpClassifier::load(std::istream& is) {
-  std::string tag;
-  std::size_t count = 0;
-  is >> tag >> numClasses_ >> count;
-  TP_REQUIRE(is && tag == "mlp", "bad mlp header");
-  normalizer_.load(is);
-  layers_.assign(count, Layer{});
-  for (auto& layer : layers_) {
-    is >> layer.inputs >> layer.outputs;
-    layer.weights.resize(static_cast<std::size_t>(layer.inputs) *
-                         static_cast<std::size_t>(layer.outputs));
-    layer.bias.resize(static_cast<std::size_t>(layer.outputs));
-    for (double& w : layer.weights) is >> w;
-    for (double& b : layer.bias) is >> b;
-  }
-  TP_REQUIRE(static_cast<bool>(is), "truncated mlp data");
 }
 
 }  // namespace tp::ml

@@ -29,9 +29,6 @@ public:
   void train(const Dataset& data) override;
   int predict(const std::vector<double>& x) const override;
   std::vector<double> scores(const std::vector<double>& x) const override;
-  std::string name() const override { return "mlp"; }
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
 
   /// Mean cross-entropy on the training set after training (diagnostics).
   double finalTrainingLoss() const noexcept { return finalLoss_; }

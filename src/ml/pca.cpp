@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
 #include "common/error.hpp"
 
@@ -149,42 +147,6 @@ std::vector<double> Pca::transform(const std::vector<double>& x) const {
     out[c] = acc;
   }
   return out;
-}
-
-std::vector<std::vector<double>> Pca::transformAll(
-    const std::vector<std::vector<double>>& X) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(X.size());
-  for (const auto& row : X) out.push_back(transform(row));
-  return out;
-}
-
-void Pca::save(std::ostream& os) const {
-  os.precision(17);
-  os << "pca " << mean_.size() << ' ' << components_.size() << "\n";
-  for (const double m : mean_) os << m << ' ';
-  os << "\n";
-  for (std::size_t c = 0; c < components_.size(); ++c) {
-    os << eigenvalues_[c];
-    for (const double w : components_[c]) os << ' ' << w;
-    os << "\n";
-  }
-}
-
-void Pca::load(std::istream& is) {
-  std::string tag;
-  std::size_t d = 0, k = 0;
-  is >> tag >> d >> k;
-  TP_REQUIRE(is && tag == "pca", "bad pca header");
-  mean_.assign(d, 0.0);
-  for (double& m : mean_) is >> m;
-  components_.assign(k, std::vector<double>(d, 0.0));
-  eigenvalues_.assign(k, 0.0);
-  for (std::size_t c = 0; c < k; ++c) {
-    is >> eigenvalues_[c];
-    for (double& w : components_[c]) is >> w;
-  }
-  TP_REQUIRE(static_cast<bool>(is), "truncated pca data");
 }
 
 }  // namespace tp::ml

@@ -5,7 +5,6 @@
 // the feature-set ablation (the full Insieme pipeline applied PCA before
 // its neural models).
 
-#include <iosfwd>
 #include <vector>
 
 namespace tp::ml {
@@ -23,16 +22,11 @@ public:
   std::size_t numComponents() const noexcept { return components_.size(); }
 
   std::vector<double> transform(const std::vector<double>& x) const;
-  std::vector<std::vector<double>> transformAll(
-      const std::vector<std::vector<double>>& X) const;
 
   /// Explained variance (eigenvalue) of each kept component, descending.
   const std::vector<double>& explainedVariance() const noexcept {
     return eigenvalues_;
   }
-
-  void save(std::ostream& os) const;
-  void load(std::istream& is);
 
   /// Eigendecomposition of a symmetric matrix (exposed for tests):
   /// returns eigenvalues (descending) and matching eigenvectors (rows).

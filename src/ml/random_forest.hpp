@@ -50,7 +50,6 @@ public:
   void train(const Dataset& data) override;
   int predict(const std::vector<double>& x) const override;
   std::vector<double> scores(const std::vector<double>& x) const override;
-  std::string name() const override { return "forest"; }
   void save(std::ostream& os) const override;
   void load(std::istream& is) override;
 

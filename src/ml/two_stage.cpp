@@ -87,13 +87,4 @@ int TwoStageClassifier::predict(const std::vector<double>& x) const {
   return refiner->predict(x);
 }
 
-void TwoStageClassifier::save(std::ostream&) const {
-  TP_THROW("TwoStageClassifier does not support serialization; "
-           "persist the underlying stage models instead");
-}
-
-void TwoStageClassifier::load(std::istream&) {
-  TP_THROW("TwoStageClassifier does not support serialization");
-}
-
 }  // namespace tp::ml

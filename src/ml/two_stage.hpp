@@ -27,12 +27,6 @@ public:
 
   void train(const Dataset& data) override;
   int predict(const std::vector<double>& x) const override;
-  std::string name() const override { return "two_stage"; }
-
-  /// Serialization is not supported for the composite model (the factories
-  /// are arbitrary callables); train at startup instead.
-  void save(std::ostream& os) const override;
-  void load(std::istream& is) override;
 
   int numFamilies() const noexcept { return numFamilies_; }
 

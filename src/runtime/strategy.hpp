@@ -25,7 +25,6 @@ public:
   /// Pick a partitioning for `task` on the machine behind `context`.
   virtual std::size_t choose(const Task& task, vcl::Context& context,
                              const PartitioningSpace& space) = 0;
-  virtual std::string name() const = 0;
 };
 
 class CpuOnlyStrategy final : public PartitioningStrategy {
@@ -34,7 +33,6 @@ public:
                      const PartitioningSpace& space) override {
     return space.cpuOnlyIndex();
   }
-  std::string name() const override { return "cpu-only"; }
 };
 
 /// All work on one GPU (device index 1 by convention — the paper's
@@ -46,7 +44,6 @@ public:
                      const PartitioningSpace& space) override {
     return space.singleDeviceIndex(device_);
   }
-  std::string name() const override { return "gpu-only"; }
 
 private:
   std::size_t device_;
@@ -60,7 +57,6 @@ public:
     TP_REQUIRE(index_ < space.size(), "static partitioning out of range");
     return index_;
   }
-  std::string name() const override { return "static"; }
 
 private:
   std::size_t index_;
@@ -78,7 +74,6 @@ public:
                      const PartitioningSpace& space) override {
     return oracleSearch(task, context.machine(), space);
   }
-  std::string name() const override { return "oracle"; }
 };
 
 /// The ML-guided strategy (deployment phase of the paper).
@@ -97,7 +92,6 @@ public:
                "model predicted label " << label << " outside the space");
     return static_cast<std::size_t>(label);
   }
-  std::string name() const override { return "predicted"; }
 
 private:
   std::shared_ptr<const ml::Classifier> model_;

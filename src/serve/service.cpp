@@ -250,12 +250,6 @@ void PartitionService::addMachine(const sim::MachineConfig& machine,
   }
 }
 
-void PartitionService::addMachine(const sim::MachineConfig& machine,
-                                  const std::string& modelPath) {
-  addMachine(machine, std::shared_ptr<const ml::Classifier>(
-                          ml::loadClassifierFile(modelPath)));
-}
-
 PartitionService::MachineState* PartitionService::stateFast(
     const std::string& name) const noexcept {
   // Only valid once frozen_: from then on machines_ is immutable, so the
@@ -289,8 +283,8 @@ PartitionService::Admission PartitionService::admit(
         "machinesMutex_); TSan: test_serve "
         "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest") {
   // Resolve + lifecycle-check before counting the request: unknown
-  // machines and post-shutdown submissions throw and are never counted
-  // as submitted.
+  // machines and post-shutdown calls throw and are never counted as
+  // submitted.
   MachineState& ms = state(machine);
   if (!frozen_.load(std::memory_order_acquire)) {
     // First admission: from here on machines_ and feedback_ are immutable
@@ -301,7 +295,7 @@ PartitionService::Admission PartitionService::admit(
   const std::size_t stripe = inFlight_.enter();
   if (!accepting_.load(std::memory_order_seq_cst)) {
     inFlight_.leave(stripe);
-    throw Error("PartitionService: submit after shutdown");
+    throw Error("PartitionService: call after shutdown");
   }
   submitted_.add();
   return {ms, stripe};
@@ -442,18 +436,6 @@ LaunchResponse PartitionService::serveAdmitted(Admission admission,
   }
   inFlight_.leave(admission.stripe);
   return response;
-}
-
-std::future<LaunchResponse> PartitionService::submit(LaunchRequest request) {
-  const auto admitted = Clock::now();
-  const Admission admission = admit(request.machine);  // throws here
-  std::promise<LaunchResponse> promise;
-  try {
-    promise.set_value(serveAdmitted(admission, request, admitted));
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-  }
-  return promise.get_future();
 }
 
 LaunchResponse PartitionService::call(LaunchRequest request) {

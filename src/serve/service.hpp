@@ -3,7 +3,7 @@
 // PartitionService — the trained predictor as a long-lived, thread-safe
 // serving component.
 //
-// Clients on any thread call() (or submit()) LaunchRequests; the service
+// Clients on any thread call() LaunchRequests; the service
 // answers "how should this task be split?" and executes the split on the
 // target machine's simulated devices. Every request — cache hit, miss,
 // refiner probe — runs one pipeline on the caller's thread. There is no
@@ -42,8 +42,7 @@
 // mutex. Allocation: a hit allocates at most 7 times and a steady-state
 // miss at most 10 (test_alloc_budget pins both) — the response payload
 // (partitioning copy, per-device execution report), Scheduler::execute's
-// working vectors and, on a miss, the key and feature vector; submit()'s
-// future adds one (call() avoids it).
+// working vectors and, on a miss, the key and feature vector.
 //
 // Feedback: an online recorder (serve/feedback.hpp) measures each
 // distinct launch the model decided into a FeatureDatabase. Cache hits
@@ -61,17 +60,16 @@
 // Request counters, machine load and latency reservoirs are striped per
 // thread (serve/stats.hpp) and merged on stats() read.
 //
-// submit() runs the same pipeline and returns an already-resolved future;
-// execution faults travel through that future, while an unknown machine
-// or a post-shutdown submission throws tp::Error from submit() itself.
-// Machine registration freezes at the first admitted request: after that
-// the machine map is read without locking. drain() waits, stripe by
-// stripe, until every request admitted before it was called has been
-// answered; shutdown() closes admission first, so none is left.
+// call() throws every failure to its caller: tp::Error for an unknown
+// machine or a request after shutdown(), and any execution fault after
+// the request was counted. Machine registration freezes at the first
+// admitted request: after that the machine map is read without locking.
+// drain() waits, stripe by stripe, until every request admitted before
+// it was called has been answered; shutdown() closes admission first, so
+// none is left.
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -136,7 +134,9 @@ struct ServiceConfig {
   /// beyond it serve uncached/unrefined (the model path still answers).
   std::size_t internCapacity = 4096;
   bool recordFeedback = true;  ///< measure executed launches for retrain()
-  std::string retrainSpec = "forest:32";  ///< ml::makeClassifier spec
+  /// ml::makeClassifier spec; a fleet replica requires a deployable one
+  /// (ml::isDeployableSpec).
+  std::string retrainSpec = "forest:32";
   vcl::ExecMode execMode = vcl::ExecMode::TimeOnly;
   /// Online partition refinement (adapt::Refiner). Off by default: with
   /// refinement on, served labels may deliberately deviate from the pure
@@ -182,15 +182,6 @@ public:
   /// device count) so feedback records share a schema.
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
-  /// Convenience: load a model saved with ml::Classifier::saveFile().
-  void addMachine(const sim::MachineConfig& machine,
-                  const std::string& modelPath);
-
-  /// call() wrapped in a future: the request is served on the calling
-  /// thread and the returned future is already resolved. Execution
-  /// faults are delivered through the future; an unknown machine or a
-  /// submission after shutdown() throws tp::Error here.
-  std::future<LaunchResponse> submit(LaunchRequest request);
 
   /// Serve one request on the calling thread (the pipeline above).
   LaunchResponse call(LaunchRequest request);

@@ -7,14 +7,6 @@
 
 namespace tp::sim {
 
-const char* deviceTypeName(DeviceType t) {
-  switch (t) {
-    case DeviceType::CPU: return "CPU";
-    case DeviceType::GPU: return "GPU";
-  }
-  return "?";
-}
-
 double DeviceModel::utilization(double items) const {
   TP_ASSERT(items >= 0.0);
   if (items <= 0.0) return 1.0;

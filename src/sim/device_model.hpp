@@ -35,8 +35,6 @@ namespace tp::sim {
 
 enum class DeviceType { CPU, GPU };
 
-const char* deviceTypeName(DeviceType t);
-
 struct DeviceModel {
   std::string name;
   DeviceType type = DeviceType::CPU;

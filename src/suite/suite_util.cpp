@@ -62,10 +62,6 @@ std::shared_ptr<vcl::Buffer> zeroIntBuffer(std::size_t n) {
   return std::make_shared<vcl::Buffer>(vcl::ElemKind::I32, n);
 }
 
-std::shared_ptr<vcl::Buffer> zeroUIntBuffer(std::size_t n) {
-  return std::make_shared<vcl::Buffer>(vcl::ElemKind::U32, n);
-}
-
 bool verifyFloat(const vcl::Buffer& actual, const std::vector<float>& expected,
                  double tolerance, std::string* error) {
   if (actual.size() != expected.size()) {
@@ -99,27 +95,6 @@ bool verifyInt(const vcl::Buffer& actual, const std::vector<int>& expected,
     return false;
   }
   const int* a = actual.data<int>();
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    if (a[i] != expected[i]) {
-      if (error != nullptr) {
-        std::ostringstream os;
-        os << "element " << i << ": got " << a[i] << ", expected "
-           << expected[i];
-        *error = os.str();
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-bool verifyUInt(const vcl::Buffer& actual,
-                const std::vector<unsigned>& expected, std::string* error) {
-  if (actual.size() != expected.size()) {
-    if (error != nullptr) *error = "size mismatch";
-    return false;
-  }
-  const unsigned* a = actual.data<unsigned>();
   for (std::size_t i = 0; i < expected.size(); ++i) {
     if (a[i] != expected[i]) {
       if (error != nullptr) {

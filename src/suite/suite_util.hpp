@@ -77,14 +77,11 @@ std::shared_ptr<vcl::Buffer> randomRowPtrBuffer(std::size_t rows,
                                                 std::size_t* entries);
 std::shared_ptr<vcl::Buffer> zeroFloatBuffer(std::size_t n);
 std::shared_ptr<vcl::Buffer> zeroIntBuffer(std::size_t n);
-std::shared_ptr<vcl::Buffer> zeroUIntBuffer(std::size_t n);
 
 /// Element-wise comparison with mixed absolute/relative tolerance.
 bool verifyFloat(const vcl::Buffer& actual, const std::vector<float>& expected,
                  double tolerance, std::string* error);
 bool verifyInt(const vcl::Buffer& actual, const std::vector<int>& expected,
                std::string* error);
-bool verifyUInt(const vcl::Buffer& actual,
-                const std::vector<unsigned>& expected, std::string* error);
 
 }  // namespace tp::suite

@@ -23,6 +23,8 @@
 #include "common/serial.hpp"
 #include "fleet/faulty_transport.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/health.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/compiler.hpp"
 #include "runtime/evaluation.hpp"
 #include "sim/machine.hpp"
@@ -273,8 +275,9 @@ TEST(GossipBus, RunsParticipantsPerRound) {
 
 TEST(GossipBus, ThrowingParticipantIsCountedAndIsolated) {
   // Regression: a participant's exception used to propagate out of
-  // runRound() — on the background thread that is std::terminate. The
-  // failure boundary must count the error and still run everyone else.
+  // runRound(), skipping every later participant and reaching whichever
+  // thread drove the round. The failure boundary must count the error
+  // and still run everyone else.
   GossipBus bus;
   int healthy = 0;
   bus.join("bad", [] { throw Error("participant exploded"); });
@@ -286,37 +289,6 @@ TEST(GossipBus, ThrowingParticipantIsCountedAndIsolated) {
   EXPECT_EQ(bus.runRound(), 2u);
   EXPECT_EQ(bus.roundErrors(), 2u);
   EXPECT_EQ(healthy, 2);
-}
-
-TEST(GossipBus, BackgroundThreadSurvivesThrowingParticipant) {
-  GossipConfig config;
-  config.intervalSeconds = 0.002;
-  GossipBus bus(config);
-  std::atomic<int> ticks{0};
-  bus.join("bad", [] { throw Error("boom"); });
-  bus.join("good", [&] { ticks.fetch_add(1); });
-  bus.start();
-  while (ticks.load() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  bus.stop();
-  EXPECT_GE(bus.roundErrors(), 3u);
-  EXPECT_GE(bus.rounds(), 3u);
-}
-
-TEST(GossipBus, BackgroundThreadRunsRounds) {
-  GossipConfig config;
-  config.intervalSeconds = 0.002;
-  GossipBus bus(config);
-  std::atomic<int> ticks{0};
-  bus.join("n", [&] { ticks.fetch_add(1); });
-  bus.start();
-  while (ticks.load() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  bus.stop();
-  EXPECT_FALSE(bus.running());
-  EXPECT_GE(bus.rounds(), 3u);
 }
 
 // ---- faulty transport ------------------------------------------------------
@@ -371,6 +343,20 @@ TEST(FaultyTransport, CertainFaultsAreExactlyCounted) {
   EXPECT_EQ(f.injectedDuplicates, 1u);
   EXPECT_EQ(f.forwarded, 3u);
   EXPECT_EQ(inner.counters().delivered, 3u);
+
+  // A broadcast fans out as one faultable send per attached peer, and
+  // the decorator counts it once on top of the inner transport's counts.
+  std::vector<std::string> cLog;
+  net.attach("c", [&](const Envelope& e) { cLog.push_back(e.payload); });
+  net.setDefaultPlan(FaultPlan{});
+  net.broadcast("a", gossipEnvelope("a", 5, "fanout"));
+  EXPECT_EQ(log.back(), "fanout");
+  EXPECT_EQ(cLog, std::vector<std::string>{"fanout"});
+  EXPECT_EQ(net.faultCounters().seen, 6u);
+  const TransportCounters c = net.counters();
+  EXPECT_EQ(c.broadcasts, 1u);
+  EXPECT_EQ(inner.counters().broadcasts, 0u);
+  EXPECT_EQ(c.delivered, 5u);
 }
 
 TEST(FaultyTransport, DelayReordersBehindFollowingTraffic) {
@@ -756,6 +742,17 @@ struct FleetFixture {
   }
 };
 
+/// The value of `name` in a Prometheus exposition (-1 when absent).
+double promValue(const std::string& exposition, const std::string& name) {
+  const std::string line = "\n" + name + " ";
+  const std::size_t at = exposition.find(line);
+  if (at == std::string::npos) {
+    ADD_FAILURE() << name << " missing from the exposition";
+    return -1.0;
+  }
+  return std::stod(exposition.substr(at + line.size()));
+}
+
 /// Drive traffic at one replica until its refiner has adopted wins.
 void refineReplica(Replica& replica, const FleetFixture& fx,
                    std::size_t requests) {
@@ -766,7 +763,10 @@ void refineReplica(Replica& replica, const FleetFixture& fx,
 
 TEST(Fleet, GossipedWinIsAdoptedWithoutProbing) {
   FleetFixture fx;
-  Fleet fleet(fx.config(3, /*gossipEnabled=*/true));
+  obs::Registry registry;  // outlives the fleet, which unhooks itself
+  FleetConfig config = fx.config(3, /*gossipEnabled=*/true);
+  config.service.metrics = &registry;
+  Fleet fleet(config);
   fleet.addMachine(fx.machine, fx.weakModel);
 
   // Skewed traffic: only replica 0 sees (and probes) the workload.
@@ -813,6 +813,82 @@ TEST(Fleet, GossipedWinIsAdoptedWithoutProbing) {
                                         s.fleet.winsDropped);
   }
   EXPECT_EQ(stats.transport.dropped, 0u);
+
+  // Every replica's refiner readouts and the fleet's transport readouts,
+  // through one exposition, agree with the stats they read.
+  const std::string expo = registry.exportPrometheus();
+  for (std::size_t r = 0; r < stats.replicas.size(); ++r) {
+    const adapt::RefinerCounters& c = stats.replicas[r].refiner;
+    const std::string p = "tp_replica_" + std::to_string(r) + "_serve_refiner_";
+    EXPECT_EQ(promValue(expo, p + "decisions"), c.decisions);
+    EXPECT_EQ(promValue(expo, p + "explorations"), c.explorations);
+    EXPECT_EQ(promValue(expo, p + "exploitations"), c.exploitations);
+    EXPECT_EQ(promValue(expo, p + "observations"), c.observations);
+    EXPECT_EQ(promValue(expo, p + "wins"), c.wins);
+    EXPECT_EQ(promValue(expo, p + "merged_wins"), c.mergedWins);
+    EXPECT_EQ(promValue(expo, p + "resets"), c.resets);
+    EXPECT_EQ(promValue(expo, p + "stale_observations"), c.staleObservations);
+    EXPECT_EQ(promValue(expo, p + "untracked"), c.untracked);
+    EXPECT_GT(promValue(expo, p + "tracked_keys"), 0.0) << "replica " << r;
+  }
+  const TransportCounters& t = stats.transport;
+  EXPECT_GT(t.sent, 0u);  // replicas gossip per peer, not by broadcast
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_sent"), t.sent);
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_broadcasts"), t.broadcasts);
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_delivered"), t.delivered);
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_bytes_moved"), t.bytesMoved);
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_dropped"), t.dropped);
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_delivery_failures"),
+            t.deliveryFailures);
+  EXPECT_EQ(promValue(expo, "tp_fleet_transport_gossip_round_errors"),
+            stats.gossipRoundErrors);
+}
+
+TEST(Fleet, HealthRulesCoverEveryReplicaAndFlagStalledGossip) {
+  FleetFixture fx;
+  Fleet fleet(fx.config(2, /*gossipEnabled=*/true));
+  fleet.addMachine(fx.machine, fx.weakModel);
+  obs::HealthMonitor monitor;
+  FleetHealthConfig rules;
+  rules.gossipStallEvals = 2;
+  fleet.registerHealthRules(monitor, rules);
+
+  const auto stallEvents = [&](const std::string& replica, bool cleared) {
+    std::size_t n = 0;
+    for (const obs::HealthEvent& event : monitor.events()) {
+      n += event.rule == replica + ".gossip_stall" && event.cleared == cleared;
+    }
+    return n;
+  };
+  // Rounds that never advance page once per replica, after two stalled
+  // evaluations; one more round clears both.
+  fleet.gossipRound();
+  (void)monitor.evaluateOnce();  // baseline
+  (void)monitor.evaluateOnce();
+  EXPECT_EQ(stallEvents("replica-0", false), 0u);  // debounced
+  (void)monitor.evaluateOnce();
+  (void)monitor.evaluateOnce();
+  for (const std::string replica : {"replica-0", "replica-1"}) {
+    EXPECT_EQ(stallEvents(replica, false), 1u) << replica;
+    EXPECT_EQ(stallEvents(replica, true), 0u) << replica;
+  }
+  fleet.gossipRound();
+  (void)monitor.evaluateOnce();
+  for (const std::string replica : {"replica-0", "replica-1"}) {
+    EXPECT_EQ(stallEvents(replica, true), 1u) << replica;
+  }
+  // Only the stalls fired: every service stock rule and retrain_overrun
+  // stayed quiet. Each replica's rules carry its own prefix: the five
+  // stock service rules (refinement on, breaker off) under its metrics
+  // prefix, gossip_stall and retrain_overrun under its id.
+  const obs::HealthCounters counters = monitor.counters();
+  EXPECT_EQ(counters.eventsEmitted, 2u);
+  EXPECT_EQ(counters.ruleErrors, 0u);
+  for (const std::string replica : {"0", "1"}) {
+    EXPECT_EQ(monitor.removeRulesByPrefix("replica_" + replica + ".serve."),
+              5u);
+    EXPECT_EQ(monitor.removeRulesByPrefix("replica-" + replica + "."), 2u);
+  }
 }
 
 TEST(Fleet, GossipSkipsNoChangeRounds) {
@@ -953,6 +1029,22 @@ TEST(Fleet, RetrainFansOutModelsAndInvalidatesCaches) {
   }
 }
 
+TEST(Fleet, RejectsARetrainSpecItCannotShip) {
+  // Replicas ship retrained models as saved blobs; a kind the loader
+  // rejects must fail at construction, not halfway through a retrain.
+  FleetFixture fx;
+  for (const char* spec : {"tree", "tree:4", "knn:3", "mlp:8"}) {
+    FleetConfig fc = fx.config(2, /*gossipEnabled=*/false);
+    fc.service.retrainSpec = spec;
+    EXPECT_THROW(Fleet{fc}, Error) << spec;
+  }
+  for (const char* spec : {"forest:4", "mostfreq"}) {
+    FleetConfig fc = fx.config(2, /*gossipEnabled=*/false);
+    fc.service.retrainSpec = spec;
+    EXPECT_NO_THROW(Fleet{fc}) << spec;
+  }
+}
+
 // ---- snapshot round-trip property test -------------------------------------
 
 TEST(Fleet, SnapshotRoundTripReproducesDecisionsAndIncumbents) {
@@ -1031,7 +1123,7 @@ TEST(Fleet, CountersReconcileUnderConcurrentGossipAndRetrain) {
     workers.emplace_back([&, c] {
       for (std::size_t i = 0; i < kRequestsPerClient; ++i) {
         const auto response =
-            fleet.submit(fx.request(c * kRequestsPerClient + i)).get();
+            fleet.call(fx.request(c * kRequestsPerClient + i));
         if (response.execution.makespan <= 0.0) faults.fetch_add(1);
       }
     });

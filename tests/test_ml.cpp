@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <tuple>
@@ -184,8 +185,25 @@ TEST_P(LearnerSeparable, SerializationPreservesPredictions) {
 
   const std::string path =
       ::testing::TempDir() + "/model_" + GetParam().substr(0, 4) + ".txt";
+  if (GetParam().rfind("knn", 0) == 0 || GetParam().rfind("mlp", 0) == 0) {
+    // Comparison-only kinds are never deployed and have no file format.
+    EXPECT_THROW(model->saveFile(path), Error);
+    std::istringstream is(GetParam().substr(0, 3) + " 2 5 1 1\n");
+    EXPECT_THROW(model->load(is), Error);
+    return;
+  }
   model->saveFile(path);
-  const auto loaded = loadClassifierFile(path);
+  std::unique_ptr<Classifier> loaded;
+  if (GetParam() == "tree") {
+    // A tree is serialized only inside a forest: the deployment loader
+    // rejects a bare tree, and the tree's own load() reads it back.
+    EXPECT_THROW(loadClassifierFile(path), Error);
+    std::ifstream is(path);
+    loaded = std::make_unique<DecisionTree>();
+    loaded->load(is);
+  } else {
+    loaded = loadClassifierFile(path);
+  }
 
   common::Rng rng(55);
   for (int i = 0; i < 100; ++i) {
@@ -407,6 +425,15 @@ std::unique_ptr<Classifier> loadText(const std::string& text) {
   return loadClassifier(is);
 }
 
+/// A standalone tree, read by the tree's own load() (the deployment
+/// loader accepts trees only inside a forest).
+std::unique_ptr<Classifier> loadTree(const std::string& text) {
+  std::istringstream is(text);
+  auto tree = std::make_unique<DecisionTree>();
+  tree->load(is);
+  return tree;
+}
+
 /// A two-feature, one-tree forest: the root splits feature `feature` at
 /// normalized threshold `threshold` into a class-0 and a class-1 leaf.
 /// Feature 0 has mean 0.3 and scale 2.5; feature 1 is a zero-variance
@@ -550,14 +577,14 @@ TEST(ModelLoad, StructurallyInvalidTreesAreRejected) {
                Error)
       << "negative scale";
   // A standalone tree is held to the same structure.
-  EXPECT_THROW(loadText("tree 2 3 1\n0 0.5 0 2 0 0.5 0.5\n"
+  EXPECT_THROW(loadTree("tree 2 3 1\n0 0.5 0 2 0 0.5 0.5\n"
                         "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n"
                         "normalizer 1\n0 1\n"),
                Error)
       << "standalone self loop";
   // A tree saved without its own normalizer cannot know the input width
   // at load, so its walk checks each split feature against the input.
-  const auto bare = loadText(
+  const auto bare = loadTree(
       "tree 2 3 0\n5 0.5 1 2 0 0.5 0.5\n"
       "-1 0 -1 -1 0 1 0\n-1 0 -1 -1 1 0 1\n");
   EXPECT_THROW(bare->predict({0.0}), Error);
@@ -577,6 +604,14 @@ TEST(ModelLoad, HostileCountsThrowInsteadOfAllocating) {
   std::istringstream normalizer("normalizer 18446744073709551615\n0 1\n");
   Normalizer norm;
   EXPECT_THROW(norm.load(normalizer), Error);
+  // Kinds that are never deployed are rejected by their tag, before any
+  // count is read: this 31-byte MLP blob once asked for more than 1 GB.
+  const std::string mlpBlob = "mlp 2 20000000 normalizer 1 0 1";
+  ASSERT_EQ(mlpBlob.size(), 31u);
+  EXPECT_THROW(loadText(mlpBlob), Error);
+  EXPECT_THROW(loadText("knn 2 5 4000000000 4000000000\nnormalizer 1\n0 1\n"),
+               Error);
+  EXPECT_THROW(loadText(kValidTree), Error) << "bare tree";
 }
 
 TEST(Mlp, ConvergesOnSeparableData) {
@@ -604,6 +639,15 @@ TEST(MostFrequent, PredictsMajorityEverywhere) {
   auto model = makeClassifier("mostfreq");
   model->train(d);
   EXPECT_EQ(model->predict({100.0, -100.0}), 2);
+  // The base scores(): one-hot on the predicted label.
+  std::vector<double> oneHot(static_cast<std::size_t>(d.numClasses), 0.0);
+  oneHot[2] = 1.0;
+  EXPECT_EQ(model->scores({100.0, -100.0}), oneHot);
+  // A deployable kind: it loads back and saves the same bytes.
+  std::ostringstream saved, resaved;
+  model->save(saved);
+  loadText(saved.str())->save(resaved);
+  EXPECT_EQ(resaved.str(), saved.str());
 }
 
 TEST(Factory, RejectsUnknownSpec) {
@@ -702,21 +746,6 @@ TEST(Pca, SymmetricEigenIdentity) {
   Pca::symmetricEigen({{2, 0}, {0, 3}}, eigenvalues, eigenvectors);
   EXPECT_NEAR(eigenvalues[0], 3.0, 1e-9);
   EXPECT_NEAR(eigenvalues[1], 2.0, 1e-9);
-}
-
-TEST(Pca, SerializationRoundTrip) {
-  common::Rng rng(131);
-  std::vector<std::vector<double>> X;
-  for (int i = 0; i < 100; ++i) {
-    X.push_back({rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 1)});
-  }
-  Pca pca;
-  pca.fit(X, 0.95);
-  std::stringstream ss;
-  pca.save(ss);
-  Pca back;
-  back.load(ss);
-  EXPECT_EQ(back.transform(X[0]), pca.transform(X[0]));
 }
 
 }  // namespace

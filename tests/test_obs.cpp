@@ -129,7 +129,7 @@ TEST(TraceRecorder, NameIdsStableAcrossSessions) {
   rec.enable(TraceRecorder::Config{});
   EXPECT_EQ(rec.internName("test.stable_name"), id);
   rec.disable();
-  rec.enable(TraceRecorder::Config{});
+  rec.enable();  // the default-config overload
   EXPECT_EQ(rec.internName("test.stable_name"), id);
   rec.disable();
 }

@@ -190,16 +190,19 @@ TEST(BufferView, AtomicAddIsAtomicUnderContention) {
 TEST(LaunchArgs, TypedSlots) {
   std::vector<float> f(8);
   std::vector<int> i(8);
+  std::vector<unsigned> u(4);
   LaunchArgs args;
   args.addView(BufferView<float>(f.data(), 0, 8));
   args.addView(BufferView<int>(i.data(), 0, 8));
   args.addScalar(42);
   args.addScalar(2.5f);
-  EXPECT_EQ(args.size(), 4u);
+  args.addView(BufferView<unsigned>(u.data(), 0, 4));
+  EXPECT_EQ(args.size(), 5u);
   EXPECT_EQ(args.view<float>(0).count(), 8u);
   EXPECT_EQ(args.view<int>(1).count(), 8u);
   EXPECT_EQ(args.scalarInt(2), 42);
   EXPECT_FLOAT_EQ(args.scalarFloat(3), 2.5f);
+  EXPECT_EQ(args.view<unsigned>(4).count(), 4u);
 }
 
 TEST(WorkGroupCtx, GlobalIdGeometry) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -603,7 +604,7 @@ TEST(PartitionService, ConcurrentClientsGetConsistentDecisions) {
     clients.emplace_back([&, c] {
       for (std::size_t r = 0; r < kRequests; ++r) {
         const std::size_t t = (c * kRequests + r) % fx.tasks.size();
-        const auto response = fx.service->submit(fx.request(t)).get();
+        const auto response = fx.service->call(fx.request(t));
         if (response.label != expected[t]) mismatches.fetch_add(1);
       }
     });
@@ -698,7 +699,7 @@ TEST(PartitionService, RetrainUnderLiveTrafficDoesNotDeadlock) {
     clients.emplace_back([&, c] {
       std::size_t t = c;
       while (!stop.load()) {
-        (void)fx.service->submit(fx.request(t++)).get();
+        (void)fx.service->call(fx.request(t++));
       }
     });
   }
@@ -719,15 +720,15 @@ TEST(PartitionService, RetrainUnderLiveTrafficDoesNotDeadlock) {
 
 TEST(PartitionService, ShutdownDrainsAndRejectsNewWork) {
   ServiceFixture fx;
-  std::vector<std::future<LaunchResponse>> futures;
+  std::vector<LaunchResponse> responses;
   for (std::size_t t = 0; t < 20; ++t) {
-    futures.push_back(fx.service->submit(fx.request(t)));
+    responses.push_back(fx.service->call(fx.request(t)));
   }
   fx.service->shutdown();
-  for (auto& f : futures) {
-    EXPECT_GT(f.get().execution.makespan, 0.0);  // all answered
+  for (const auto& response : responses) {
+    EXPECT_GT(response.execution.makespan, 0.0);  // all answered
   }
-  EXPECT_THROW(fx.service->submit(fx.request(0)), Error);
+  EXPECT_THROW(fx.service->call(fx.request(0)), Error);
   fx.service->shutdown();  // idempotent
   const auto stats = fx.service->stats();
   EXPECT_EQ(stats.requestsCompleted, 20u);
@@ -749,7 +750,7 @@ TEST(PartitionService, ShutdownUnderLiveTrafficCountsEveryRequest) {
         try {
           (void)fx.service->call(fx.request(t));
         } catch (const Error& e) {
-          if (std::string(e.what()).find("submit after shutdown") ==
+          if (std::string(e.what()).find("call after shutdown") ==
               std::string::npos) {
             wrongErrors.fetch_add(1);
           }
@@ -780,7 +781,7 @@ TEST(PartitionService, RejectsUnknownMachineAndBadConfig) {
   LaunchRequest request;
   request.machine = "mc9";
   request.task = fx.tasks[0];
-  EXPECT_THROW(fx.service->submit(std::move(request)), Error);
+  EXPECT_THROW(fx.service->call(std::move(request)), Error);
   EXPECT_THROW(fx.service->space("mc9"), Error);
   EXPECT_THROW(
       fx.service->addMachine(fx.machine, std::shared_ptr<ml::Classifier>()),
@@ -1017,9 +1018,6 @@ public:
   explicit ConstantClassifier(int label) : label_(label) {}
   void train(const ml::Dataset&) override {}
   int predict(const std::vector<double>&) const override { return label_; }
-  std::string name() const override { return "constant"; }
-  void save(std::ostream&) const override {}
-  void load(std::istream&) override {}
 
 private:
   int label_;
@@ -1095,21 +1093,16 @@ class OutOfSpaceClassifier final : public ml::Classifier {
 public:
   void train(const ml::Dataset&) override {}
   int predict(const std::vector<double>&) const override { return 1 << 20; }
-  std::string name() const override { return "out_of_space"; }
-  void save(std::ostream&) const override {}
-  void load(std::istream&) override {}
 };
 
-TEST(PartitionService, ExecutionFaultsReachTheCallerOnBothEntryPoints) {
+TEST(PartitionService, ExecutionFaultsReachTheCaller) {
   ServiceFixture fx;
   PartitionService service;
   service.addMachine(fx.machine, std::make_shared<OutOfSpaceClassifier>());
 
+  // Each call is admitted and counted, then its fault reaches the caller.
   EXPECT_THROW((void)service.call(fx.request(0)), Error);
-  // submit() admits the request and delivers the fault through the future.
-  std::future<LaunchResponse> future;
-  ASSERT_NO_THROW(future = service.submit(fx.request(1)));
-  EXPECT_THROW((void)future.get(), Error);
+  EXPECT_THROW((void)service.call(fx.request(1)), Error);
   service.drain();  // a faulted request still ends its in-flight count
 
   const auto stats = service.stats();
@@ -1458,6 +1451,39 @@ TEST(PartitionService, LoadShedHealthRuleEmitsOneBreachClearPair) {
   }
   EXPECT_EQ(breaches, 1u);  // deduped: sustained shedding pages once
   EXPECT_EQ(clears, 1u);
+}
+
+TEST(PartitionService, CacheAndProbeHealthRulesFireUnderTheirConditions) {
+  // A one-slot cache cycling six launches misses and evicts on nearly
+  // every lookup, and a refiner that explores on every decision never
+  // converges: three stock rules see their condition in every window.
+  ServiceConfig config;
+  config.cacheCapacity = 1;
+  config.refine = true;
+  config.refiner.exploreFraction = 1.0;
+  ServiceFixture fx(config);
+  obs::HealthMonitor monitor;
+  fx.service->registerHealthRules(monitor);
+
+  // Each pass is one judged window (>= 256 lookups and decisions); the
+  // rules debounce over two firing evaluations, so two passes page once.
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < 300; ++i) {
+      (void)fx.service->call(fx.request(i));
+    }
+    (void)monitor.evaluateOnce();
+  }
+  std::map<std::string, std::size_t> fired;
+  for (const obs::HealthEvent& event : monitor.events()) {
+    EXPECT_FALSE(event.cleared) << event.rule;
+    ++fired[event.rule];
+  }
+  const std::map<std::string, std::size_t> expected = {
+      {"serve.cache_hit_collapse", 1},
+      {"serve.eviction_storm", 1},
+      {"serve.probe_storm", 1}};
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(monitor.counters().ruleErrors, 0u);
 }
 
 TEST(PartitionService, BlockedKernelDoesNotStallItsMachine) {
