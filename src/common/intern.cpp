@@ -30,19 +30,10 @@ std::uint64_t PairInterner::pairHash(std::string_view first,
                                      std::string_view head,
                                      std::string_view tail,
                                      bool split) const noexcept {
-  // Identical byte stream for the split and joined forms: the second part
-  // is hashed as (length, head bytes, joiner, tail bytes) so
+  // The split form hashes the same bytes as the joined one, so
   // find(a, h, t) == find(a, h + joiner + t) without concatenating.
-  std::uint64_t h = kFnvOffset;
-  h = fnvString(h, first);
-  const std::size_t secondLen = head.size() + (split ? 1 + tail.size() : 0);
-  h = fnvU64(h, secondLen);
-  h = fnvBytes(h, head.data(), head.size());
-  if (split) {
-    h = fnvBytes(h, &joiner_, 1);
-    h = fnvBytes(h, tail.data(), tail.size());
-  }
-  h = mix64(h);
+  const std::uint64_t h =
+      split ? hashPair(first, head, joiner_, tail) : hashPair(first, head);
   return h == 0 ? 1 : h;  // 0 is the empty-slot sentinel
 }
 

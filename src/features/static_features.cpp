@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/error.hpp"
+#include "common/striped.hpp"
 #include "frontend/builtins.hpp"
 
 namespace tp::features {
@@ -17,7 +18,7 @@ constexpr double kUnboundValue = 16.0;
 
 }  // namespace
 
-struct KernelFeatures::Compiled {
+struct alignas(common::kCacheLineBytes) KernelFeatures::Compiled {
   /// One term of a flat polynomial: coeff times the values of the slots
   /// termVars[firstVar, firstVar + numVars), in monomial order.
   struct Term {
@@ -65,6 +66,10 @@ KernelFeatures::KernelFeatures() {
 }
 
 KernelFeatures::KernelFeatures(KernelCounts counts) {
+  // make_shared places the control block beside the payload, and every
+  // Task copy writes its refcount: the terms a launch reads must not share
+  // that cache line.
+  static_assert(alignof(Compiled) == common::kCacheLineBytes);
   auto c = std::make_shared<Compiled>();
   c->counts = std::move(counts);
   const KernelCounts& k = c->counts;

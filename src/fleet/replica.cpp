@@ -35,23 +35,23 @@ constexpr std::uint64_t kRetrySeed = 0x5EEDull;
 /// state — anti-entropy must reach newcomers.
 std::uint64_t winsDigest(const std::vector<adapt::WinRecord>& wins,
                          std::size_t peers) {
-  std::uint64_t digest = common::fnvU64(common::kFnvOffset, peers);
-  digest = common::fnvU64(digest, wins.size());
+  std::uint64_t digest = common::foldWord(common::kHashSeed, peers);
+  digest = common::foldWord(digest, wins.size());
   std::uint64_t fold = 0;
   for (const adapt::WinRecord& rec : wins) {
     std::uint64_t h = common::hashLaunchKey(rec.key.machine, rec.key.program,
                                             rec.key.signature);
-    h = common::fnvU64(h, rec.modelVersion);
-    h = common::fnvU64(h, rec.incumbentLabel);
-    h = common::fnvDouble(h, rec.incumbentMean);
+    h = common::foldWord(h, rec.modelVersion);
+    h = common::foldWord(h, rec.incumbentLabel);
+    h = common::foldDouble(h, rec.incumbentMean);
     for (const adapt::WinArm& arm : rec.arms) {
-      h = common::fnvU64(h, arm.label);
-      h = common::fnvU64(h, arm.count);
-      h = common::fnvDouble(h, arm.meanSeconds);
+      h = common::foldWord(h, arm.label);
+      h = common::foldWord(h, arm.count);
+      h = common::foldDouble(h, arm.meanSeconds);
     }
     fold ^= h;  // XOR: commutative across record order
   }
-  return common::fnvU64(digest, fold);
+  return common::foldWord(digest, fold);
 }
 
 /// Lease grants (and feedback responses) a retrain needs: a strict
@@ -59,12 +59,12 @@ std::uint64_t winsDigest(const std::vector<adapt::WinRecord>& wins,
 std::size_t quorumOf(std::size_t nodes) { return nodes / 2 + 1; }
 
 std::uint64_t recordDedupHash(const runtime::LaunchRecord& rec) {
-  std::uint64_t h = common::kFnvOffset;
-  h = common::fnvString(h, rec.machine);
-  h = common::fnvString(h, rec.program);
-  h = common::fnvString(h, rec.sizeLabel);
-  h = common::fnvDoubles(h, rec.staticFeatures);
-  h = common::fnvDoubles(h, rec.runtimeFeatures);
+  std::uint64_t h = common::kHashSeed;
+  h = common::foldString(h, rec.machine);
+  h = common::foldString(h, rec.program);
+  h = common::foldString(h, rec.sizeLabel);
+  h = common::foldDoubles(h, rec.staticFeatures);
+  h = common::foldDoubles(h, rec.runtimeFeatures);
   return h;
 }
 

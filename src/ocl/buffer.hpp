@@ -27,6 +27,7 @@
 
 #include "common/annotations.hpp"
 #include "common/error.hpp"
+#include "common/striped.hpp"
 
 namespace tp::vcl {
 
@@ -52,7 +53,8 @@ constexpr ElemKind elemKindOf() {
   return ElemKind::U32;
 }
 
-class Buffer {
+/// Cache-line aligned: see the static_assert below the class.
+class alignas(common::kCacheLineBytes) Buffer {
 public:
   /// Writes the creation-time contents into zero-filled storage of size()
   /// elements of the buffer's kind. Must be deterministic: it runs once to
@@ -154,5 +156,10 @@ private:
   mutable std::vector<std::byte> storage_;
   mutable std::atomic<bool> materialized_{false};
 };
+
+// Tasks hold buffers through make_shared, which places the control block
+// beside the object, and every Task copy writes its refcount: the fields a
+// launch reads (kind, size) must not share that cache line.
+static_assert(alignof(Buffer) == common::kCacheLineBytes);
 
 }  // namespace tp::vcl

@@ -41,10 +41,14 @@ std::string Partitioning::toString() const {
   return os.str();
 }
 
-std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p) {
+void apportion(std::size_t total, const Partitioning& p,
+               std::span<std::size_t> counts) {
   const std::size_t n = p.numDevices();
-  std::vector<std::size_t> counts(n, 0);
-  if (total == 0) return counts;
+  TP_REQUIRE(counts.size() == n, "apportion: " << counts.size()
+                                               << " counts for " << n
+                                               << " devices");
+  std::fill(counts.begin(), counts.end(), std::size_t{0});
+  if (total == 0) return;
 
   // Denominator is the actual unit sum, so the result is exact even for
   // hand-built partitionings whose units do not sum to `divisions`.
@@ -57,8 +61,8 @@ std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p) {
 
   // Largest-remainder in integer arithmetic: floor(total * units / sum)
   // per device, then hand the < n leftover items to the active devices
-  // with the largest remainders (stable sort: ties to lower index).
-  std::vector<std::size_t> remainder(n, 0);
+  // with the largest remainders, ties to the lower index.
+  PerDevice<std::size_t> remainder(n);
   std::size_t assigned = 0;
   for (std::size_t d = 0; d < n; ++d) {
     const std::size_t scaled = total * static_cast<std::size_t>(p.units[d]);
@@ -66,21 +70,27 @@ std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p) {
     remainder[d] = scaled % unitSum;
     assigned += counts[d];
   }
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    if (p.units[d] > 0) order.push_back(d);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return remainder[a] > remainder[b];
-                   });
   // sum(remainder) == (total - assigned) * unitSum, so the leftover count
-  // is at most the number of active devices: one pass suffices.
-  std::size_t leftover = total - assigned;
-  TP_ASSERT(leftover <= order.size());
-  for (std::size_t k = 0; k < leftover; ++k) ++counts[order[k]];
-  return counts;
+  // is at most the number of active devices: each device gains at most
+  // one. The k-th leftover goes to the k-th active device in (remainder
+  // descending, index ascending) order; each pass takes the best device
+  // ranked after the previous pick, so no order array is needed.
+  const auto rankedBefore = [&](std::size_t a, std::size_t b) {
+    return remainder[a] > remainder[b] ||
+           (remainder[a] == remainder[b] && a < b);
+  };
+  std::size_t previous = n;  // n: nothing picked yet
+  for (std::size_t leftover = total - assigned; leftover > 0; --leftover) {
+    std::size_t best = n;
+    for (std::size_t d = 0; d < n; ++d) {
+      if (p.units[d] <= 0) continue;
+      if (previous != n && !rankedBefore(previous, d)) continue;
+      if (best == n || rankedBefore(d, best)) best = d;
+    }
+    TP_ASSERT(best != n);
+    ++counts[best];
+    previous = best;
+  }
 }
 
 PartitioningSpace::PartitioningSpace(std::size_t numDevices, int divisions)

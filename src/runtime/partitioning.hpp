@@ -10,8 +10,11 @@
 // The step size is a parameter so the step-size ablation
 // (bench/ablation_stepsize) can compare coarser/finer spaces.
 
+#include <array>
 #include <cstddef>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +52,33 @@ struct Partitioning {
 /// exactly `total`). Zero-share devices receive zero items; leftovers go
 /// to the active devices with the largest integer remainders (ties to the
 /// lower device index). Requires at least one active device when
-/// total > 0; throws tp::Error otherwise.
-std::vector<std::size_t> apportion(std::size_t total, const Partitioning& p);
+/// total > 0; throws tp::Error otherwise. Writes counts[d] for every
+/// device; counts.size() must be p.numDevices(). Allocates nothing.
+void apportion(std::size_t total, const Partitioning& p,
+               std::span<std::size_t> counts);
+
+/// One value per device, held inline up to kInline devices (every
+/// evaluation machine fits) and on the heap above, so per-launch
+/// bookkeeping such as apportion()'s counts costs no allocation.
+template <class T>
+class PerDevice {
+public:
+  static constexpr std::size_t kInline = 8;
+
+  explicit PerDevice(std::size_t n) : size_(n) {
+    if (n > kInline) heap_ = std::make_unique<T[]>(n);
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  T* data() noexcept { return heap_ ? heap_.get() : inline_.data(); }
+  T& operator[](std::size_t d) noexcept { return data()[d]; }
+  operator std::span<T>() noexcept { return {data(), size_}; }
+
+private:
+  std::size_t size_;
+  std::array<T, kInline> inline_{};
+  std::unique_ptr<T[]> heap_;
+};
 
 /// Coarse family of a partitioning, used by the two-stage model:
 /// 0 = CPU only, 1 = single GPU, 2 = GPU-mixed (no CPU), 3 = CPU+GPU mixed.

@@ -9,22 +9,6 @@ namespace tp::runtime {
 
 using features::AccessKind;
 
-std::vector<std::pair<std::size_t, std::size_t>> splitGroups(
-    std::size_t totalGroups, const Partitioning& p) {
-  // Exact integer apportioning (runtime/partitioning.cpp): counts always
-  // sum to totalGroups and zero-share devices receive nothing.
-  const std::vector<std::size_t> counts = apportion(totalGroups, p);
-  const std::size_t n = p.numDevices();
-  std::vector<std::pair<std::size_t, std::size_t>> chunks(n);
-  std::size_t begin = 0;
-  for (std::size_t d = 0; d < n; ++d) {
-    chunks[d] = {begin, begin + counts[d]};
-    begin += counts[d];
-  }
-  TP_ASSERT(begin == totalGroups);
-  return chunks;
-}
-
 ExecutionResult Scheduler::execute(const Task& task,
                                    const Partitioning& p) const {
   task.validate();
@@ -34,7 +18,11 @@ ExecutionResult Scheduler::execute(const Task& task,
   TP_REQUIRE(p.activeDevices() > 0, "partitioning assigns no work");
 
   const std::size_t totalGroups = task.numGroups();
-  const auto chunks = splitGroups(totalGroups, p);
+  // Exact integer apportioning (runtime/partitioning.cpp): the counts sum
+  // to totalGroups and zero-share devices receive nothing. Device d runs
+  // the contiguous groups [begin, begin + groups[d]), in device order.
+  PerDevice<std::size_t> groups(p.numDevices());
+  apportion(totalGroups, p, groups);
   // The kernel's counts under this launch, shared by every device.
   const features::LaunchCounts counts =
       task.features.evaluate(task.sizeBindings, task.globalSize);
@@ -72,8 +60,10 @@ ExecutionResult Scheduler::execute(const Task& task,
   ctxTemplate.globalSize = task.globalSize;
   ctxTemplate.numGroups = totalGroups;
 
+  std::size_t gEnd = 0;
   for (std::size_t d = 0; d < context_.numDevices(); ++d) {
-    const auto [gBegin, gEnd] = chunks[d];
+    const std::size_t gBegin = gEnd;
+    gEnd += groups[d];
     if (gBegin == gEnd) continue;
     const std::size_t itemBegin = gBegin * task.localSize;
     const std::size_t itemCount = (gEnd - gBegin) * task.localSize;

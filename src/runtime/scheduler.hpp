@@ -42,12 +42,6 @@ struct ExecutionResult {
   std::vector<DeviceExecution> devices;  ///< active devices only
 };
 
-/// Apportion `totalGroups` work-groups according to the partitioning using
-/// the largest-remainder method; returns per-device [begin, end) chunks
-/// covering [0, totalGroups) contiguously in device order.
-std::vector<std::pair<std::size_t, std::size_t>> splitGroups(
-    std::size_t totalGroups, const Partitioning& p);
-
 class Scheduler {
 public:
   explicit Scheduler(const vcl::Context& context) : context_(context) {}

@@ -1,5 +1,6 @@
 #include "serve/cache.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -8,9 +9,29 @@ namespace tp::serve {
 
 namespace {
 
-/// 10^k for k in [0, 14], each exact in a double.
-constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,  1e6, 1e7,
-                             1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14};
+/// std::pow(10.0, k) for k in [-kPow10Reach, kPow10Reach], built with pow
+/// itself so a lookup returns exactly what the formula's pow call would.
+/// The reach covers every power a double's exponent can ask for (beyond
+/// +-330 pow returns inf or 0); past it roundSignificant calls pow.
+constexpr int kPow10Reach = 400;
+
+const double* pow10Table() {
+  static const std::array<double, 2 * kPow10Reach + 1> table = [] {
+    std::array<double, 2 * kPow10Reach + 1> t{};
+    for (int k = -kPow10Reach; k <= kPow10Reach; ++k) {
+      t[static_cast<std::size_t>(k + kPow10Reach)] =
+          std::pow(10.0, static_cast<double>(k));
+    }
+    return t;
+  }();
+  return table.data() + kPow10Reach;
+}
+
+/// Relative distance from a power of ten inside which floor(log10(x)) may
+/// round across the boundary (log10 is accurate to a few ulp, ~3e-13
+/// relative at the largest exponents), so the exponent comes from log10
+/// itself there.
+constexpr double kLog10Window = 1e-12;
 
 /// Calls visit(value) for each launch signature value, in signature order:
 /// global/local size, transfer volumes, transfer amortization, then the
@@ -35,19 +56,36 @@ double roundSignificant(double v, int digits) {
   if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
     return v == 0.0 ? 0.0 : v;
   }
+  const double* pow10 = pow10Table();
   // An integer with at most `digits` digits is its own rounding: the
   // formula below scales it by an exact power of ten to an integer under
   // 10^digits and back, exactly. Most signature values (sizes, byte
-  // counts, bound parameters) take this exit and skip log10 and pow.
-  // Digit counts stop at 14: log10(10^15 - 1) rounds up to 15, and the
-  // formula then maps that integer to 10^15.
-  if (digits <= 14 && std::fabs(v) < kPow10[digits] && v == std::trunc(v)) {
+  // counts, bound parameters) take this exit. Digit counts stop at 14:
+  // log10(10^15 - 1) rounds up to 15, and the formula then maps that
+  // integer to 10^15.
+  if (digits <= 14 && std::fabs(v) < pow10[digits] && v == std::trunc(v)) {
     return v;
   }
-  const double exponent = std::floor(std::log10(std::fabs(v)));
-  const double scale =
-      std::pow(10.0, static_cast<double>(digits - 1) - exponent);
-  // Near the double range limits (|v| ~ 1e±308) the scale or the product
+  // The formula is round(v * s) / s with s = pow(10, digits - 1 - e) and
+  // e = floor(log10(|v|)). e comes from the binary exponent instead:
+  // |v| in [2^(b-1), 2^b) puts e at floor((b - 1) log10 2) or one above
+  // ((n * 78913) >> 18 is that floor for |n| <= 1200), settled against the
+  // table. Only next to a power of ten, where the computed log10 may round
+  // to the other side, does log10 decide.
+  const double a = std::fabs(v);
+  int binaryExponent = 0;
+  (void)std::frexp(a, &binaryExponent);
+  int exponent = ((binaryExponent - 1) * 78913) >> 18;
+  if (a >= pow10[exponent + 1]) ++exponent;
+  if (a < pow10[exponent] * (1.0 + kLog10Window) ||
+      a > pow10[exponent + 1] * (1.0 - kLog10Window)) {
+    exponent = static_cast<int>(std::floor(std::log10(a)));
+  }
+  const long long k = static_cast<long long>(digits) - 1 - exponent;
+  const double scale = k >= -kPow10Reach && k <= kPow10Reach
+                           ? pow10[k]
+                           : std::pow(10.0, static_cast<double>(k));
+  // Near the double range limits (|v| ~ 1e+-308) the scale or the product
   // can overflow; an unrounded key is still a valid, self-equal key,
   // whereas a NaN component would never equal itself.
   if (!std::isfinite(scale) || scale == 0.0) return v;

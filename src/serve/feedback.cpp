@@ -68,7 +68,7 @@ bool FeedbackRecorder::record(const runtime::LaunchKey& identity,
         "acquire-load of the published table pairs with insert()'s release "
         "store; a miss re-checks under the mutex; TSan: test_serve "
         "FeedbackDedup.TableGrowsUnderConcurrentProbes") {
-  // The table masks low bits, and FNV's low bits are weak.
+  // The table masks low bits, and the fold's low bits are weak.
   const std::uint64_t hash = common::mix64(runtime::LaunchKeyHash{}(identity));
   if (contains(*table_.load(std::memory_order_acquire), hash, identity)) {
     return false;

@@ -191,11 +191,13 @@ void PartitionService::registerMetrics()
   obsLatency_ = &reg.histogram(p + "latency_ns");
 }
 
-void PartitionService::recordLatency(MachineState& ms, double seconds) noexcept {
-  latency_.add(seconds);
-  const auto ns = static_cast<std::uint64_t>(seconds * 1e9);
+void PartitionService::recordLatency(MachineState& ms,
+                                     std::uint64_t admittedTicks) noexcept {
+  const std::uint64_t now = obs::nowTicks();
+  const std::uint64_t ns = now - admittedTicks;
+  latency_.add(obs::ticksToSeconds(ns));
   if (obsLatency_ != nullptr) obsLatency_->record(ns);
-  if (ms.slo != nullptr) ms.slo->record(ns);
+  if (ms.slo != nullptr) ms.slo->record(ns, now);
 }
 
 void PartitionService::addMachine(const sim::MachineConfig& machine,
@@ -303,7 +305,7 @@ PartitionService::Admission PartitionService::admit(
 
 LaunchResponse PartitionService::serveAdmitted(Admission admission,
                                                const LaunchRequest& request,
-                                               Clock::time_point admitted)
+                                               std::uint64_t admittedTicks)
     TP_LOCK_FREE_AUDITED(
         "relaxed reads of the shedding word and the feedbackBackfill_ hint "
         "flag; a stale value only shifts one request's shed/backfill "
@@ -426,7 +428,7 @@ LaunchResponse PartitionService::serveAdmitted(Admission admission,
       feedbackPostFreeze()->record(fullKey().launch, task, ms.machine,
                                    ms.space, request.sizeLabel);
     }
-    recordLatency(ms, secondsSince(admitted));
+    recordLatency(ms, admittedTicks);
     completed_.add();
     if (hit.has_value() && !response.explored) inlineHits_.add();
   } catch (...) {
@@ -439,7 +441,7 @@ LaunchResponse PartitionService::serveAdmitted(Admission admission,
 }
 
 LaunchResponse PartitionService::call(LaunchRequest request) {
-  const auto admitted = Clock::now();
+  const std::uint64_t admitted = obs::nowTicks();
   return serveAdmitted(admit(request.machine), request, admitted);
 }
 

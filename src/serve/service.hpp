@@ -39,10 +39,10 @@
 // write no common cache line. A miss adds the model's reader lock
 // (predict) and the feedback probe, which locks only on a first
 // sighting. With refinement on, steps 5 and 6 take the refiner's shard
-// mutex. Allocation: a hit allocates at most 7 times and a steady-state
-// miss at most 10 (test_alloc_budget pins both) — the response payload
-// (partitioning copy, per-device execution report), Scheduler::execute's
-// working vectors and, on a miss, the key and feature vector.
+// mutex. Allocation: a hit allocates at most 2 times and a steady-state
+// miss at most 5 (test_alloc_budget pins both) — the response payload
+// (partitioning copy, per-device execution report) and, on a miss, the
+// key and feature vector.
 //
 // Feedback: an online recorder (serve/feedback.hpp) measures each
 // distinct launch the model decided into a FeatureDatabase. Cache hits
@@ -318,9 +318,11 @@ private:
   /// Hook this service's counters/summaries into config_.metrics under
   /// config_.metricsPrefix (constructor-only; callbacks capture `this`).
   void registerMetrics();
-  /// Record one served request into the striped latency structures and
-  /// the machine's SLO tracker (when configured).
-  void recordLatency(MachineState& ms, double seconds) noexcept;
+  /// Record one served request, admitted at `admittedTicks`, into the
+  /// striped latency structures and the machine's SLO tracker (when
+  /// configured). Reads the clock once: the same tick ends the sample and
+  /// places it in the SLO window.
+  void recordLatency(MachineState& ms, std::uint64_t admittedTicks) noexcept;
   std::size_t predictWithModel(const MachineState& ms,
                                const runtime::Task& task) const;
   /// An admitted request: its machine and the in-flight stripe it was
@@ -335,11 +337,12 @@ private:
   /// submissions throw with nothing counted.
   Admission admit(const std::string& machine);
   /// The rest of the pipeline for an admitted request whose latency clock
-  /// started at `admitted`. Execution faults rethrow after the failed_
-  /// accounting; every path ends the request's in-flight count.
+  /// started at `admittedTicks` (obs::nowTicks()). Execution faults
+  /// rethrow after the failed_ accounting; every path ends the request's
+  /// in-flight count.
   LaunchResponse serveAdmitted(Admission admission,
                                const LaunchRequest& request,
-                               obs::Clock::time_point admitted);
+                               std::uint64_t admittedTicks);
   /// Amortized breaker evaluation on the admission path: bumps the
   /// machine's admission tick and runs evaluateBreaker() on every
   /// breaker.evalEvery-th admission.

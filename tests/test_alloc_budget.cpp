@@ -88,15 +88,15 @@ namespace {
 
 // Budgets: the most allocations one served launch takes on each path.
 // Means over the 138 launches, before → after the last budget change
-// (Scheduler::execute reserves its per-device report once; the feedback
-// dedup probe allocates nothing): request build 2.78 → 2.78, feature
-// vector 1.00 → 1.00, predict 0.00 → 0.00, hit 7.80 → 7.00 (max 9 → 7),
-// miss 10.14 → 9.35 (max 12 → 10).
+// (Scheduler::execute apportions work-groups into per-device storage on
+// its stack instead of four vectors): request build 2.78 → 2.78, feature
+// vector 1.00 → 1.00, predict 0.00 → 0.00, hit 7.00 → 2.00 (max 7 → 2),
+// miss 9.35 → 4.35 (max 10 → 5).
 constexpr std::uint64_t kRequestBuildBudget = 4;
 constexpr std::uint64_t kFeatureVectorBudget = 1;
 constexpr std::uint64_t kPredictBudget = 0;
-constexpr std::uint64_t kHitBudget = 7;
-constexpr std::uint64_t kMissBudget = 10;
+constexpr std::uint64_t kHitBudget = 2;
+constexpr std::uint64_t kMissBudget = 5;
 
 /// Counts the calling thread's allocations over its lifetime.
 class AllocationScope {

@@ -1,6 +1,7 @@
 // Unit tests for tp_common: RNG determinism and distributions, statistics,
 // CSV round-trips, string utilities, thread pool behaviour, the shared
-// FNV key-hash helpers (collision sanity), wire serialization, the pair
+// word-fold key hashes (split/joined equivalence, collision sanity), wire
+// serialization, the pair
 // interner, the striped in-flight latch and the numbered-file store.
 
 #include <gtest/gtest.h>
@@ -456,7 +457,7 @@ TEST(Error, RequireThrowsWithMessage) {
 // ---- shared key hashing ----------------------------------------------------
 
 TEST(Hash, FieldBoundariesCannotAlias) {
-  // Both the serve decision cache and the adapt refiner hash
+  // LaunchKeyHash and the feedback recorder's dedup table hash
   // (machine, program, signature) through hashLaunchKey; the length
   // prefix keeps adjacent variable-length fields from aliasing.
   EXPECT_NE(hashLaunchKey("ab", "c", {}), hashLaunchKey("a", "bc", {}));
@@ -491,6 +492,102 @@ TEST(Hash, CollisionSanityOverRealisticKeySpace) {
     }
   }
   EXPECT_EQ(seen.size(), keys);
+}
+
+TEST(Hash, ByteFoldIgnoresWherePiecesSplit) {
+  // The words folded depend on the concatenated bytes only: every way of
+  // cutting a 40-byte stream into three pieces, cuts on and across the
+  // 8-byte word boundaries included, folds like the whole stream.
+  std::string bytes;
+  for (int i = 0; i < 40; ++i) bytes.push_back(static_cast<char>(i * 37 + 1));
+  const std::string_view all = bytes;
+  for (std::size_t len = 0; len <= all.size(); ++len) {
+    const std::uint64_t whole =
+        ByteFold(kHashSeed).bytes(all.data(), len).finish();
+    for (std::size_t i = 0; i <= len; ++i) {
+      for (std::size_t j = i; j <= len; ++j) {
+        const std::uint64_t pieces = ByteFold(kHashSeed)
+                                         .bytes(all.data(), i)
+                                         .bytes(all.data() + i, j - i)
+                                         .bytes(all.data() + j, len - j)
+                                         .finish();
+        ASSERT_EQ(pieces, whole) << len << " bytes cut at " << i << ", " << j;
+      }
+    }
+  }
+}
+
+TEST(Hash, PairSplitAndJoinedFormsAgreeAtEverySplitOffset) {
+  // The interner hashes (first, head + joiner + tail) without building
+  // the concatenation. Seconds of 1-25 bytes with the joiner at every
+  // offset put it on both sides of, and exactly on, an 8-byte boundary.
+  PairInterner interner(1024);
+  for (const std::string_view first : {"", "mc2", "machine-12"}) {
+    for (std::size_t len = 1; len <= 25; ++len) {
+      for (std::size_t at = 0; at < len; ++at) {
+        std::string joined;
+        for (std::size_t i = 0; i < len; ++i) {
+          joined.push_back(static_cast<char>('a' + (i * 7 + len) % 26));
+        }
+        joined[at] = '/';
+        const std::string_view head = std::string_view(joined).substr(0, at);
+        const std::string_view tail = std::string_view(joined).substr(at + 1);
+        ASSERT_EQ(hashPair(first, head, '/', tail), hashPair(first, joined))
+            << "'" << first << "', '" << joined << "'";
+        const std::uint32_t id = interner.intern(first, head, tail);
+        ASSERT_NE(id, PairInterner::kInvalid);
+        EXPECT_EQ(interner.find(first, joined), id) << joined;
+        EXPECT_EQ(interner.second(id), joined);
+      }
+    }
+  }
+}
+
+TEST(Hash, PairHashCollisionSanityOverRealisticNameSpace) {
+  // Machine names crossed with "program/kernel" names of every length
+  // class real traffic uses: ~24k pairs, zero 64-bit collisions.
+  std::unordered_set<std::uint64_t> seen;
+  std::size_t pairs = 0;
+  for (int m = 0; m < 12; ++m) {
+    const std::string machine = "mc" + std::to_string(m);
+    for (int p = 0; p < 100; ++p) {
+      for (int k = 0; k < 20; ++k) {
+        const std::string program = "prog" + std::to_string(p);
+        const std::string kernel = "kernel_" + std::to_string(k);
+        seen.insert(hashPair(machine, program, '/', kernel));
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), pairs);
+}
+
+TEST(Hash, FingerprintCollisionSanityOverRealisticKeySpace) {
+  // The words a launch fingerprint folds (pair id, then the quantized
+  // signature) over the grid of CollisionSanityOverRealisticKeySpace,
+  // with ten pair ids: ~100k keys. Neither 64-bit half may collide on its
+  // own, so the 128-bit fingerprint does not either.
+  std::unordered_set<std::uint64_t> his;
+  std::unordered_set<std::uint64_t> los;
+  std::size_t keys = 0;
+  for (std::uint64_t pairId = 0; pairId < 10; ++pairId) {
+    for (int n = 0; n < 40; ++n) {
+      for (int k = 0; k < 50; ++k) {
+        for (const double local : {64.0, 256.0}) {
+          const double size = static_cast<double>(1 << (n % 20)) + n;
+          FingerprintBuilder fb;
+          fb.u64(pairId).f64(size).f64(local).f64(size * 4.0).f64(
+              static_cast<double>(k));
+          const Fingerprint fp = fb.take();
+          his.insert(fp.hi);
+          los.insert(fp.lo);
+          ++keys;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(his.size(), keys);
+  EXPECT_EQ(los.size(), keys);
 }
 
 // ---- wire serialization ----------------------------------------------------

@@ -8,8 +8,8 @@
 #include <numeric>
 #include <set>
 
+#include "common/error.hpp"
 #include "runtime/partitioning.hpp"
-#include "runtime/scheduler.hpp"
 
 namespace tp::runtime {
 namespace {
@@ -78,43 +78,13 @@ TEST(PartitioningSpace, FamilyClassification) {
   EXPECT_EQ(labels.size(), space.size());
 }
 
-// --- splitGroups properties ------------------------------------------------
-
-class SplitGroupsProperty
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(SplitGroupsProperty, CoversRangeContiguouslyAndProportionally) {
-  const auto [totalGroups, partitionIndex] = GetParam();
-  const PartitioningSpace space(3, 10);
-  const auto& p = space.at(static_cast<std::size_t>(partitionIndex) %
-                           space.size());
-  const auto chunks = splitGroups(static_cast<std::size_t>(totalGroups), p);
-
-  std::size_t covered = 0;
-  std::size_t expectedBegin = 0;
-  for (std::size_t d = 0; d < chunks.size(); ++d) {
-    EXPECT_EQ(chunks[d].first, expectedBegin);
-    EXPECT_LE(chunks[d].first, chunks[d].second);
-    covered += chunks[d].second - chunks[d].first;
-    expectedBegin = chunks[d].second;
-    // Zero-share devices receive nothing.
-    if (p.units[d] == 0) {
-      EXPECT_EQ(chunks[d].first, chunks[d].second);
-    }
-    // Within one group of the exact proportional share.
-    const double exact = static_cast<double>(totalGroups) * p.fraction(d);
-    EXPECT_NEAR(static_cast<double>(chunks[d].second - chunks[d].first),
-                exact, 1.0);
-  }
-  EXPECT_EQ(covered, static_cast<std::size_t>(totalGroups));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ManyShapes, SplitGroupsProperty,
-    ::testing::Combine(::testing::Values(1, 2, 7, 10, 64, 1000, 16384),
-                       ::testing::Range(0, 66, 5)));
-
 // --- apportion properties ---------------------------------------------------
+
+std::vector<std::size_t> countsFor(std::size_t total, const Partitioning& p) {
+  std::vector<std::size_t> counts(p.numDevices());
+  apportion(total, p, counts);
+  return counts;
+}
 
 TEST(Apportion, ExactSumAcrossOddSizesAndDeviceCounts) {
   // Property sweep: every partitioning of several spaces, awkward totals
@@ -130,7 +100,7 @@ TEST(Apportion, ExactSumAcrossOddSizesAndDeviceCounts) {
             std::size_t{999}, std::size_t{16383}}) {
         for (std::size_t i = 0; i < space.size(); ++i) {
           const Partitioning& p = space.at(i);
-          const auto counts = apportion(total, p);
+          const auto counts = countsFor(total, p);
           ASSERT_EQ(counts.size(), devices);
           std::size_t sum = 0;
           for (std::size_t d = 0; d < devices; ++d) {
@@ -151,11 +121,63 @@ TEST(Apportion, ExactSumAcrossOddSizesAndDeviceCounts) {
   }
 }
 
+/// The largest-remainder method as first written: floors, then a stable
+/// sort of the active devices by remainder, leftovers to the front.
+std::vector<std::size_t> apportionBySorting(std::size_t total,
+                                            const Partitioning& p) {
+  const std::size_t n = p.numDevices();
+  std::vector<std::size_t> counts(n, 0);
+  if (total == 0) return counts;
+  std::size_t unitSum = 0;
+  for (const int u : p.units) unitSum += static_cast<std::size_t>(u);
+  std::vector<std::size_t> remainder(n, 0);
+  std::size_t assigned = 0;
+  for (std::size_t d = 0; d < n; ++d) {
+    const std::size_t scaled = total * static_cast<std::size_t>(p.units[d]);
+    counts[d] = scaled / unitSum;
+    remainder[d] = scaled % unitSum;
+    assigned += counts[d];
+  }
+  std::vector<std::size_t> order;
+  for (std::size_t d = 0; d < n; ++d) {
+    if (p.units[d] > 0) order.push_back(d);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return remainder[a] > remainder[b];
+                   });
+  for (std::size_t k = 0; k < total - assigned; ++k) ++counts[order[k]];
+  return counts;
+}
+
+TEST(Apportion, MatchesTheSortedReference) {
+  // Every partitioning of spaces up to 12 devices (past the 8 that
+  // PerDevice holds inline), at totals whose leftovers tie and do not.
+  std::size_t checked = 0;
+  for (const std::size_t devices : {1u, 2u, 3u, 5u, 9u, 12u}) {
+    for (const int divisions : {1, 3, 7, 10}) {
+      if (devices >= 9 && divisions > 7) continue;  // keep spaces small
+      const PartitioningSpace space(devices, divisions);
+      for (const std::size_t total :
+           {std::size_t{0}, std::size_t{1}, std::size_t{5}, std::size_t{11},
+            std::size_t{64}, std::size_t{999}, std::size_t{16383}}) {
+        for (std::size_t i = 0; i < space.size(); ++i) {
+          const Partitioning& p = space.at(i);
+          ASSERT_EQ(countsFor(total, p), apportionBySorting(total, p))
+              << p.toString() << " total=" << total;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+}
+
 TEST(Apportion, HandBuiltUnitSumsNeedNotMatchDivisions) {
   // The denominator is the actual unit sum, so an under/over-subscribed
   // hand-built partitioning still apportions exactly.
   const Partitioning p{{3, 1, 0}, 10};  // units sum to 4, not 10
-  const auto counts = apportion(103, p);
+  const auto counts = countsFor(103, p);
   EXPECT_EQ(counts[0] + counts[1] + counts[2], 103u);
   EXPECT_EQ(counts[2], 0u);
   EXPECT_NEAR(static_cast<double>(counts[0]), 103.0 * 3.0 / 4.0, 1.0);
@@ -163,20 +185,20 @@ TEST(Apportion, HandBuiltUnitSumsNeedNotMatchDivisions) {
 
 TEST(Apportion, RejectsAllZeroSharesAndNegativeUnits) {
   const Partitioning empty{{0, 0, 0}, 10};
-  EXPECT_THROW(apportion(5, empty), Error);
+  EXPECT_THROW(countsFor(5, empty), Error);
   // total == 0 is fine even with no active device.
-  EXPECT_EQ(apportion(0, empty), (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(countsFor(0, empty), (std::vector<std::size_t>{0, 0, 0}));
   const Partitioning negative{{5, -1, 6}, 10};
-  EXPECT_THROW(apportion(5, negative), Error);
+  EXPECT_THROW(countsFor(5, negative), Error);
 }
 
 TEST(Apportion, LeftoverGoesToLargestRemainders) {
   // 10 items over 3/3/4 of 10 units: floors are 3/3/4 exactly.
-  EXPECT_EQ(apportion(10, Partitioning{{3, 3, 4}, 10}),
+  EXPECT_EQ(countsFor(10, Partitioning{{3, 3, 4}, 10}),
             (std::vector<std::size_t>{3, 3, 4}));
   // 11 items over 1/1/1: floors 3/3/3, remainders equal -> earliest
   // active device gets the leftover (deterministic tie-break).
-  EXPECT_EQ(apportion(11, Partitioning{{1, 1, 1}, 3}),
+  EXPECT_EQ(countsFor(11, Partitioning{{1, 1, 1}, 3}),
             (std::vector<std::size_t>{4, 4, 3}));
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <utility>
@@ -60,73 +61,41 @@ Task makeScaleTask(std::size_t n, int k) {
 
 PartitioningSpace space3() { return PartitioningSpace(3, 10); }
 
-// Shared invariants of any splitGroups result: chunks are contiguous in
-// device order, cover exactly [0, totalGroups), and zero-share devices
-// receive no work.
-void expectValidChunks(
-    const std::vector<std::pair<std::size_t, std::size_t>>& chunks,
-    std::size_t totalGroups, const Partitioning& p) {
-  ASSERT_EQ(chunks.size(), p.numDevices());
-  std::size_t cursor = 0;
-  for (std::size_t d = 0; d < chunks.size(); ++d) {
-    EXPECT_EQ(chunks[d].first, cursor) << "gap before device " << d;
-    EXPECT_LE(chunks[d].first, chunks[d].second);
-    if (p.units[d] == 0) {
-      EXPECT_EQ(chunks[d].first, chunks[d].second)
-          << "zero-share device " << d << " received groups";
-    }
-    cursor = chunks[d].second;
-  }
-  EXPECT_EQ(cursor, totalGroups);
-}
-
-TEST(SplitGroups, ZeroGroupsYieldsEmptyChunks) {
-  for (const auto& units : {std::vector<int>{10, 0, 0},
-                            std::vector<int>{3, 3, 4},
-                            std::vector<int>{0, 5, 5}}) {
-    const Partitioning p{units, 10};
-    const auto chunks = splitGroups(0, p);
-    expectValidChunks(chunks, 0, p);
-    for (const auto& [begin, end] : chunks) {
-      EXPECT_EQ(begin, 0u);
-      EXPECT_EQ(end, 0u);
-    }
-  }
-}
-
-TEST(SplitGroups, FewerGroupsThanActiveDevices) {
-  // 3 active devices but only 2 (then 1) groups: the largest shares win
-  // the scarce groups and coverage stays contiguous and exact.
-  const Partitioning p{{4, 3, 3}, 10};
-  for (const std::size_t totalGroups : {std::size_t{1}, std::size_t{2}}) {
-    const auto chunks = splitGroups(totalGroups, p);
-    expectValidChunks(chunks, totalGroups, p);
-    std::size_t withWork = 0;
-    for (const auto& [begin, end] : chunks) withWork += (end > begin) ? 1 : 0;
-    EXPECT_EQ(withWork, totalGroups);  // nobody gets a partial group
-  }
-}
-
-TEST(SplitGroups, SingleDevicePartitionings) {
-  const std::size_t totalGroups = 100;
-  for (std::size_t only = 0; only < 3; ++only) {
-    std::vector<int> units(3, 0);
-    units[only] = 10;
-    const Partitioning p{units, 10};
-    const auto chunks = splitGroups(totalGroups, p);
-    expectValidChunks(chunks, totalGroups, p);
-    EXPECT_EQ(chunks[only].first, 0u);
-    EXPECT_EQ(chunks[only].second, totalGroups);
-  }
-}
-
-TEST(SplitGroups, CoversRangeForEveryPartitioningAndAwkwardCounts) {
-  const PartitioningSpace space(3, 10);
-  // Group counts that do not divide evenly by any 10% share.
+TEST(Scheduler, ChunksTileTheRangeInDeviceOrder) {
+  // For every partitioning and group counts that no 10% share divides
+  // (1 and 2 are fewer groups than active devices), the executed chunks
+  // are contiguous in device order, cover exactly [0, totalGroups), give
+  // each device its apportion() count and leave zero-share devices out.
+  vcl::Context ctx(sim::makeMc1(), vcl::ExecMode::TimeOnly, nullptr);
+  Scheduler scheduler(ctx);
+  const auto space = space3();
   for (const std::size_t totalGroups :
-       {std::size_t{1}, std::size_t{7}, std::size_t{13}, std::size_t{999}}) {
+       {std::size_t{1}, std::size_t{2}, std::size_t{7}, std::size_t{13},
+        std::size_t{999}}) {
+    const Task task = makeScaleTask(totalGroups * 64, 1);
     for (const auto& p : space.all()) {
-      expectValidChunks(splitGroups(totalGroups, p), totalGroups, p);
+      std::vector<std::size_t> counts(p.numDevices());
+      apportion(totalGroups, p, counts);
+      const auto result = scheduler.execute(task, p);
+      std::size_t cursor = 0;
+      std::size_t next = 0;  // lowest device index still allowed
+      for (const auto& dev : result.devices) {
+        ASSERT_GE(dev.device, next) << p.toString();
+        EXPECT_GT(p.units[dev.device], 0) << p.toString();
+        EXPECT_EQ(dev.groupBegin, cursor) << p.toString();
+        EXPECT_EQ(dev.groupEnd - dev.groupBegin, counts[dev.device])
+            << p.toString();
+        cursor = dev.groupEnd;
+        next = dev.device + 1;
+      }
+      EXPECT_EQ(cursor, totalGroups) << p.toString();
+      const int maxUnits = *std::max_element(p.units.begin(), p.units.end());
+      if (totalGroups * static_cast<std::size_t>(maxUnits) <
+          static_cast<std::size_t>(p.divisions)) {
+        // Every exact share is below one group (4/3/3 with 1 or 2 groups):
+        // nobody gets a partial group, so the scarce groups go one each.
+        EXPECT_EQ(result.devices.size(), totalGroups) << p.toString();
+      }
     }
   }
 }

@@ -14,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <future>
 #include <map>
 #include <memory>
@@ -87,60 +86,6 @@ TEST(RoundSignificant, SurvivesExtremeMagnitudes) {
   EXPECT_EQ(again.fp, tiny.fp);
   cache.insert(again.fp, again.key, 3);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-/// roundSignificant() without its integer fast path: the log10/pow
-/// formula alone.
-double roundByFormula(double v, int digits) {
-  if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
-    return v == 0.0 ? 0.0 : v;
-  }
-  const double exponent = std::floor(std::log10(std::fabs(v)));
-  const double scale =
-      std::pow(10.0, static_cast<double>(digits - 1) - exponent);
-  if (!std::isfinite(scale) || scale == 0.0) return v;
-  const double rounded = std::round(v * scale) / scale;
-  if (!std::isfinite(rounded)) return v;
-  return rounded == 0.0 ? 0.0 : rounded;
-}
-
-TEST(RoundSignificant, IntegerFastPathMatchesTheFormula) {
-  std::size_t mismatches = 0;
-  const auto check = [&](double v, int digits) {
-    const double fast = roundSignificant(v, digits);
-    const double formula = roundByFormula(v, digits);
-    if (std::memcmp(&fast, &formula, sizeof fast) != 0 &&
-        ++mismatches <= 5) {
-      ADD_FAILURE() << v << " at " << digits << " digits: " << fast
-                    << " vs " << formula;
-    }
-  };
-  // Every integer in [-10^6, 10^6] at each digit count whose fast-path
-  // bound 10^digits falls inside that range or at its end (1-7; above 7
-  // every one of them takes the fast path, as at 7).
-  for (int digits = 1; digits <= 7; ++digits) {
-    for (int v = -1000000; v <= 1000000; ++v) check(v, digits);
-  }
-  std::vector<double> values;
-  // Every decade's edges, past the fast path's reach.
-  double decade = 1.0;
-  for (int k = 0; k <= 17; ++k, decade *= 10.0) {
-    for (const double d : {-2.0, -1.0, 0.0, 1.0, 2.0}) {
-      values.push_back(decade + d);
-      values.push_back(-(decade + d));
-    }
-  }
-  // Random integers of every bit length up to 53.
-  common::Rng rng(97);
-  for (int i = 0; i < 100000; ++i) {
-    const auto bits = static_cast<int>(rng.below(53)) + 1;
-    const auto magnitude = static_cast<double>(rng() >> (64 - bits));
-    values.push_back(rng.below(2) == 0 ? magnitude : -magnitude);
-  }
-  for (int digits = 1; digits <= 15; ++digits) {
-    for (const double v : values) check(v, digits);
-  }
-  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(RoundSignificant, CollapsesJitterAndNormalizesZero) {

@@ -6,12 +6,15 @@
 // correct behavior across model-version bumps. The concurrent phases run
 // under ThreadSanitizer in CI (this suite matches the tsan preset
 // filter), exercising the hit path under contention: hits perform no
-// heap allocation and acquire no lock, so TSan sees only atomics. A last
-// test checks that every launch-signature field separates cache keys.
+// heap allocation and acquire no lock, so TSan sees only atomics. Later
+// tests check that every launch-signature field separates cache keys and
+// that the quantizer equals its reference formula bit for bit.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <set>
@@ -24,6 +27,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/cache.hpp"
+#include "serve/service.hpp"
 #include "suite/benchmark.hpp"
 
 namespace tp::serve {
@@ -337,6 +341,118 @@ TEST(LaunchIdentity, EverySignatureFieldSeparatesKeys) {
     EXPECT_NE(streamed, baseFp);
     EXPECT_NE(cache.makeKey(machine, program, launchSignature(task)), baseKey);
   }
+}
+
+// ---- roundSignificant against its reference formula -------------------------
+
+/// The quantizer's definition: e = floor(log10(|v|)), then
+/// round(v * 10^(digits-1-e)) / 10^(digits-1-e), with every power from
+/// log10 and pow. roundSignificant() must equal it bit for bit.
+double roundByFormula(double v, int digits) {
+  if (digits <= 0 || v == 0.0 || !std::isfinite(v)) {
+    return v == 0.0 ? 0.0 : v;
+  }
+  const double exponent = std::floor(std::log10(std::fabs(v)));
+  const double scale =
+      std::pow(10.0, static_cast<double>(digits - 1) - exponent);
+  if (!std::isfinite(scale) || scale == 0.0) return v;
+  const double rounded = std::round(v * scale) / scale;
+  if (!std::isfinite(rounded)) return v;
+  return rounded == 0.0 ? 0.0 : rounded;
+}
+
+/// Compares roundSignificant with the formula bit for bit, reporting the
+/// first few mismatches.
+struct FormulaCheck {
+  std::size_t mismatches = 0;
+
+  void operator()(double v, int digits) {
+    const double fast = roundSignificant(v, digits);
+    const double formula = roundByFormula(v, digits);
+    if (std::bit_cast<std::uint64_t>(fast) !=
+            std::bit_cast<std::uint64_t>(formula) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << " at " << digits
+                    << " digits: " << fast << " vs " << formula;
+    }
+  }
+};
+
+TEST(RoundSignificant, IntegerFastPathMatchesTheFormula) {
+  FormulaCheck check;
+  // Every integer in [-10^6, 10^6] at each digit count whose fast-path
+  // bound 10^digits falls inside that range or at its end (1-7; above 7
+  // every one of them takes the fast path, as at 7).
+  for (int digits = 1; digits <= 7; ++digits) {
+    for (int v = -1000000; v <= 1000000; ++v) check(v, digits);
+  }
+  std::vector<double> values;
+  // Every decade's edges, past the fast path's reach.
+  double decade = 1.0;
+  for (int k = 0; k <= 17; ++k, decade *= 10.0) {
+    for (const double d : {-2.0, -1.0, 0.0, 1.0, 2.0}) {
+      values.push_back(decade + d);
+      values.push_back(-(decade + d));
+    }
+  }
+  // Random integers of every bit length up to 53.
+  common::Rng rng(97);
+  for (int i = 0; i < 100000; ++i) {
+    const auto bits = static_cast<int>(rng.below(53)) + 1;
+    const auto magnitude = static_cast<double>(rng() >> (64 - bits));
+    values.push_back(rng.below(2) == 0 ? magnitude : -magnitude);
+  }
+  for (int digits = 1; digits <= 15; ++digits) {
+    for (const double v : values) check(v, digits);
+  }
+  EXPECT_EQ(check.mismatches, 0u);
+}
+
+TEST(RoundSignificant, TableExponentMatchesTheFormula) {
+  // The decimal exponent comes from the binary exponent and a pow table,
+  // and from log10 only next to a power of ten. Probe where that could
+  // go wrong: every suite signature value, the doubles within 4 ulp of
+  // each power of ten a double reaches (1e-324 to 1e308: subnormal table
+  // entries lie percent away from the true power), and 1M random doubles
+  // spread over every exponent, the overflow edges included.
+  FormulaCheck check;
+  std::vector<double> values;
+  for (const auto& bench : suite::allBenchmarks()) {
+    for (const std::size_t size : bench.sizes) {
+      for (const double v : launchSignature(bench.make(size).task)) {
+        values.push_back(v);
+      }
+    }
+  }
+  for (int k = -324; k <= 308; ++k) {
+    const double power = std::pow(10.0, static_cast<double>(k));
+    double below = power;
+    double above = power;
+    values.push_back(power);
+    for (int ulp = 1; ulp <= 4; ++ulp) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, HUGE_VAL);
+      values.push_back(below);
+      values.push_back(above);
+    }
+  }
+  for (const double v : std::vector<double>(values)) values.push_back(-v);
+  for (int digits = 1; digits <= 17; ++digits) {
+    for (const double v : values) check(v, digits);
+  }
+
+  common::Rng rng(2024);
+  for (int i = 0; i < 1000000; ++i) {
+    // Uniform over the biased exponents of finite doubles (0 =
+    // subnormal), random sign and mantissa.
+    const std::uint64_t exponentField = rng.below(2047);
+    const std::uint64_t bits = (rng() & 0x800FFFFFFFFFFFFFull) |
+                               (exponentField << 52);
+    const double v = std::bit_cast<double>(bits);
+    check(v, kCacheRoundDigits);
+    check(v, static_cast<int>(rng.below(17)) + 1);
+  }
+  EXPECT_EQ(check.mismatches, 0u);
 }
 
 }  // namespace

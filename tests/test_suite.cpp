@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <thread>
 
-#include "common/hash.hpp"
 #include "features/runtime_features.hpp"
 #include "runtime/scheduler.hpp"
 #include "sim/machine.hpp"
@@ -257,8 +257,20 @@ TEST(Suite, InputBytesMatchTheEagerStreamAtEveryRung) {
 // evaluated every symbolic count through WorkExpr::eval (once per device
 // for the makespans), so the compiled flat evaluation must match it
 // exactly.
+//
+// The fold is FNV-1a-64 over each double's bit pattern, kept here because
+// the pinned constant depends on it.
+std::uint64_t fnvDouble(std::uint64_t h, double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (bits >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 TEST(Suite, FeaturesAndMakespansMatchTheSymbolicEvaluation) {
-  std::uint64_t all = common::kFnvOffset;
+  std::uint64_t all = 0xcbf29ce484222325ull;
   for (const auto& machine : sim::evaluationMachines()) {
     const vcl::Context context(machine, vcl::ExecMode::TimeOnly, nullptr);
     const runtime::Scheduler scheduler(context);
@@ -270,9 +282,9 @@ TEST(Suite, FeaturesAndMakespansMatchTheSymbolicEvaluation) {
         const auto x = features::combinedFeatureVector(inst.task.features,
                                                        inst.task.launchInfo());
         ASSERT_EQ(x.size(), 28u);
-        for (const double v : x) all = common::fnvDouble(all, v);
+        for (const double v : x) all = fnvDouble(all, v);
         for (std::size_t p = 0; p < space.size(); ++p) {
-          all = common::fnvDouble(
+          all = fnvDouble(
               all, scheduler.execute(inst.task, space.at(p)).makespan);
         }
       }
