@@ -95,7 +95,7 @@ double steadyStateMean(serve::PartitionService& service,
         serve::LaunchRequest request;
         request.machine = machine.name;
         request.task = task;
-        const auto response = service.call(std::move(request));
+        const auto response = service.call(request);
         if (response.explored) continue;  // probe: not steady state
         sum += response.execution.makespan;
         ++count;
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
         serve::LaunchRequest request;
         request.machine = machine.name;
         request.task = task;
-        sum += baseline.call(std::move(request)).execution.makespan;
+        sum += baseline.call(request).execution.makespan;
       }
     }
     baselineMean = sum / static_cast<double>(tasks.size() * machines.size());
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
           serve::LaunchRequest request;
           request.machine = machines[rng.below(machines.size())].name;
           request.task = tasks[rng.below(tasks.size())];
-          (void)service.call(std::move(request));
+          (void)service.call(request);
         }
       });
     }

@@ -182,7 +182,7 @@ double serveWave(serve::PartitionService& service,
         serve::LaunchRequest request;
         request.machine = machines[rng.below(machines.size())].name;
         request.task = tasks[rng.below(tasks.size())];
-        (void)service.call(std::move(request));
+        (void)service.call(request);
       }
     });
   }

@@ -100,7 +100,7 @@ int main() {
       serve::LaunchRequest request;
       request.machine = machine.name;
       request.task = tasks[t];
-      const auto response = service.call(std::move(request));
+      const auto response = service.call(request);
       expect(!response.explored && !response.refined,
              "first sighting serves the unrefined model prediction");
       expect(response.label ==
@@ -122,7 +122,7 @@ int main() {
           const std::size_t t = rng.below(tasks.size());
           request.machine = machines[rng.below(machines.size())].name;
           request.task = tasks[t];
-          const auto response = service.call(std::move(request));
+          const auto response = service.call(request);
           if (response.execution.makespan <= 0.0) faults.fetch_add(1);
         }
       });
@@ -141,7 +141,7 @@ int main() {
         serve::LaunchRequest request;
         request.machine = machines[m].name;
         request.task = tasks[t];
-        const auto response = service.call(std::move(request));
+        const auto response = service.call(request);
         if (response.explored) continue;  // probe: skip, try again
         expect(response.execution.makespan <=
                    baseline[t][m] * (1.0 + 1e-9),
@@ -184,7 +184,7 @@ int main() {
         serve::LaunchRequest request;
         request.machine = machines[rng.below(machines.size())].name;
         request.task = tasks[rng.below(tasks.size())];
-        (void)service.call(std::move(request));
+        (void)service.call(request);
       }
     });
   }

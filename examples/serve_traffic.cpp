@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
           request.machine = machines[m].name;
           request.task = tasks[t];
           // call() serves on this client thread.
-          auto response = service.call(std::move(request));
+          auto response = service.call(request);
           if (checkExpected && response.label != expected[t][m]) {
             mismatches.fetch_add(1);
           }
@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
         serve::LaunchRequest request;
         request.machine = machines[rng.below(machines.size())].name;
         request.task = tasks[rng.below(tasks.size())];
-        (void)fleet.replica(r % 2).call(std::move(request));
+        (void)fleet.replica(r % 2).call(request);
       }
       fleet.gossipRound();
       fleet.saveSnapshots();

@@ -45,18 +45,18 @@ inline std::size_t defaultStripes() noexcept {
   return n < 16 ? 16 : (n > 64 ? 64 : n);
 }
 
-/// Relaxed fetch-add for atomic doubles via CAS (std::atomic<double>::
-/// fetch_add is C++20 but patchy across standard libraries).
-inline void atomicAdd(std::atomic<double>& a, double v) noexcept {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
 template <typename T>
 struct alignas(kCacheLineBytes) CachePadded {
   T value{};
 };
+
+/// Whether T starts on a cache line and fills whole lines, so that an
+/// array of T gives each element lines of its own. Every stripe type
+/// static_asserts it: a stripe that shares a line with its neighbour
+/// makes two writers contend again.
+template <typename T>
+inline constexpr bool kWholeCacheLines =
+    alignof(T) % kCacheLineBytes == 0 && sizeof(T) % kCacheLineBytes == 0;
 
 /// Spin-claim a seqlock word: CAS it from even (stable) to odd (writer
 /// inside) and return the even value. Critical sections guarded this way
@@ -174,6 +174,18 @@ private:
 /// gate store precedes the check (the enterer sees the closed gate and
 /// leaves). wait() returns once every unit that entered before it was
 /// called has left; with the gate closed first, no unit is left inside.
+///
+/// leave() notifies only while a wait() is registered. In libstdc++ an
+/// atomic notify on an 8-byte word is a seq_cst fetch_add on an entry of
+/// a process-wide waiter table keyed by (address >> 2) % 16, and every
+/// 64-byte-aligned stripe maps to the same entry — an unconditional
+/// notify would make every request write one line all clients write. So
+/// wait() first increments a padded waiter count, and leave() reads it
+/// after its decrement. Both are seq_cst, a second Dekker pair: either
+/// the registration precedes the decrement that empties a stripe (leave()
+/// sees the waiter and notifies), or the decrement precedes it (wait()'s
+/// later load of the stripe reads 0 and never blocks on it). With no
+/// waiter, leave() only reads the count's line, which stays shared.
 class StripedLatch {
 public:
   explicit StripedLatch(std::size_t stripes = 0)
@@ -193,12 +205,16 @@ public:
   /// Uncount a unit on the stripe its enter() returned.
   void leave(std::size_t stripe) noexcept
       TP_LOCK_FREE_AUDITED(
-          "seq_cst decrement; the one that empties a stripe notifies "
-          "wait()'s atomic wait on it; TSan: test_serve "
-          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest, "
-          "test_common StripedLatchTest.SharedStripesDrainToZero") {
+          "seq_cst decrement, then a seq_cst load of the waiter count (the "
+          "leave half of the waiter Dekker pair); the one that empties a "
+          "stripe notifies wait()'s atomic wait on it only when a waiter "
+          "is registered; TSan: test_common StripedLatchTest.WaitBlocked"
+          "OnAStripeIsWokenByTheLeaveThatEmptiesIt, "
+          "StripedLatchTest.SharedStripesDrainToZero, test_serve "
+          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest") {
     auto& count = stripes_[stripe].value;
-    if (count.fetch_sub(1, std::memory_order_seq_cst) == 1) {
+    if (count.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
+        waiters_.value.load(std::memory_order_seq_cst) != 0) {
       count.notify_all();
     }
   }
@@ -206,10 +222,13 @@ public:
   /// Block until every stripe reads 0, stripe by stripe.
   void wait() const noexcept
       TP_LOCK_FREE_AUDITED(
-          "seq_cst wait loop per stripe, the wait half of the Dekker pair; "
-          "woken by leave()'s notify; TSan: test_serve "
-          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest, "
-          "test_common StripedLatchTest.SharedStripesDrainToZero") {
+          "registers in the waiter count (seq_cst increment, the wait half "
+          "of the waiter Dekker pair) before a seq_cst wait loop per "
+          "stripe, woken by leave()'s notify; TSan: test_common "
+          "StripedLatchTest.WaitBlockedOnAStripeIsWokenByTheLeaveThat"
+          "EmptiesIt, StripedLatchTest.SharedStripesDrainToZero, test_serve "
+          "PartitionService.ShutdownUnderLiveTrafficCountsEveryRequest") {
+    waiters_.value.fetch_add(1, std::memory_order_seq_cst);
     for (const auto& s : stripes_) {
       for (;;) {
         const std::uint64_t v = s.value.load(std::memory_order_seq_cst);
@@ -217,10 +236,13 @@ public:
         s.value.wait(v, std::memory_order_seq_cst);
       }
     }
+    waiters_.value.fetch_sub(1, std::memory_order_seq_cst);
   }
 
 private:
   std::vector<CachePadded<std::atomic<std::uint64_t>>> stripes_;
+  /// wait() calls in progress; written only by waiters.
+  mutable CachePadded<std::atomic<std::uint64_t>> waiters_;
 };
 
 }  // namespace tp::common

@@ -126,6 +126,9 @@ public:
   LaunchCounts evaluate(const std::map<std::string, double>& sizeBindings,
                         std::size_t globalSize) const;
 
+  /// Owners of the shared compiled payload, this object included.
+  long shareCount() const noexcept { return compiled_.use_count(); }
+
 private:
   struct Compiled;
   std::shared_ptr<const Compiled> compiled_;

@@ -84,14 +84,14 @@ void Fleet::addMachine(const sim::MachineConfig& machine,
   }
 }
 
-serve::LaunchResponse Fleet::call(serve::LaunchRequest request)
+serve::LaunchResponse Fleet::call(const serve::LaunchRequest& request)
     TP_LOCK_FREE_AUDITED(
         "relaxed round-robin ticket; only fairness depends on it and each "
         "replica synchronizes internally; TSan: test_fleet "
         "Fleet.CountersReconcileUnderConcurrentGossipAndRetrain") {
   const std::size_t r =
       nextReplica_.fetch_add(1, std::memory_order_relaxed) % replicas_.size();
-  return replicas_[r]->call(std::move(request));
+  return replicas_[r]->call(request);
 }
 
 std::size_t Fleet::gossipRound() { return bus_.runRound(); }

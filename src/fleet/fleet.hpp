@@ -53,8 +53,9 @@ public:
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
 
-  /// Serve one request on the next replica, round-robin.
-  serve::LaunchResponse call(serve::LaunchRequest request);
+  /// Serve one request on the next replica, round-robin. Borrows the
+  /// request like PartitionService::call().
+  serve::LaunchResponse call(const serve::LaunchRequest& request);
 
   /// One anti-entropy round on the calling thread (no-op fleet-wide when
   /// gossip is disabled). Returns participants invoked.

@@ -111,8 +111,8 @@ void Replica::addMachine(const sim::MachineConfig& machine,
   service_->addMachine(machine, std::move(model));
 }
 
-serve::LaunchResponse Replica::call(serve::LaunchRequest request) {
-  return service_->call(std::move(request));
+serve::LaunchResponse Replica::call(const serve::LaunchRequest& request) {
+  return service_->call(request);
 }
 
 // All counters_ members are monotonic stat words folded into stats();

@@ -132,7 +132,9 @@ public:
 
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
-  serve::LaunchResponse call(serve::LaunchRequest request);
+  /// Serve one request on this replica's service; borrows the request
+  /// like PartitionService::call().
+  serve::LaunchResponse call(const serve::LaunchRequest& request);
 
   /// Load the latest snapshot, if any: install its models at its
   /// generation and merge its refiner state. Call after addMachine()s

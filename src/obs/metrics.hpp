@@ -122,6 +122,7 @@ private:
     std::uint64_t sum = 0;
     std::array<std::uint64_t, kBuckets> buckets{};
   };
+  static_assert(common::kWholeCacheLines<Stripe>);
   mutable std::vector<Stripe> stripes_;
 };
 

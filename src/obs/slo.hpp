@@ -141,6 +141,7 @@ private:
     std::uint64_t violationsP999 = 0;
     std::array<std::uint64_t, Histogram::kBuckets> buckets{};
   };
+  static_assert(common::kWholeCacheLines<Stripe>);
   struct SubWindow {
     /// Slice id currently held; kIdleSlice until first rotation.
     std::atomic<std::uint64_t> slice{kIdleSlice};

@@ -200,6 +200,7 @@ private:
     std::atomic<std::uint64_t> invalidations{0};
     std::atomic<std::uint64_t> collisions{0};
   };
+  static_assert(common::kWholeCacheLines<CounterStripe>);
 
   CounterStripe& stripe() noexcept {
     return counterStripes_[common::threadStripe(counterStripes_.size())];

@@ -440,7 +440,7 @@ LaunchResponse PartitionService::serveAdmitted(Admission admission,
   return response;
 }
 
-LaunchResponse PartitionService::call(LaunchRequest request) {
+LaunchResponse PartitionService::call(const LaunchRequest& request) {
   const std::uint64_t admitted = obs::nowTicks();
   return serveAdmitted(admit(request.machine), request, admitted);
 }

@@ -33,11 +33,29 @@
 //      recorder's published table), latency and stats, then leave the
 //      in-flight stripe step 1 entered.
 //
-// Contention: a hit that is not a probe takes no lock, and every counter
-// it writes (the in-flight latch, request and load counters, latency and
-// SLO records) is striped per thread, so clients on different stripes
-// write no common cache line. A miss adds the model's reader lock
-// (predict) and the feedback probe, which locks only on a first
+// Contention: a hit that is not a probe takes no lock and writes no
+// cache line another client writes, unless two clients share a stripe.
+// What a hit writes:
+//   - its stripe of the in-flight latch, on admission and on leaving.
+//     leave() notifies only while drain() waits: a libstdc++ atomic
+//     notify writes a process-wide waiter table (common/striped.hpp);
+//   - its stripes of the submitted, completed and inline-hit counters
+//     and of the cache's lookup counters;
+//   - its stripe of the machine's load stats, device sums included
+//     (serve/stats.hpp keeps them inside the stripe's own lines);
+//   - its stripes of the latency reservoir, the latency histogram and
+//     the machine's SLO window (a seqlock per stripe);
+//   - thread-local storage (the quantized signature, the trace ring) and
+//     its own response.
+// Shared lines are only read: the machine map, the intern table, the
+// cache slot, the generation. Two shared writes are rare: the cache
+// slot's CLOCK bit, set only after a sweep cleared it, and an SLO
+// sub-window's rotation, once per slice. An enabled admission breaker
+// adds one shared relaxed bump per admission (its evaluation tick).
+// call() borrows its request, so the caller, not the service, releases
+// the Task and with it the buffer and feature refcounts that every
+// client sending the same launch writes. A miss adds the model's reader
+// lock (predict) and the feedback probe, which locks only on a first
 // sighting. With refinement on, steps 5 and 6 take the refiner's shard
 // mutex. Allocation: a hit allocates at most 2 times and a steady-state
 // miss at most 5 (test_alloc_budget pins both) — the response payload
@@ -183,8 +201,12 @@ public:
   void addMachine(const sim::MachineConfig& machine,
                   std::shared_ptr<const ml::Classifier> model);
 
-  /// Serve one request on the calling thread (the pipeline above).
-  LaunchResponse call(LaunchRequest request);
+  /// Serve one request on the calling thread (the pipeline above). The
+  /// request is borrowed: the service keeps no copy, share or reference
+  /// of it past the return, so releasing it (the Task's buffer and
+  /// feature refcounts, which every client sending the same launch
+  /// writes) is the caller's work, outside call().
+  LaunchResponse call(const LaunchRequest& request);
 
   /// The uncached reference path: extract features and ask the
   /// machine's current model directly. Served decisions always equal this

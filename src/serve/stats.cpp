@@ -1,6 +1,7 @@
 #include "serve/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -56,38 +57,53 @@ LatencyRecorder::Summary LatencyRecorder::summary() const {
   return out;
 }
 
-MachineLoadStats::MachineLoadStats(std::size_t numDevices,
-                                   std::size_t stripes)
-    : numDevices_(numDevices) {
-  stripes_ =
-      std::vector<Stripe>(stripes == 0 ? common::defaultStripes() : stripes);
-  for (Stripe& s : stripes_) {
-    s.deviceBusy = std::vector<std::atomic<double>>(numDevices_);
+namespace {
+
+/// Relaxed add of `v` to the double whose bits `word` holds, by CAS
+/// (std::atomic<double>::fetch_add is C++20 but patchy across standard
+/// libraries).
+void addSeconds(std::atomic<std::uint64_t>& word, double v) noexcept {
+  std::uint64_t cur = word.load(std::memory_order_relaxed);
+  while (!word.compare_exchange_weak(
+      cur, std::bit_cast<std::uint64_t>(std::bit_cast<double>(cur) + v),
+      std::memory_order_relaxed)) {
   }
 }
+
+double loadSeconds(const std::atomic<std::uint64_t>& word) noexcept {
+  return std::bit_cast<double>(word.load(std::memory_order_relaxed));
+}
+
+}  // namespace
+
+MachineLoadStats::MachineLoadStats(std::size_t numDevices,
+                                   std::size_t stripes)
+    : numDevices_(numDevices),
+      numStripes_(stripes == 0 ? common::defaultStripes() : stripes),
+      linesPerStripe_((2 + numDevices + kWordsPerLine - 1) / kWordsPerLine),
+      lines_(numStripes_ * linesPerStripe_) {}
 
 void MachineLoadStats::record(
     double makespanSeconds,
     const std::vector<runtime::DeviceExecution>& devices) noexcept {
-  Stripe& stripe = stripes_[common::threadStripe(stripes_.size())];
-  stripe.requests.fetch_add(1, std::memory_order_relaxed);
-  common::atomicAdd(stripe.makespanSum, makespanSeconds);
+  const std::size_t stripe = common::threadStripe(numStripes_);
+  word(stripe, 0).fetch_add(1, std::memory_order_relaxed);
+  addSeconds(word(stripe, 1), makespanSeconds);
   for (const auto& dev : devices) {
-    common::atomicAdd(stripe.deviceBusy[dev.device],
-                      dev.transferInSeconds + dev.kernelSeconds +
-                          dev.transferOutSeconds);
+    addSeconds(word(stripe, 2 + dev.device),
+               dev.transferInSeconds + dev.kernelSeconds +
+                   dev.transferOutSeconds);
   }
 }
 
 MachineLoadStats::Snapshot MachineLoadStats::snapshot() const {
   Snapshot out;
   out.deviceBusySeconds.assign(numDevices_, 0.0);
-  for (const Stripe& stripe : stripes_) {
-    out.requests += stripe.requests.load(std::memory_order_relaxed);
-    out.makespanSum += stripe.makespanSum.load(std::memory_order_relaxed);
+  for (std::size_t s = 0; s < numStripes_; ++s) {
+    out.requests += word(s, 0).load(std::memory_order_relaxed);
+    out.makespanSum += loadSeconds(word(s, 1));
     for (std::size_t d = 0; d < numDevices_; ++d) {
-      out.deviceBusySeconds[d] +=
-          stripe.deviceBusy[d].load(std::memory_order_relaxed);
+      out.deviceBusySeconds[d] += loadSeconds(word(s, 2 + d));
     }
   }
   return out;

@@ -4,6 +4,7 @@
 // windows plus the aggregate ServiceStats snapshot returned by
 // PartitionService::stats().
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -70,15 +71,23 @@ private:
     double sum = 0.0;
     double max = 0.0;
   };
+  static_assert(common::kWholeCacheLines<Stripe>);
 
   std::size_t window_;
   mutable std::vector<Stripe> stripes_;
 };
 
 /// Per-machine request accounting, striped per thread: each serving
-/// caller adds with relaxed atomics on its own stripe; snapshot() sums. Field-level atomicity only — a snapshot racing
-/// a writer may see a makespan whose request count has not landed yet;
-/// totals are exact once writers quiesce.
+/// caller adds with relaxed atomics on its own stripe; snapshot() sums.
+/// Field-level atomicity only — a snapshot racing a writer may see a
+/// makespan whose request count has not landed yet; totals are exact once
+/// writers quiesce.
+///
+/// A stripe is a run of whole cache lines holding every word its writer
+/// touches: word 0 counts requests, word 1 sums makespans and word 2 + d
+/// sums device d's busy seconds, the sums kept as the bits of a double.
+/// A machine with more than kWordsPerLine - 2 devices gets more lines per
+/// stripe, so no device count puts two stripes' words on one line.
 class MachineLoadStats {
 public:
   MachineLoadStats(std::size_t numDevices, std::size_t stripes = 0);
@@ -94,14 +103,24 @@ public:
   Snapshot snapshot() const;
 
 private:
-  struct alignas(common::kCacheLineBytes) Stripe {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<double> makespanSum{0.0};
-    std::vector<std::atomic<double>> deviceBusy;
+  static constexpr std::size_t kWordsPerLine =
+      common::kCacheLineBytes / sizeof(std::uint64_t);
+  struct alignas(common::kCacheLineBytes) Line {
+    std::array<std::atomic<std::uint64_t>, kWordsPerLine> words{};
   };
+  static_assert(common::kWholeCacheLines<Line>);
+
+  /// Word `i` of stripe `stripe`.
+  std::atomic<std::uint64_t>& word(std::size_t stripe,
+                                   std::size_t i) const noexcept {
+    return lines_[stripe * linesPerStripe_ + i / kWordsPerLine]
+        .words[i % kWordsPerLine];
+  }
 
   std::size_t numDevices_;
-  mutable std::vector<Stripe> stripes_;
+  std::size_t numStripes_;
+  std::size_t linesPerStripe_;
+  mutable std::vector<Line> lines_;
 };
 
 /// Per-device share of simulated busy time on one machine.

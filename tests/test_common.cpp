@@ -5,12 +5,18 @@
 // interner, the striped in-flight latch and the numbered-file store.
 
 #include <gtest/gtest.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -867,6 +873,92 @@ TEST(StripedLatchTest, SharedStripesDrainToZero) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(strayStripes.load(), 0);
   latch.wait();  // every stripe back at 0: returns at once
+}
+
+/// Scheduler state letter of thread `tid` of this process, from
+/// /proc/self/task/<tid>/stat: 'S' while it sleeps in the kernel.
+char threadState(long tid) {
+  std::ifstream in("/proc/self/task/" + std::to_string(tid) + "/stat");
+  std::string line;
+  std::getline(in, line);
+  const std::size_t close = line.rfind(')');
+  return close == std::string::npos || close + 2 >= line.size()
+             ? '?'
+             : line[close + 2];
+}
+
+/// Whether thread `tid` reads as sleeping on 20 consecutive polls 1 ms
+/// apart, tried until a 10 s deadline.
+bool staysAsleep(long tid) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int asleep = 0;
+  while (asleep < 20 && std::chrono::steady_clock::now() < deadline) {
+    asleep = threadState(tid) == 'S' ? asleep + 1 : 0;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return asleep == 20;
+}
+
+/// Waits up to 10 s for `done`. A thread blocked in an atomic wait cannot
+/// be cancelled or joined, so a wake-up that never comes ends the test
+/// binary with a failure instead of hanging it.
+void readyOrExit(std::future<void>& done, const char* what) {
+  if (done.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    std::fprintf(stderr, "StripedLatchTest: %s did not return within 10 s\n",
+                 what);
+    std::fflush(stderr);
+    std::_Exit(EXIT_FAILURE);
+  }
+}
+
+TEST(StripedLatchTest, WaitBlockedOnAStripeIsWokenByTheLeaveThatEmptiesIt) {
+  // leave() notifies only while a wait() is registered. A waiter that is
+  // asleep inside wait() when the last unit leaves must still be woken.
+  StripedLatch latch(4);
+  const std::size_t first = latch.enter();
+  const std::size_t second = latch.enter();
+  ASSERT_EQ(first, second);  // one thread keeps its stripe
+
+  std::atomic<long> waiterTid{0};
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread waiter([&] {
+    waiterTid.store(static_cast<long>(::syscall(SYS_gettid)));
+    latch.wait();
+    returned.set_value();
+  });
+  while (waiterTid.load() == 0) std::this_thread::yield();
+  const long tid = waiterTid.load();
+
+  // The waiter does nothing between publishing its id and calling wait(),
+  // so a thread that stays asleep is blocked inside wait().
+  ASSERT_TRUE(staysAsleep(tid)) << "waiter never blocked in wait()";
+  latch.leave(first);  // one unit is still inside: no wake-up due
+  EXPECT_EQ(done.wait_for(std::chrono::milliseconds(20)),
+            std::future_status::timeout);
+  ASSERT_TRUE(staysAsleep(tid)) << "waiter left wait() with a unit inside";
+  latch.leave(second);  // empties the stripe
+  readyOrExit(done, "wait() blocked on the emptied stripe");
+  waiter.join();
+
+  // Many cycles with no waiter registered notify nothing, and leave every
+  // stripe at 0: a later wait() returns at once.
+  std::vector<std::thread> cyclers;
+  for (int t = 0; t < 4; ++t) {
+    cyclers.emplace_back([&latch] {
+      for (int i = 0; i < 20000; ++i) latch.leave(latch.enter());
+    });
+  }
+  for (auto& t : cyclers) t.join();
+  std::promise<void> drained;
+  std::future<void> drainedDone = drained.get_future();
+  std::thread late([&] {
+    latch.wait();
+    drained.set_value();
+  });
+  readyOrExit(drainedDone, "wait() after cycles with no waiter");
+  late.join();
 }
 
 // ---- numbered files --------------------------------------------------------

@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -25,6 +26,7 @@
 #include "fleet/fleet.hpp"
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
+#include "request_state.hpp"
 #include "runtime/compiler.hpp"
 #include "runtime/evaluation.hpp"
 #include "sim/machine.hpp"
@@ -1026,6 +1028,38 @@ TEST(Fleet, RetrainFansOutModelsAndInvalidatesCaches) {
                                                         fx.tasks[t]));
     }
     EXPECT_EQ(fleet.replica(r).stats().fleet.modelInstalls, 1u);
+  }
+}
+
+TEST(Fleet, CallLeavesTheRequestUntouchedAndUnreferenced) {
+  // Fleet::call and Replica::call borrow the request down to the
+  // service, like PartitionService::call.
+  static_assert(std::is_same_v<decltype(&Fleet::call),
+                               serve::LaunchResponse (Fleet::*)(
+                                   const serve::LaunchRequest&)>);
+  static_assert(std::is_same_v<decltype(&Replica::call),
+                               serve::LaunchResponse (Replica::*)(
+                                   const serve::LaunchRequest&)>);
+  FleetFixture fx;
+  FleetConfig config = fx.config(2, /*gossipEnabled=*/false);
+  config.service.refine = false;  // no probes: a repeat serves one label
+  config.service.recordFeedback = true;
+  Fleet fleet(config);
+  fleet.addMachine(fx.machine, fx.weakModel);
+
+  serve::LaunchRequest request = fx.request(0);
+  const testing_support::RequestState before =
+      testing_support::requestState(request);
+  // Round-robin: a miss on each replica, then a hit on each.
+  std::vector<serve::LaunchResponse> responses;
+  for (std::size_t i = 0; i < 2 * fleet.size(); ++i) {
+    responses.push_back(fleet.call(request));
+    EXPECT_EQ(testing_support::requestState(request), before) << "call " << i;
+    EXPECT_EQ(responses[i].cacheHit, i >= fleet.size()) << "call " << i;
+    EXPECT_EQ(responses[i].label, responses[0].label) << "call " << i;
+  }
+  for (std::size_t r = 0; r < fleet.size(); ++r) {
+    EXPECT_EQ(fleet.replica(r).service().stats().feedbackRecords, 1u);
   }
 }
 

@@ -21,12 +21,14 @@
 #include <sstream>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 
 #include "common/intern.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/health.hpp"
+#include "request_state.hpp"
 #include "runtime/compiler.hpp"
 #include "runtime/evaluation.hpp"
 #include "serve/service.hpp"
@@ -420,6 +422,65 @@ TEST(LatencyRecorder, SnapshotRacesWithWritersCleanly) {
   EXPECT_EQ(inconsistencies.load(), 0u);
 }
 
+TEST(MachineLoadStats, ConcurrentRecordersSumExactlyAtEveryDeviceCount) {
+  // A stripe's first line holds the request count, the makespan sum and
+  // six devices, so 7 and 15 devices spill onto a second and a third
+  // line. Two stripes for four recorders make every stripe shared; 0
+  // takes the default count. Integer-valued seconds keep every sum exact
+  // in any order of the adds.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 5000;
+  // Recorder t's i-th request: only some devices are active, each busy
+  // for a whole number of seconds.
+  const auto execution = [](std::size_t devices, std::size_t t,
+                            std::size_t i) {
+    std::vector<runtime::DeviceExecution> out;
+    for (std::size_t d = 0; d < devices; ++d) {
+      if ((i + d) % 3 == 0) continue;
+      runtime::DeviceExecution e;
+      e.device = d;
+      e.transferInSeconds = static_cast<double>(t + 1);
+      e.kernelSeconds = static_cast<double>(d);
+      e.transferOutSeconds = static_cast<double>(i % 2);
+      out.push_back(e);
+    }
+    return out;
+  };
+  for (const std::size_t devices : {1u, 3u, 7u, 15u}) {
+    for (const std::size_t stripes : {0u, 2u}) {
+      MachineLoadStats stats(devices, stripes);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          for (std::size_t i = 0; i < kPerThread; ++i) {
+            stats.record(static_cast<double>(i % 7),
+                         execution(devices, t, i));
+          }
+        });
+      }
+      for (auto& th : threads) th.join();
+
+      double makespan = 0.0;
+      std::vector<double> busy(devices, 0.0);
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        for (std::size_t i = 0; i < kPerThread; ++i) {
+          makespan += static_cast<double>(i % 7);
+          for (const auto& e : execution(devices, t, i)) {
+            busy[e.device] +=
+                e.transferInSeconds + e.kernelSeconds + e.transferOutSeconds;
+          }
+        }
+      }
+      const MachineLoadStats::Snapshot snap = stats.snapshot();
+      SCOPED_TRACE(testing::Message()
+                   << devices << " devices, " << stripes << " stripes");
+      EXPECT_EQ(snap.requests, kThreads * kPerThread);
+      EXPECT_EQ(snap.makespanSum, makespan);
+      EXPECT_EQ(snap.deviceBusySeconds, busy);
+    }
+  }
+}
+
 TEST(LatencyRecorder, MergedReservoirPercentilesMatchPooledSamples) {
   // Merge-order regression (the striped rework): summary() must compute
   // p50/p95 with common::percentile over the POOLED per-stripe windows,
@@ -530,6 +591,35 @@ TEST(PartitionService, ServesAndMatchesUnbatchedPath) {
     EXPECT_TRUE(again.cacheHit);
     EXPECT_EQ(again.label, expected);
     EXPECT_DOUBLE_EQ(again.execution.makespan, response.execution.makespan);
+  }
+}
+
+TEST(PartitionService, CallLeavesTheRequestUntouchedAndUnreferenced) {
+  // call() borrows its request: releasing it, and with it the refcounts
+  // every client sending the same launch writes, stays with the caller.
+  static_assert(std::is_same_v<decltype(&PartitionService::call),
+                               LaunchResponse (PartitionService::*)(
+                                   const LaunchRequest&)>);
+  ServiceConfig config;
+  config.recordFeedback = true;
+  ServiceFixture fx(config);
+  for (std::size_t t = 0; t < fx.tasks.size(); ++t) {
+    LaunchRequest request = fx.request(t);
+    const testing_support::RequestState before =
+        testing_support::requestState(request);
+
+    const auto miss = fx.service->call(request);
+    EXPECT_FALSE(miss.cacheHit);
+    EXPECT_EQ(fx.service->stats().feedbackRecords, t + 1);  // measured
+    EXPECT_EQ(testing_support::requestState(request), before);
+
+    const auto hit = fx.service->call(request);
+    EXPECT_TRUE(hit.cacheHit);
+    EXPECT_EQ(hit.label, miss.label);
+    EXPECT_EQ(testing_support::requestState(request), before);
+
+    EXPECT_EQ(fx.service->call(request).label, miss.label);
+    EXPECT_EQ(testing_support::requestState(request), before);
   }
 }
 
